@@ -5,7 +5,8 @@ CSV or JSON report, `det` evaluates one determinant on a matrix file or a
 profile spec line, `example` reproduces the named closed-form scenarios and
 compares against their expected constants.  Exit codes: 0 success, 1 honest
 mathematical failure (violated bound, non-convergent limit, undecidable
-membership, domain refusal), 2 usage errors.
+membership, domain refusal, a LAPACK decomposition that fails), 2 usage
+errors.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import math
 import os
 import sys
 from typing import Dict, List, Optional
+
+from numpy.linalg import LinAlgError
 
 from .dets import (
     DetDomainError,
@@ -54,6 +57,7 @@ _MATH_ERRORS = (
     UnsupportedProfileError,
     UnsupportedProductError,
     DivergenceError,
+    LinAlgError,
 )
 
 EXAMPLE_NAMES = ("ex-3-4-invertible", "ex-3-4-projection", "prop-3-2")
@@ -104,7 +108,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = run_suite(config)
+    try:
+        result = run_suite(config)
+    except LinAlgError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     payload = rows_to_csv(result.rows) if args.format == "csv" else result_to_json(result)
     _write_output(payload, args.out)
     for name in suites:

@@ -1,8 +1,10 @@
 """Finite matrix models over the normalized trace tau = tr/n.
 
-MatrixOperator wraps an immutable complex square matrix and caches its
-decompositions once at construction: singular values always, the eigensystem
-when the matrix is self-adjoint.  Every step function the checks consume is
+MatrixOperator wraps an immutable complex square matrix.  Its spectral data
+(singular values, the hermiticity decision, and the eigensystem when the
+matrix is self-adjoint) is computed on first read and then cached, so an
+operator that nothing inspects costs no decomposition and one that is read
+still costs at most one of each.  Every step function the checks consume is
 derived from those cached arrays, so inequalities compare numbers produced by
 a single decomposition rather than by repeated, slightly different solves.
 """
@@ -58,11 +60,14 @@ ENSEMBLE_KINDS = (
 
 
 class MatrixOperator:
-    """Immutable n x n complex matrix with cached spectral data.
+    """Immutable n x n complex matrix with lazily computed, cached spectral data.
 
-    singular_values are nonincreasing.  eigenvalues (nonincreasing) and the
-    matching eigenvector basis exist exactly when the matrix passes the
-    hermiticity test max|A - A*| <= 1e-12 * ||A|| (floor 1e-300).
+    Construction only validates the entries.  singular_values (nonincreasing)
+    come from one SVD on first read.  eigenvalues (nonincreasing) and the
+    matching eigenvector basis come from one eigh on first read and exist
+    exactly when the matrix passes the hermiticity test
+    max|A - A*| <= 1e-12 * ||A|| (floor 1e-300); an exactly hermitian matrix
+    passes without the SVD.
     """
 
     __slots__ = ("_a", "_n", "_svals", "_eigs", "_eigvecs", "_self_adjoint")
@@ -73,26 +78,34 @@ class MatrixOperator:
             raise ValueError("entries must form a nonempty square matrix")
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise ValueError("entries must be finite")
+        a.setflags(write=False)
+        self._a = a
         self._n = a.shape[0]
-        sv = np.linalg.svd(a, compute_uv=False)
-        sv.setflags(write=False)
-        self._svals = sv
-        tol = max(_HERMITICITY_FLOOR, HERMITICITY_RTOL * float(sv[0]))
-        dev = float(np.max(np.abs(a - a.conj().T)))
-        self._self_adjoint = dev <= tol
-        if self._self_adjoint:
-            w, v = np.linalg.eigh(a)
+        self._svals = None
+        self._self_adjoint = None
+        self._eigs = None
+        self._eigvecs = None
+
+    def _svd(self) -> np.ndarray:
+        if self._svals is None:
+            sv = np.linalg.svd(self._a, compute_uv=False)
+            sv.setflags(write=False)
+            self._svals = sv
+        return self._svals
+
+    def _eigh(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._eigs is None:
+            if not self.self_adjoint:
+                raise ValueError("matrix is not self-adjoint at the hermiticity tolerance")
+            w, v = np.linalg.eigh(self._a)
             w = w[::-1].copy()
             v = v[:, ::-1].copy()
             w.setflags(write=False)
             v.setflags(write=False)
-            self._eigs = w
+            # eigenvalues last: a reader that sees them also sees their vectors
             self._eigvecs = v
-        else:
-            self._eigs = None
-            self._eigvecs = None
-        a.setflags(write=False)
-        self._a = a
+            self._eigs = w
+        return self._eigs, self._eigvecs
 
     @property
     def n(self) -> int:
@@ -104,21 +117,25 @@ class MatrixOperator:
 
     @property
     def self_adjoint(self) -> bool:
+        if self._self_adjoint is None:
+            a = self._a
+            dev = float(np.max(np.abs(a - a.conj().T)))
+            # the tolerance has a positive floor, so dev == 0 needs no SVD
+            self._self_adjoint = dev == 0.0 or dev <= max(
+                _HERMITICITY_FLOOR, HERMITICITY_RTOL * float(self._svd()[0]))
         return self._self_adjoint
 
     @property
     def singular_values(self) -> np.ndarray:
-        return self._svals
+        return self._svd()
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        if self._eigs is None:
-            raise ValueError("matrix is not self-adjoint at the hermiticity tolerance")
-        return self._eigs
+        return self._eigh()[0]
 
     @property
     def norm(self) -> float:
-        return float(self._svals[0])
+        return float(self._svd()[0])
 
     @property
     def tau(self) -> float:
@@ -149,7 +166,7 @@ class MatrixOperator:
     __rmul__ = __mul__
 
     def __repr__(self):
-        sa = "self-adjoint" if self._self_adjoint else "general"
+        sa = "self-adjoint" if self.self_adjoint else "general"
         return f"MatrixOperator(n={self._n}, {sa})"
 
 
@@ -185,8 +202,7 @@ def mu_neg_part(a: MatrixOperator) -> MonotoneStepFn:
 
 def functional_calculus(a: MatrixOperator, fn: Callable[[np.ndarray], np.ndarray]) -> MatrixOperator:
     """Apply a real function to a self-adjoint matrix through its eigensystem."""
-    w = a.eigenvalues
-    v = a._eigvecs
+    w, v = a._eigh()
     fw = np.asarray(fn(w), dtype=float)
     return MatrixOperator((v * fw) @ v.conj().T)
 

@@ -334,8 +334,8 @@ def _check_sum_psi_composite(n, master, trial, tol):
     g = lambda_matrix(t_op) + lambda_matrix(s_op) - lambda_matrix(ts_op)
     grid = _boundary_ts(n, 0.5) + _midpoint_ts(n, 0.5)
     c_sum = sum(
-        max(abs(psi_eval(_psi_tpm(x), t)) for t in grid)
-        for x in (t_op, s_op, ts_op)
+        max(abs(psi_eval(h, t)) for t in grid)
+        for h in [_psi_tpm(x) for x in (t_op, s_op, ts_op)]
     )
     rows = []
     margin, ok = _ok(ident_gap, 0.0, tol)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from specdet import matmodel
 from specdet.cli import main
 from specdet.matmodel import MatrixOperator, identity, save_matrix
 
@@ -14,6 +15,14 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def failing_svd(monkeypatch):
+    def svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(matmodel.np.linalg, "svd", svd)
 
 
 # ---- verify ----
@@ -93,6 +102,13 @@ def test_verify_out_file(capsys, tmp_path):
     assert text.startswith("check_name,seed,trial,n,")
 
 
+def test_verify_lapack_failure_exits_1(capsys, failing_svd):
+    code, out, err = _run(capsys, ["verify", "--suite", "majorization", "--n", "8", "--trials", "1"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: SVD did not converge\n"
+
+
 # ---- det ----
 
 def test_det_identity_matrix_file(capsys, tmp_path):
@@ -115,6 +131,16 @@ def test_det_singular_matrix_file(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["value"] == 0.0
     assert payload["branch"] == 3
+
+
+def test_det_lapack_failure_exits_1(capsys, tmp_path, failing_svd):
+    # loading validates the entries only; the svd runs inside the determinant
+    path = tmp_path / "id.mat"
+    save_matrix(identity(4), str(path))
+    code, out, err = _run(capsys, ["det", "--input", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: SVD did not converge\n"
 
 
 def test_det_profile_line_flip(capsys):

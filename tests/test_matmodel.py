@@ -1,10 +1,14 @@
 """Matrix models: spectral step functions, determinants, ensembles, persistence."""
 
 import math
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from specdet import matmodel
 from specdet.matmodel import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
@@ -31,6 +35,7 @@ from specdet.matmodel import (
     truncate_at_level,
 )
 from specdet.stepfn import integrate, left_continuous_version
+from specdet.verify import run_check
 
 
 def _hermitian(n: int, seed: int) -> MatrixOperator:
@@ -73,6 +78,142 @@ def test_hermiticity_detection():
 def test_sampled_hermitian_is_exactly_hermitian():
     a = _hermitian(8, 5).entries
     assert float(np.max(np.abs(a - a.conj().T))) == 0.0
+
+
+# ---- lazy spectral data ----
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Count the svd/eigh calls matmodel makes."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(matmodel.np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(matmodel.np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    return calls
+
+
+def test_construction_and_arithmetic_run_no_decomposition(lapack_calls):
+    h = _hermitian(6, 1)
+    g = _ginibre(6, 2)
+    ops = [h + g, h - g, -h, 2.0 * g, g * 3, h.matmul(g), identity(6)]
+    assert all(op.n == 6 for op in ops)
+    assert h.entries.shape == (6, 6) and math.isfinite(g.tau)
+    assert lapack_calls == Counter()
+
+
+def test_repeated_reads_decompose_at_most_once(lapack_calls):
+    g = _ginibre(6, 3)
+    for _ in range(3):
+        assert not g.self_adjoint
+        assert g.norm == g.singular_values[0]
+        with pytest.raises(ValueError):
+            g.eigenvalues
+    assert lapack_calls == Counter(svd=1)
+
+    h = _hermitian(6, 4)
+    for _ in range(3):
+        assert h.self_adjoint
+        h.eigenvalues
+    assert lapack_calls == Counter(svd=1, eigh=1)
+    for _ in range(3):
+        assert h.norm == h.singular_values[0]
+    assert lapack_calls == Counter(svd=2, eigh=1)
+    # the cached arrays are shared with every reader, so they are read-only
+    assert not any(x.flags.writeable for x in (*h._eigh(), h.singular_values))
+
+
+def test_concurrent_first_reads_agree():
+    ref = _hermitian(24, 12)
+    expected_w, expected_s = ref.eigenvalues, ref.singular_values
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            op = MatrixOperator(ref.entries)
+            seen = []
+
+            def read():
+                w, v = op._eigh()
+                seen.append((op.self_adjoint, w, v, op.singular_values))
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 4
+            for sa, w, v, s in seen:
+                assert sa
+                assert np.array_equal(w, expected_w)
+                assert np.array_equal(s, expected_s)
+                assert np.allclose((v * w) @ v.conj().T, ref.entries, atol=1e-12)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_composite_check_decomposes_only_what_it_reads(lapack_calls):
+    # 13 operators per trial; mu(A) needs one svd, the three hermitian
+    # inputs one eigh each, and exact hermiticity needs no svd
+    run_check("sum-psi-composite", 8, 42, 0)
+    assert lapack_calls == Counter(svd=1, eigh=3)
+
+
+def test_invalid_entries_still_raise_at_construction(lapack_calls):
+    for bad in (np.ones((2, 3)), np.zeros((0, 0)), np.array([[math.inf]]),
+                np.array([[1.0, math.nan], [0.0, 1.0]])):
+        with pytest.raises(ValueError):
+            MatrixOperator(bad)
+    assert lapack_calls == Counter()
+
+
+def _eager_hermiticity(entries) -> bool:
+    """The hermiticity decision as it was made eagerly at construction."""
+    a = np.array(entries, dtype=np.complex128)
+    sv = np.linalg.svd(a, compute_uv=False)
+    tol = max(matmodel._HERMITICITY_FLOOR, matmodel.HERMITICITY_RTOL * float(sv[0]))
+    return float(np.max(np.abs(a - a.conj().T))) <= tol
+
+
+def test_hermiticity_decision_at_the_tolerance():
+    # dev = |d|, ||A|| = 1 + O(d): the tolerance sits at 1e-12 to within 1e-24
+    for d, expected in ((0.99e-12, True), (1.01e-12, False)):
+        entries = np.array([[1.0, d], [0.0, 1.0]], dtype=complex)
+        assert _eager_hermiticity(entries) is expected
+        assert MatrixOperator(entries).self_adjoint is expected
+    # dev = ||A|| = d: the absolute floor 1e-300 decides
+    for d, expected in ((0.5e-300, True), (2e-300, False)):
+        entries = np.array([[0.0, d], [0.0, 0.0]], dtype=complex)
+        assert _eager_hermiticity(entries) is expected
+        assert MatrixOperator(entries).self_adjoint is expected
+
+
+def test_exactly_hermitian_needs_no_svd(lapack_calls):
+    zero = MatrixOperator(np.zeros((3, 3)))
+    assert zero.self_adjoint
+    assert _hermitian(6, 7).self_adjoint
+    assert (_hermitian(6, 8) + _hermitian(6, 9)).self_adjoint
+    assert lapack_calls == Counter()
+    assert np.array_equal(zero.eigenvalues, np.zeros(3))
+    assert _eager_hermiticity(np.zeros((3, 3)))
+
+
+def test_hermiticity_decision_matches_eager_rule():
+    rng = np.random.default_rng(5)
+    decisions = set()
+    for _ in range(20):
+        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        entries = (g + g.conj().T) / 2.0 + 10.0 ** -rng.uniform(9, 15) * g
+        decision = MatrixOperator(entries).self_adjoint
+        assert decision is _eager_hermiticity(entries)
+        decisions.add(decision)
+    assert decisions == {True, False}
 
 
 # ---- spectral data vs numpy oracles ----

@@ -180,6 +180,24 @@ def test_run_suite_deterministic_across_thread_counts(monkeypatch):
     assert serial == threaded
 
 
+@pytest.mark.parametrize("n", [7, 16])
+def test_lazy_spectra_match_eager_decomposition(monkeypatch, n):
+    # decomposing every operator at construction, as an eager model would,
+    # must not move a byte of the report
+    config = _quick_config(n=n, trials=2)
+    lazy = rows_to_csv(run_suite(config).rows)
+    construct = MatrixOperator.__init__
+
+    def eager_init(self, entries):
+        construct(self, entries)
+        self.singular_values
+        if self.self_adjoint:
+            self.eigenvalues
+
+    monkeypatch.setattr(MatrixOperator, "__init__", eager_init)
+    assert rows_to_csv(run_suite(config).rows) == lazy
+
+
 def test_trial_rows_are_independent_of_surrounding_trials():
     # rows for trial k must not depend on how many trials surround it
     solo = run_check("majorization", 8, 11, 1)
