@@ -12,6 +12,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -63,12 +64,18 @@ _MATH_ERRORS = (
 EXAMPLE_NAMES = ("ex-3-4-invertible", "ex-3-4-projection", "prop-3-2")
 
 
-def _write_output(payload: str, path: Optional[str]) -> None:
-    if path:
+def _write_output(payload: str, path: Optional[str]) -> bool:
+    """Write the report; on an OS error print one error line and return False."""
+    if not path:
+        sys.stdout.write(payload)
+        return True
+    try:
         with open(path, "w") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        print(f"error: cannot write {path!r}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _parse_tols(pairs: Optional[List[str]]) -> Dict[str, float]:
@@ -114,7 +121,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = rows_to_csv(result.rows) if args.format == "csv" else result_to_json(result)
-    _write_output(payload, args.out)
+    if not _write_output(payload, args.out):
+        return 2
     for name in suites:
         rep = result.reports[name]
         status = "PASS" if rep.passed else "FAIL"
@@ -142,7 +150,7 @@ def cmd_det(args: argparse.Namespace) -> int:
         x, desc = _load_det_input(args.input)
         phi = parse_trace(args.trace)
         space = parse_space(args.space)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -166,7 +174,8 @@ def cmd_det(args: argparse.Namespace) -> int:
     except _MATH_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_output(json.dumps(report, indent=2) + "\n", args.out)
+    if not _write_output(json.dumps(report, indent=2) + "\n", args.out):
+        return 2
     return 0
 
 
@@ -226,11 +235,14 @@ def cmd_example(args: argparse.Namespace) -> int:
     except _MATH_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_output(json.dumps(report, indent=2) + "\n", args.out)
+    if not _write_output(json.dumps(report, indent=2) + "\n", args.out):
+        return 2
     return 0 if report["pass"] else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every main() call."""
     parser = argparse.ArgumentParser(
         prog="specdet",
         description="Singular-value calculus verification harness and determinant evaluator",

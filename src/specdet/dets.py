@@ -33,6 +33,7 @@ from .spaces import (
     membership,
     power_profile,
     projection_profile,
+    psi_log,
     psi_prime_profile,
     scale_profile,
     space_lp,
@@ -313,8 +314,7 @@ def _strictly_member(space: SymmetricSpace, t: SpectralProfile) -> bool:
             return space.p * tail.a < 1.0 - _WITNESS_MARGIN
         if space.kind == "llog":
             return True
-        if space.kind == "marcinkiewicz" and space.psi is not None \
-                and space.psi.name == "psi-log":
+        if space.kind == "marcinkiewicz" and space.psi is psi_log():
             return tail.a < 1.0 - _WITNESS_MARGIN
     return False
 
@@ -328,8 +328,7 @@ def _strictly_not_member(space: SymmetricSpace, t: SpectralProfile) -> bool:
             return space.p * tail.a > 1.0 + _WITNESS_MARGIN
         if space.kind == "linf":
             return tail.a > 0.0 or tail.b > 0.0
-        if space.kind == "marcinkiewicz" and space.psi is not None \
-                and space.psi.name == "psi-log":
+        if space.kind == "marcinkiewicz" and space.psi is psi_log():
             return tail.a > 1.0 + _WITNESS_MARGIN
     return False
 

@@ -342,21 +342,46 @@ def save_matrix(a: MatrixOperator, path: str) -> None:
 
 
 def load_matrix(path: str) -> MatrixOperator:
+    """Read a matrix file in the save_matrix format, in any whitespace layout.
+
+    The file is streamed line by line: the first token is n >= 1, every later
+    token one re,im pair.  Each line's pairs go through one float64
+    conversion (the same correctly rounded parse as float()), and the buffer
+    grows with the entries actually read, never with the header's n.
+    """
+    n = total = None
+    count = 0
+    chunks = []
     with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if not tokens:
+        for line in fh:
+            toks = line.split()
+            if n is None and toks:
+                try:
+                    n = int(toks[0])
+                except ValueError:
+                    raise ValueError(f"{path}: first token must be the dimension") from None
+                if n < 1:
+                    raise ValueError(f"{path}: dimension must be at least 1, got {n}")
+                total = n * n
+                toks = toks[1:]
+            if not toks:
+                continue
+            for k, tok in enumerate(toks):
+                if tok.count(",") != 1:
+                    raise ValueError(f"{path}: entry {count + k} is not a re,im pair: {tok!r}")
+            if count + len(toks) > total:
+                raise ValueError(f"{path}: expected {total} entries, found more")
+            try:
+                chunks.append(np.array(",".join(toks).split(","), dtype=np.float64))
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}: entries {count}..{count + len(toks) - 1}: {exc}"
+                ) from None
+            count += len(toks)
+    if n is None:
         raise ValueError(f"{path}: empty matrix file")
-    try:
-        n = int(tokens[0])
-    except ValueError:
-        raise ValueError(f"{path}: first token must be the dimension") from None
-    pairs = tokens[1:]
-    if len(pairs) != n * n:
-        raise ValueError(f"{path}: expected {n * n} entries, found {len(pairs)}")
-    flat = np.empty(n * n, dtype=np.complex128)
-    for i, tok in enumerate(pairs):
-        re_s, _, im_s = tok.partition(",")
-        if not im_s:
-            raise ValueError(f"{path}: entry {i} is not a re,im pair: {tok!r}")
-        flat[i] = complex(float(re_s), float(im_s))
-    return MatrixOperator(flat.reshape(n, n))
+    if count != total:
+        raise ValueError(f"{path}: expected {total} entries, found {count}")
+    # the (re, im) float pairs are complex128 in memory; re + 1j*im would
+    # turn a -0.0 real part into +0.0
+    return MatrixOperator(np.concatenate(chunks).view(np.complex128).reshape(n, n))

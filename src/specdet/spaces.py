@@ -57,6 +57,17 @@ _RULE_EPS = 1e-12
 _AUDIT_POINTS = 64
 
 
+def _audit_grid(lo: float, hi: float) -> Tuple[float, ...]:
+    return tuple(np.geomspace(lo, hi, _AUDIT_POINTS).tolist())
+
+
+# Audit points, built once: ordinary profiles, superpower profiles (which may
+# overflow closer to 0), and psi functions.
+_PROFILE_GRID = _audit_grid(1e-9, 1.0 - 1e-9)
+_SUPERPOWER_GRID = _audit_grid(1e-2, 1.0 - 1e-9)
+_PSI_GRID = _audit_grid(1e-15, 1.0 - 1e-6)
+
+
 class Membership(enum.Enum):
     MEMBER = "member"
     NOT_MEMBER = "not-member"
@@ -91,19 +102,25 @@ class PsiFn:
         return self.fn(t)
 
 
+_PSI_LOG = PsiFn("psi-log", lambda t: 1.0 / (2.0 - math.log(t)))
+
+
 def psi_log() -> PsiFn:
-    """psi(t) = 1/(2 - log t); the exact antiderivative of 1/(t*(2 - log t)^2)."""
-    return PsiFn("psi-log", lambda t: 1.0 / (2.0 - math.log(t)))
+    """psi(t) = 1/(2 - log t); the exact antiderivative of 1/(t*(2 - log t)^2).
+
+    Always the same object: the psi-log membership rules are keyed on it, so
+    another PsiFn that merely carries the name does not inherit them.
+    """
+    return _PSI_LOG
 
 
 def _audit_psi(psi: PsiFn) -> None:
-    ts = np.geomspace(1e-15, 1.0 - 1e-6, _AUDIT_POINTS)
-    vals = np.array([psi(float(t)) for t in ts])
+    vals = np.array([psi(t) for t in _PSI_GRID])
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         raise ValueError(f"psi {psi.name!r} must be finite and positive on (0, 1)")
     if np.any(np.diff(vals) <= 0.0):
         raise ValueError(f"psi {psi.name!r} must be strictly increasing")
-    slopes = np.diff(vals) / np.diff(ts)
+    slopes = np.diff(vals) / np.diff(_PSI_GRID)
     if np.any(np.diff(slopes) > 1e-12 * slopes[:-1]):
         raise ValueError(f"psi {psi.name!r} must be concave")
     if psi(1e-300) > 0.05 * psi(0.5):
@@ -224,16 +241,16 @@ class SpectralProfile:
 
 
 def _audit_profile(p: SpectralProfile) -> None:
-    lo = 1e-9 if p.tail_at_0 != SUPERPOWER else 1e-2
-    ts = np.geomspace(lo, 1.0 - 1e-9, _AUDIT_POINTS)
-    vals = np.array([float(p.evaluator(float(t))) for t in ts])
-    if np.any(np.isnan(vals)) or np.any(vals < 0.0):
+    # plain floats: 64 points are too few for numpy calls to pay off
+    ts = _PROFILE_GRID if p.tail_at_0 != SUPERPOWER else _SUPERPOWER_GRID
+    vals = [float(p.evaluator(t)) for t in ts]
+    if any(math.isnan(v) or v < 0.0 for v in vals):
         raise ValueError(f"profile {p.name!r} must be nonnegative on the audit grid")
-    if p.tail_at_0 != SUPERPOWER and not np.all(np.isfinite(vals)):
+    if p.tail_at_0 != SUPERPOWER and math.inf in vals:
         raise ValueError(f"profile {p.name!r} must be finite on the audit grid")
-    slack = 1e-9 * (1.0 + np.abs(vals[:-1]))
-    finite = np.isfinite(vals[:-1])
-    if np.any(vals[1:][finite] > (vals[:-1] + slack)[finite]):
+    # a rise above 1e-9 * (1 + previous value) fails; after an overflow to
+    # +inf (allowed for superpower tails) the bound is +inf
+    if any(cur > prev + 1e-9 * (1.0 + prev) for prev, cur in zip(vals, vals[1:])):
         raise ValueError(f"profile {p.name!r} must be nonincreasing")
     if p.kernel_mass > 0.0:
         probe = 1.0 - 0.5 * p.kernel_mass
@@ -564,7 +581,7 @@ def membership(space: SymmetricSpace, f) -> Membership:
             bounded = tail.a == 0.0 and tail.b <= 0.0
             return Membership.MEMBER if bounded else Membership.NOT_MEMBER
         if space.kind == "marcinkiewicz":
-            if space.psi.name == "psi-log":
+            if space.psi is _PSI_LOG:
                 return _power_in_mpsi_log(tail)
             return Membership.UNDECIDABLE
     if tail == SUPERPOWER:
@@ -594,7 +611,7 @@ def elog_membership(space: SymmetricSpace, f) -> Membership:
         if space.kind == "lp":
             return Membership.MEMBER
         if space.kind == "marcinkiewicz":
-            if space.psi.name == "psi-log":
+            if space.psi is _PSI_LOG:
                 return Membership.MEMBER
             return Membership.UNDECIDABLE
     return Membership.UNDECIDABLE

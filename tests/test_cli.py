@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import specdet
 from specdet import matmodel
-from specdet.cli import main
+from specdet.cli import _build_parser, main
 from specdet.matmodel import MatrixOperator, identity, save_matrix
 
 
@@ -187,6 +191,27 @@ def test_det_missing_file_exits_2(capsys, tmp_path):
     assert err != ""
 
 
+def test_det_directory_input_exits_2(capsys, tmp_path):
+    code, out, err = _run(capsys, ["det", "--input", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["det", "--input", "name=exp-neg-psi-prime-flip scale=-1"],
+    ["example", "--name", "prop-3-2"],
+    ["verify", "--suite", "majorization", "--n", "8", "--trials", "1"],
+], ids=["det", "example", "verify"])
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+    target = str(tmp_path / "missing-dir" / "report")
+    code, out, err = _run(capsys, argv + ["--out", target])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target!r}: No such file or directory\n"
+
+
 def test_det_malformed_profile_exits_2(capsys):
     code, out, err = _run(capsys, ["det", "--input", "name=unknown-profile"])
     assert code == 2
@@ -263,3 +288,29 @@ def test_no_subcommand_exits_2(capsys):
 def test_unknown_subcommand_exits_2(capsys):
     code, out, err = _run(capsys, ["frobnicate"])
     assert code == 2
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_det_after_usage_error_prints_what_a_fresh_process_prints(capsys):
+    argv = ["det", "--input", "name=exp-neg-psi-prime-flip",
+            "--trace", "singular:psi-log", "--space", "marcinkiewicz"]
+    code, out, err = _run(capsys, ["det", "--trace", "integral:1"])   # no --input
+    assert code == 2 and "--input" in err
+    code, out, err = _run(capsys, argv)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specdet.__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "specdet.cli", *argv],
+                           capture_output=True, text=True, timeout=120,
+                           env=dict(os.environ, PYTHONPATH=src), check=False)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_plain_det_after_eps_compare_has_no_eps_key(capsys):
+    argv = ["det", "--input", "name=projection kernel=0.5",
+            "--trace", "singular:psi-log", "--space", "marcinkiewicz"]
+    code, out, err = _run(capsys, argv + ["--eps-compare"])
+    assert code == 0 and "eps" in json.loads(out)
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and "eps" not in json.loads(out)

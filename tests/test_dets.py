@@ -7,6 +7,8 @@ import pytest
 
 from specdet.dets import (
     DetDomainError,
+    _strictly_member,
+    _strictly_not_member,
     UnsupportedProductError,
     UnsupportedProfileError,
     commuting_profile_product,
@@ -26,10 +28,13 @@ from specdet.matmodel import (
     sample,
 )
 from specdet.spaces import (
+    Membership,
     MembershipUndecidableError,
     PsiFn,
     constant_profile,
+    elog_membership,
     exp_flip_profile,
+    membership,
     power_profile,
     projection_profile,
     psi_prime_profile,
@@ -330,3 +335,58 @@ def test_witness_scenario_refuses_edge_member_of_marcinkiewicz():
     # integral over psi is identically the scale, so there is no strict margin
     with pytest.raises(DetDomainError):
         separating_witness_scenario(space_linf(), space_marcinkiewicz(), psi_prime_profile())
+
+
+# Decisions over M(psi-log) before the psi-log rules were keyed on the psi
+# object: membership, log+ membership (M member, N not, U undecidable), then
+# certified strict membership and strict non-membership (1 yes, 0 no).
+_PSI_LOG_DECISIONS = {
+    (0.0, 0.0): "MM10", (0.0, 1.0): "MM10",
+    (0.5, -3.0): "MM10", (0.5, -2.0): "MM10", (0.5, -1.0): "MM10",
+    (0.5, 0.0): "MM10", (0.5, 1.0): "MM10",
+    (0.75, -3.0): "MM10", (0.75, -2.0): "MM10", (0.75, -1.0): "MM10",
+    (0.75, 0.0): "MM10", (0.75, 1.0): "MM10",
+    (1.0, -3.0): "MM00", (1.0, -2.0): "MM00", (1.0, -1.0): "NM00",
+    (1.0, 0.0): "NM00", (1.0, 1.0): "NM00",
+    (1.5, -3.0): "NM01", (1.5, -2.0): "NM01", (1.5, -1.0): "NM01",
+    (1.5, 0.0): "NM01", (1.5, 1.0): "NM01",
+    "psi-prime": "MM00",
+    "exp-flip(power(0.5),-1)": "NM01",
+    "exp-neg-psi-prime-flip": "MM10",
+    "projection(0.5)": "MM10",
+    "const(2)": "MM10",
+}
+
+
+def _decision_profile(key):
+    if isinstance(key, tuple):
+        return power_profile(*key)
+    return {
+        "psi-prime": psi_prime_profile,
+        "exp-flip(power(0.5),-1)": lambda: exp_flip_profile(power_profile(0.5), -1.0),
+        "exp-neg-psi-prime-flip": lambda: exp_flip_profile(psi_prime_profile(), 1.0),
+        "projection(0.5)": lambda: projection_profile(0.5),
+        "const(2)": lambda: constant_profile(2.0),
+    }[key]()
+
+
+def _decisions(space, profile):
+    short = {Membership.MEMBER: "M", Membership.NOT_MEMBER: "N", Membership.UNDECIDABLE: "U"}
+    return (short[membership(space, profile)] + short[elog_membership(space, profile)]
+            + str(int(_strictly_member(space, profile)))
+            + str(int(_strictly_not_member(space, profile))))
+
+
+@pytest.mark.parametrize("key", list(_PSI_LOG_DECISIONS), ids=str)
+def test_psi_log_decisions_unchanged(key):
+    assert _decisions(space_marcinkiewicz(), _decision_profile(key)) == _PSI_LOG_DECISIONS[key]
+
+
+def test_psi_named_impostor_is_never_certified():
+    impostor = space_marcinkiewicz(PsiFn("psi-log", math.sqrt))
+    assert _decisions(impostor, power_profile(0.75)) == "UU00"
+    assert _decisions(impostor, power_profile(1.5)) == "UU00"
+    with pytest.raises(DetDomainError, match="strict member"):
+        separating_witness_scenario(space_linf(), impostor, power_profile(0.9))
+    with pytest.raises(MembershipUndecidableError):
+        det_phi(exp_flip_profile(power_profile(0.75), -1.0), integral_trace(1.0), impostor)

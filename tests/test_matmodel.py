@@ -3,12 +3,14 @@
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from specdet import matmodel
+from specdet.cli import main
 from specdet.matmodel import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
@@ -457,6 +459,94 @@ def test_load_matrix_format_errors(tmp_path):
     p.write_text("1\n5\n")
     with pytest.raises(ValueError):
         load_matrix(str(p))
+
+
+_MALFORMED = {
+    "two commas": "1\n1,2,3\n",
+    "no comma": "2\n1,0 2,0 3,0 4\n",
+    "empty real part": "1\n,1\n",
+    "empty imaginary part": "1\n1,\n",
+    "too many entries": "1\n1,0 2,0\n",
+    "too few entries": "2\n1,0 2,0 3,0\n",
+    "header only": "2\n",
+    "n = 0": "0\n",
+    "n < 0": "-1\n1,0\n",
+    "bad number": "1\n1,x\n",
+}
+
+
+@pytest.mark.parametrize("text", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_load_matrix_rejects_malformed_files(tmp_path, capsys, text):
+    p = tmp_path / "bad.mat"
+    p.write_text(text)
+    with pytest.raises(ValueError):
+        load_matrix(str(p))
+    assert main(["det", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_load_matrix_names_the_entry_that_is_not_a_pair(tmp_path):
+    p = tmp_path / "bad.mat"
+    p.write_text("2\n1,0 2,0\n3,0 4,0,0\n")
+    with pytest.raises(ValueError, match=r"entry 3 is not a re,im pair: '4,0,0'"):
+        load_matrix(str(p))
+    # reading stops at the first entry past n^2, before the bad token
+    p.write_text("1\n1,0 2,0\n3,0,0\n")
+    with pytest.raises(ValueError, match="expected 1 entries, found more"):
+        load_matrix(str(p))
+
+
+def test_load_matrix_huge_header_fails_without_allocating(tmp_path):
+    p = tmp_path / "huge.mat"
+    p.write_text("100000000\n1,0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="expected 10000000000000000 entries, found 1"):
+            load_matrix(str(p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _old_parse(tokens):
+    # the per-token parse the streaming loader replaced
+    flat = np.empty(len(tokens), dtype=np.complex128)
+    for i, tok in enumerate(tokens):
+        re_s, _, im_s = tok.partition(",")
+        flat[i] = complex(float(re_s), float(im_s))
+    return flat
+
+
+def test_load_matrix_layouts_and_old_parse_agree_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(2024)
+    n = 9
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 2.2250738585072014e-308, 1.0]
+    parts = rng.standard_normal(2 * n * n) * 10.0 ** rng.integers(-300, 300, 2 * n * n)
+    parts[rng.choice(2 * n * n, 40, replace=False)] = rng.choice(special, 40)
+    parts[0], parts[3] = -0.0, -0.0    # a -0.0 real and a -0.0 imaginary part
+    spell = [repr, lambda x: f"{x:.17g}", lambda x: f"{x:.25e}", lambda x: f"{x:+.3E}"]
+    tokens = [
+        f"{spell[rng.integers(4)](float(re))},{spell[rng.integers(4)](float(im))}"
+        for re, im in zip(parts[0::2], parts[1::2])
+    ]
+    expected = _old_parse(tokens).reshape(n, n)
+    layouts = {
+        "one line": f"{n} " + " ".join(tokens) + "\n",
+        "one per line": "\n".join([str(n)] + tokens),
+        "ragged": f"\n\n  {n}\t" + "".join(
+            tok + rng.choice([" ", "\t", "\n", "  \n\n", "\r\n"]) for tok in tokens),
+    }
+    for name, text in layouts.items():
+        path = tmp_path / "m.mat"
+        path.write_text(text)
+        loaded = load_matrix(str(path)).entries
+        assert loaded.tobytes() == expected.tobytes(), name
+    assert math.copysign(1.0, loaded[0, 0].real) == -1.0
+    assert math.copysign(1.0, loaded[0, 1].imag) == -1.0
 
 
 # ---- mu calculus spot checks used by the verification suites ----

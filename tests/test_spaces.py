@@ -191,6 +191,93 @@ def test_audit_rejects_nonfinite_values():
         SpectralProfile(name="hole", evaluator=lambda t: math.nan if t > 0.9 else 1.0)
 
 
+def _recording(fn, seen):
+    def ev(t):
+        seen.append(t)
+        return fn(t)
+    return ev
+
+
+def test_audit_evaluates_the_geomspace_grid():
+    seen = []
+    SpectralProfile(name="rec", evaluator=_recording(lambda t: 1.0, seen))
+    assert seen == list(np.geomspace(1e-9, 1.0 - 1e-9, 64))
+    seen.clear()
+    SpectralProfile(name="rec", evaluator=_recording(lambda t: 1.0 / t, seen),
+                    tail_at_0=SUPERPOWER)
+    assert seen == list(np.geomspace(1e-2, 1.0 - 1e-9, 64))
+    seen.clear()
+    space_marcinkiewicz(PsiFn("rec", _recording(math.sqrt, seen)))
+    # 64 grid points, then the probes near the origin and at 1/2
+    assert seen == list(np.geomspace(1e-15, 1.0 - 1e-6, 64)) + [1e-300, 0.5]
+    assert all(type(t) is float for t in seen)
+
+
+def test_audit_allows_overflow_only_for_superpower_tails():
+    blowup = lambda t: math.inf if t < 0.05 else 1.0 / t
+    SpectralProfile(name="overflow", evaluator=blowup, tail_at_0=SUPERPOWER)
+    with pytest.raises(ValueError, match="finite"):
+        SpectralProfile(name="overflow", evaluator=blowup)
+    with pytest.raises(ValueError, match="nonnegative"):
+        SpectralProfile(name="nan", evaluator=lambda t: math.nan, tail_at_0=SUPERPOWER)
+
+
+@pytest.mark.parametrize("evaluator, kernel, message", [
+    (lambda t: -1e-300, 0.0, "nonnegative"),
+    (lambda t: 1.0 if t < 0.5 else -0.5, 0.0, "nonnegative"),
+    (lambda t: math.nan if t > 0.9 else 1.0, 0.0, "nonnegative"),
+    (lambda t: math.inf if t < 1e-5 else 1.0, 0.0, "finite"),
+    (lambda t: t, 0.0, "nonincreasing"),
+    (lambda t: 1.0 if t < 0.5 else 1.0 + 3e-9, 0.0, "nonincreasing"),
+    (lambda t: 1.0, 0.5, "kernel_mass"),
+])
+def test_audit_rejections(evaluator, kernel, message):
+    with pytest.raises(ValueError, match=message):
+        SpectralProfile(name="bad", evaluator=evaluator, kernel_mass=kernel)
+
+
+def _numpy_audit_verdict(vals, superpower):
+    # the array form of the audit's value checks, kept as the reference
+    vals = np.array(vals)
+    if np.any(np.isnan(vals)) or np.any(vals < 0.0):
+        return "nonnegative"
+    if not superpower and not np.all(np.isfinite(vals)):
+        return "finite"
+    slack = 1e-9 * (1.0 + np.abs(vals[:-1]))
+    finite = np.isfinite(vals[:-1])
+    if np.any(vals[1:][finite] > (vals[:-1] + slack)[finite]):
+        return "nonincreasing"
+    return "ok"
+
+
+def test_audit_matches_the_array_reference():
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, math.inf, math.nan, -1e-300, 5e-324, 1e308]
+    for trial in range(400):
+        superpower = bool(trial % 2)
+        grid = list(np.geomspace(1e-2 if superpower else 1e-9, 1.0 - 1e-9, 64))
+        vals = np.sort(rng.exponential(1.0, 64))[::-1]
+        # near-flat runs put some rises right at the 1e-9 relative slack
+        k = rng.integers(0, 63)
+        vals[k + 1] = vals[k] * (1.0 + rng.choice([0.5e-9, 1e-9, 2e-9, 3e-9]))
+        hits = rng.integers(0, 64, rng.integers(0, 3))
+        vals[hits] = rng.choice(special, len(hits))
+        table = dict(zip(grid, vals.tolist()))
+        expected = _numpy_audit_verdict(vals, superpower)
+        try:
+            SpectralProfile(name="ref", evaluator=table.__getitem__,
+                            tail_at_0=SUPERPOWER if superpower else BOUNDED)
+            got = "ok"
+        except ValueError as exc:
+            got = str(exc).split(" must be ")[1].split()[0]
+        assert got == expected, (trial, vals)
+
+
+def test_audit_tolerates_rises_within_the_slack():
+    # 1 -> 1 + 1e-9 is inside the relative slack 1e-9 * (1 + 1)
+    SpectralProfile(name="flat", evaluator=lambda t: 1.0 if t < 0.5 else 1.0 + 1e-9)
+
+
 # ---- psi-prime profile: exact antiderivative oracle ----
 
 def test_psi_prime_antiderivative_against_quad():
@@ -414,6 +501,22 @@ def test_membership_custom_psi_power_is_undecidable():
     space = space_marcinkiewicz(PsiFn("sqrt", math.sqrt))
     assert membership(space, power_profile(0.5)) is Membership.UNDECIDABLE
     assert membership(space, GridFn([1.0, 0.5])) is Membership.MEMBER
+
+
+def test_psi_log_is_one_object():
+    assert psi_log() is psi_log()
+    assert space_marcinkiewicz().psi is psi_log()
+    assert parse_space("marcinkiewicz") == space_marcinkiewicz()
+
+
+def test_psi_log_rules_are_not_inherited_by_name():
+    # t^-0.75 has an unbounded M(sqrt) norm (4 t^0.25 / t^0.5 -> inf), so a
+    # psi that merely borrows the name must not be answered by psi-log rules
+    impostor = space_marcinkiewicz(PsiFn("psi-log", math.sqrt))
+    assert impostor.name == "M(psi-log)"
+    assert membership(impostor, power_profile(0.75)) is Membership.UNDECIDABLE
+    assert elog_membership(impostor, power_profile(0.75)) is Membership.UNDECIDABLE
+    assert membership(space_marcinkiewicz(), power_profile(0.75)) is Membership.MEMBER
 
 
 def test_membership_superpower_rules():
