@@ -31,25 +31,18 @@ from .spaces import (
     elog_membership,
     exp_flip_profile,
     membership,
-    power_profile,
-    projection_profile,
     psi_log,
-    psi_prime_profile,
-    scale_profile,
-    space_lp,
 )
 from .traces import TraceFunctional, eval_functional, integral_trace
-from .matmodel import MatrixOperator
+from .matmodel import MatrixOperator, mu_matrix
 
 __all__ = [
     "DetDomainError",
     "UnsupportedProfileError",
-    "UnsupportedProductError",
     "det_phi",
     "det_phi_with_branch",
     "MultiplicativityReport",
     "det_multiplicativity_check",
-    "commuting_profile_product",
     "EpsComparison",
     "eps_limit_comparison",
     "WitnessReport",
@@ -67,10 +60,6 @@ class DetDomainError(ValueError):
 
 class UnsupportedProfileError(ValueError):
     """The profile lacks the registered data needed for an exact answer."""
-
-
-class UnsupportedProductError(ValueError):
-    """No exact commuting-product rule is registered for this profile pair."""
 
 
 def _log_plus(x: float) -> float:
@@ -96,15 +85,13 @@ def det_phi_with_branch(x, phi: TraceFunctional,
                         space: Optional[SymmetricSpace] = None) -> Tuple[float, int]:
     """Determinant value and the branch taken: 1 exact, 2 escaping log-, 3 kernel.
 
-    Matrix models and grid functions are bounded, so the space argument is
-    only consulted for profiles, where membership of log+ (domain entry) and
-    log- (branch 1 vs 2) is decided by the registered rules.
+    A matrix model enters through its singular value function.  Grid
+    functions are bounded, so the space argument is only consulted for
+    profiles, where membership of log+ (domain entry) and log- (branch 1 vs 2)
+    is decided by the registered rules.
     """
     if isinstance(x, MatrixOperator):
-        s = x.singular_values
-        if s[-1] == 0.0:
-            return 0.0, 3
-        return math.exp(eval_functional(phi, GridFn(np.log(s)), signed=True)), 1
+        x = mu_matrix(x)
     if isinstance(x, GridFn):
         if np.any(x.values < 0.0):
             raise ValueError("grid input to a determinant must be nonnegative data")
@@ -166,48 +153,6 @@ def det_multiplicativity_check(a: MatrixOperator, b: MatrixOperator,
                                   abs(det_ab - product) / scale)
 
 
-def _rebuild(family: str, params: Tuple) -> SpectralProfile:
-    if family == "constant":
-        return constant_profile(*params)
-    if family == "power":
-        return power_profile(*params)
-    if family == "psi-prime":
-        return psi_prime_profile(*params)
-    if family == "projection":
-        return projection_profile(*params)
-    raise UnsupportedProductError(f"cannot rebuild profile family {family!r}")
-
-
-def commuting_profile_product(f: SpectralProfile, g: SpectralProfile) -> SpectralProfile:
-    """Pointwise product of two profiles as commuting multiplication operators.
-
-    Only exactly-representable products are formed; anything else raises
-    UnsupportedProductError rather than returning an approximation.
-    """
-    if f.family == "constant":
-        c = f.params[0]
-        return constant_profile(0.0) if c == 0.0 else scale_profile(g, c)
-    if g.family == "constant":
-        return commuting_profile_product(g, f)
-    if f.family == "power" and g.family == "power":
-        a1, b1, s1 = f.params
-        a2, b2, s2 = g.params
-        if b1 == 0.0 and b2 == 0.0:
-            return power_profile(a1 + a2, 0.0, s1 * s2)
-        raise UnsupportedProductError("power products with log factors are not registered")
-    if f.family == "exp-flip" and g.family == "exp-flip":
-        bf, pf, cf = f.params
-        bg, pg, cg = g.params
-        if bf == bg and pf == pg:
-            return exp_flip_profile(_rebuild(bf, pf), cf + cg)
-        raise UnsupportedProductError("exp-flip products need a common base profile")
-    if f.family == "projection" and g.family == "projection":
-        return projection_profile(max(f.params[0], g.params[0]))
-    raise UnsupportedProductError(
-        f"no exact product rule for families {f.family!r} x {g.family!r}"
-    )
-
-
 @dataclass(frozen=True)
 class EpsComparison:
     """Exact determinant next to its epsilon-shifted sequence."""
@@ -219,11 +164,6 @@ class EpsComparison:
     limit: Optional[float] = None
     converged: bool = False
     agree: Optional[bool] = None
-
-
-def _eps_term_matrix(x: MatrixOperator, phi: TraceFunctional, eps: float) -> float:
-    shifted = np.log(x.singular_values + eps)
-    return math.exp(eval_functional(phi, GridFn(shifted), signed=True))
 
 
 def _eps_profiles(x: SpectralProfile, eps: float) -> Tuple[SpectralProfile, SpectralProfile]:
@@ -279,11 +219,11 @@ def eps_limit_comparison(x, phi: TraceFunctional,
     """
     if not (1 <= k_min < k_max):
         raise ValueError("need 1 <= k_min < k_max")
+    if isinstance(x, MatrixOperator):
+        x = mu_matrix(x)
     det_value, branch = det_phi_with_branch(x, phi, space)
     epsilons = [2.0 ** (-k) for k in range(k_min, k_max + 1)]
-    if isinstance(x, MatrixOperator):
-        values = [_eps_term_matrix(x, phi, e) for e in epsilons]
-    elif isinstance(x, SpectralProfile):
+    if isinstance(x, SpectralProfile):
         values = [_eps_term_profile(x, phi, e) for e in epsilons]
     elif isinstance(x, GridFn):
         mu = decreasing_rearrangement(x).values

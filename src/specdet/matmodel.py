@@ -17,7 +17,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .stepfn import GridFn, MonotoneStepFn
+from .stepfn import MonotoneStepFn
 
 __all__ = [
     "MatrixOperator",
@@ -35,8 +35,6 @@ __all__ = [
     "op_log",
     "pos_part",
     "neg_part",
-    "spectral_projection",
-    "abs_spectral_projection",
     "polar_abs",
     "truncate_at_level",
     "fk_det",
@@ -224,16 +222,6 @@ def pos_part(a: MatrixOperator) -> MatrixOperator:
 
 def neg_part(a: MatrixOperator) -> MatrixOperator:
     return functional_calculus(a, lambda w: np.clip(-w, 0.0, None))
-
-
-def spectral_projection(a: MatrixOperator, lo: float, hi: float) -> MatrixOperator:
-    """Spectral projection 1_[lo, hi](a) for self-adjoint a."""
-    return functional_calculus(a, lambda w: ((w >= lo) & (w <= hi)).astype(float))
-
-
-def abs_spectral_projection(a: MatrixOperator, c: float) -> MatrixOperator:
-    """1_[0, c](|a|) for self-adjoint a, via the indicator of |eigenvalue| <= c."""
-    return functional_calculus(a, lambda w: (np.abs(w) <= c).astype(float))
 
 
 def polar_abs(a: MatrixOperator) -> MatrixOperator:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import quad
 
-from .stepfn import GridFn, decreasing_rearrangement, integrate
+from .stepfn import GridFn
 
 __all__ = [
     "Membership",
@@ -42,11 +42,9 @@ __all__ = [
     "exp_flip_profile",
     "projection_profile",
     "scale_profile",
-    "dilate2_profile",
     "parse_profile_spec",
     "membership",
     "elog_membership",
-    "marcinkiewicz_functional",
     "profile_integral",
 ]
 
@@ -261,42 +259,35 @@ def _audit_profile(p: SpectralProfile) -> None:
             )
 
 
-def constant_profile(c: float, name: Optional[str] = None) -> SpectralProfile:
-    c = float(c)
-    if c < 0.0 or not math.isfinite(c):
-        raise ValueError("constant must be finite and nonnegative")
-    p = SpectralProfile(
+def _constant(c: float, name: Optional[str] = None, kernel_mass: float = 0.0,
+              log_plus: Optional[SpectralProfile] = None,
+              log_minus: Optional[SpectralProfile] = None) -> SpectralProfile:
+    return SpectralProfile(
         name=name or f"const({c:g})",
         evaluator=lambda t, _c=c: _c,
         tail_at_0=BOUNDED,
         tail_at_1="positive-limit" if c > 0.0 else "vanishes-on-interval",
-        kernel_mass=0.0 if c > 0.0 else 0.999,
+        kernel_mass=kernel_mass,
         antiderivative=lambda t, _c=c: _c * t,
+        log_plus=log_plus,
+        log_minus=log_minus,
         family="constant",
         params=(c,),
     )
-    # a positive constant has the trivial log split; registering it here
-    # keeps determinants of constant profiles on the generic path
-    if c > 0.0 and p.log_plus is None:
-        lp = max(math.log(c), 0.0)
-        lm = max(-math.log(c), 0.0)
-        object.__setattr__(p, "log_plus", _plain_constant(lp))
-        object.__setattr__(p, "log_minus", _plain_constant(lm))
-    return p
 
 
-def _plain_constant(c: float) -> SpectralProfile:
-    # bare constant carrier for log components; no recursive log fields
-    return SpectralProfile(
-        name=f"const({c:g})",
-        evaluator=lambda t, _c=c: _c,
-        tail_at_0=BOUNDED,
-        tail_at_1="positive-limit" if c > 0.0 else "vanishes-on-interval",
-        kernel_mass=0.0,
-        antiderivative=lambda t, _c=c: _c * t,
-        family="constant",
-        params=(c,),
-    )
+def constant_profile(c: float, name: Optional[str] = None) -> SpectralProfile:
+    c = float(c)
+    if c < 0.0 or not math.isfinite(c):
+        raise ValueError("constant must be finite and nonnegative")
+    if c == 0.0:
+        return _constant(c, name, kernel_mass=0.999)
+    # a positive constant has the trivial log split; registering it keeps
+    # determinants of constant profiles on the generic path.  The parts are
+    # bare constants: no kernel mass and no log split of their own.
+    lp = _constant(max(math.log(c), 0.0))
+    lm = _constant(max(-math.log(c), 0.0))
+    return _constant(c, name, log_plus=lp, log_minus=lm)
 
 
 def power_profile(a: float, b: float = 0.0, scale: float = 1.0,
@@ -444,56 +435,56 @@ def projection_profile(kernel: float) -> SpectralProfile:
     )
 
 
-def dilate2_profile(p: SpectralProfile) -> SpectralProfile:
-    """t -> p(t/2); same tail class at 0, exact antiderivative 2*F(t/2)."""
-    anti = None
-    if p.antiderivative is not None:
-        anti = lambda t, _f=p.antiderivative: 2.0 * _f(t / 2.0)
-    return SpectralProfile(
-        name=f"D2({p.name})",
-        evaluator=lambda t, _f=p.evaluator: _f(t / 2.0),
-        tail_at_0=p.tail_at_0,
-        tail_at_1="positive-limit" if p.kernel_mass < 0.5 else p.tail_at_1,
-        kernel_mass=max(0.0, 2.0 * p.kernel_mass - 1.0),
-        antiderivative=anti,
-        family="dilate2",
-        params=(p.family, p.params),
-    )
-
-
-_BUILTINS = ("psi-prime", "exp-neg-psi-prime-flip", "projection", "power")
+# the keys each builtin reads, besides name and kind
+_BUILTINS = {
+    "psi-prime": ("scale",),
+    "exp-neg-psi-prime-flip": ("scale",),
+    "projection": ("kernel",),
+    "power": ("a", "b", "scale"),
+}
 
 
 def parse_profile_spec(line: str) -> SpectralProfile:
     """Parse a profile line: name=<id> kind=<builtin|power> a= b= kernel= scale=.
 
-    Builtins: psi-prime, exp-neg-psi-prime-flip (scale is the exponent
-    coefficient), projection (kernel is the kernel mass), power (a, b, scale).
-    kind=power is a shorthand for the power builtin.
+    Builtins: psi-prime (scale), exp-neg-psi-prime-flip (scale is the
+    exponent coefficient), projection (kernel is the kernel mass), power (a,
+    b, scale).  kind=power is a shorthand for the power builtin.  A key that
+    is unknown, repeated, or not read by the chosen builtin is an error.
     """
     fields = {}
     for token in line.split():
         key, sep, value = token.partition("=")
         if not sep:
             raise ValueError(f"malformed profile token {token!r} (expected key=value)")
-        fields[key.strip().lower()] = value.strip()
-    kind = fields.get("kind", "builtin").lower()
-    name = fields.get("name", "").lower()
-    a = float(fields.get("a", "0"))
-    b = float(fields.get("b", "0"))
-    kernel = float(fields.get("kernel", "0"))
-    scale = float(fields.get("scale", "1"))
-    if kind == "power" or (kind == "builtin" and name == "power"):
-        return power_profile(a, b, scale)
-    if kind != "builtin":
-        raise ValueError(f"unknown profile kind {fields.get('kind')!r}")
-    if name == "psi-prime":
-        return psi_prime_profile(scale)
-    if name == "exp-neg-psi-prime-flip":
-        return exp_flip_profile(psi_prime_profile(), c=scale, name="exp-neg-psi-prime-flip")
-    if name == "projection":
-        return projection_profile(kernel)
-    raise ValueError(f"unknown builtin profile {fields.get('name')!r}; builtins: {_BUILTINS}")
+        key = key.strip().lower()
+        if key in fields:
+            raise ValueError(f"profile key {key!r} is given more than once")
+        fields[key] = value.strip()
+    kind = fields.pop("kind", "builtin")
+    name = fields.pop("name", None)
+    if kind.lower() == "power":
+        if name is not None and name.lower() != "power":
+            raise ValueError(f"kind=power does not take name={name!r}")
+        name = "power"
+    elif kind.lower() != "builtin":
+        raise ValueError(f"unknown profile kind {kind!r}")
+    builtin = (name or "").lower()
+    if builtin not in _BUILTINS:
+        raise ValueError(f"unknown builtin profile {name!r}; builtins: {tuple(_BUILTINS)}")
+    takes = _BUILTINS[builtin]
+    for key in fields:
+        if key not in takes:
+            raise ValueError(f"profile {builtin} does not take {key!r}; it takes {', '.join(takes)}")
+    val = {key: float(value) for key, value in fields.items()}
+    if builtin == "power":
+        return power_profile(val.get("a", 0.0), val.get("b", 0.0), val.get("scale", 1.0))
+    if builtin == "psi-prime":
+        return psi_prime_profile(val.get("scale", 1.0))
+    if builtin == "exp-neg-psi-prime-flip":
+        return exp_flip_profile(psi_prime_profile(), c=val.get("scale", 1.0),
+                                name="exp-neg-psi-prime-flip")
+    return projection_profile(val.get("kernel", 0.0))
 
 
 # ---- integrals of profiles ----
@@ -529,18 +520,6 @@ def profile_integral(p: SpectralProfile, lo: float, hi: float) -> float:
     # singularities that the adaptive rule already handles
     out = quad(p.evaluator, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200, full_output=1)
     return float(out[0])
-
-
-def marcinkiewicz_functional(psi: PsiFn, f, t: float) -> float:
-    """(1/psi(t)) * int_0^t of the decreasing rearrangement of f."""
-    t = float(t)
-    if not 0.0 < t <= 1.0:
-        raise ValueError("t must lie in (0, 1]")
-    if isinstance(f, GridFn):
-        return integrate(decreasing_rearrangement(f), 0.0, t) / psi(t)
-    if _integrable_near_zero(f) is False:
-        raise DivergenceError(f"profile {f.name!r} is not integrable near 0")
-    return profile_integral(f, 0.0, t) / psi(t)
 
 
 # ---- the membership oracle ----

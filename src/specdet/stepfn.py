@@ -11,26 +11,17 @@ chasing quadrature error.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "CellDomainError",
     "GridFn",
     "MonotoneStepFn",
     "decreasing_rearrangement",
     "left_continuous_version",
     "integrate",
     "psi_eval",
-    "psi_transform",
     "dilate2",
-    "apply_log",
-    "apply_log_plus",
-    "apply_log_minus",
-    "apply_exp",
-    "apply_abs",
-    "apply_min_const",
 ]
 
 # Refinement guard: binary operations resample to the least common multiple of
@@ -41,17 +32,6 @@ _MAX_CELLS = 1 << 20
 # land within this distance of an interior grid node are treated as sitting on
 # the node, so the one-sided convention applies there.
 _SNAP = 1e-9
-
-
-class CellDomainError(ValueError):
-    """A pointwise map was applied to a cell value outside its domain.
-
-    Carries the 0-based index of the first offending cell.
-    """
-
-    def __init__(self, message: str, cell_index: int):
-        super().__init__(message)
-        self.cell_index = int(cell_index)
 
 
 class GridFn:
@@ -213,69 +193,8 @@ def psi_eval(f: GridFn, t: float) -> float:
     return integrate(f, t, 1.0 - t) / t
 
 
-def psi_transform(f: GridFn) -> GridFn:
-    """Psi f sampled at the cell midpoints of f's own grid.
-
-    The underlying integrals are exact; only the sampling points are a
-    convention.  Use psi_eval for pointwise values at arbitrary t.
-    """
-    n = f.n_cells
-    vals = [psi_eval(f, (k + 0.5) / n) for k in range(n)]
-    return GridFn(vals, f.convention)
-
-
 def dilate2(f: GridFn) -> GridFn:
     """Dilation (D2 f)(t) = f(t/2), exactly representable on the same grid."""
     n = f.n_cells
     vals = np.repeat(f.values, 2)[:n]
     return type(f)(vals, f.convention)
-
-
-def _mapped(f: GridFn, out: np.ndarray) -> GridFn:
-    return GridFn(out, f.convention)
-
-
-def apply_log(f: GridFn) -> GridFn:
-    """log f; every cell value must be strictly positive."""
-    v = f.values
-    bad = np.flatnonzero(v <= 0.0)
-    if bad.size:
-        raise CellDomainError(f"log of nonpositive value {v[bad[0]]} in cell {bad[0]}", bad[0])
-    return _mapped(f, np.log(v))
-
-
-def apply_log_plus(f: GridFn) -> GridFn:
-    """log+ f = max(log f, 0); total on [0, inf), rejects negative cells."""
-    v = f.values
-    bad = np.flatnonzero(v < 0.0)
-    if bad.size:
-        raise CellDomainError(f"log+ of negative value {v[bad[0]]} in cell {bad[0]}", bad[0])
-    out = np.zeros_like(v)
-    big = v > 1.0
-    out[big] = np.log(v[big])
-    return _mapped(f, out)
-
-
-def apply_log_minus(f: GridFn) -> GridFn:
-    """log- f = max(-log f, 0); infinite at 0, so zero cells are rejected."""
-    v = f.values
-    bad = np.flatnonzero(v <= 0.0)
-    if bad.size:
-        raise CellDomainError(f"log- of nonpositive value {v[bad[0]]} in cell {bad[0]}", bad[0])
-    out = np.zeros_like(v)
-    small = v < 1.0
-    out[small] = -np.log(v[small])
-    return _mapped(f, out)
-
-
-def apply_exp(f: GridFn) -> GridFn:
-    return _mapped(f, np.exp(f.values))
-
-
-def apply_abs(f: GridFn) -> GridFn:
-    return _mapped(f, np.abs(f.values))
-
-
-def apply_min_const(f: GridFn, c: float) -> GridFn:
-    """Pointwise min(f, c)."""
-    return _mapped(f, np.minimum(f.values, float(c)))

@@ -24,6 +24,7 @@ import numpy as np
 
 from .stepfn import (
     GridFn,
+    dilate2,
     integrate,
     left_continuous_version,
     psi_eval,
@@ -117,9 +118,12 @@ class SuiteConfig:
             raise ValueError("n must lie in [2, 512]")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
+        menu = ", ".join(SUITE_NAMES)
+        if not self.suites:
+            raise ValueError(f"no suite given; choose from {menu}")
         for name in self.suites:
             if name not in SUITE_NAMES:
-                raise ValueError(f"unknown suite {name!r}")
+                raise ValueError(f"unknown suite {name!r}; choose from {menu}")
 
     def tolerance(self, check: str) -> float:
         if check in self.tol_overrides:
@@ -433,14 +437,14 @@ def _check_log_closure(n, master, trial, tol):
     """log(1 + mu(A+B)) and log(1 + mu(AB)) <= log(1 + D2 mu A) + log(1 + D2 mu B).
 
     Cellwise on the model grid; D2 f(t) = f(t/2) is the exact two-fold
-    dilation (cell values repeated).
+    dilation of stepfn.dilate2.
     """
     name = "log-closure"
     seed = _trial_seed(master, name, trial, "A")
     a_op = _ginibre(master, name, trial, "A", n)
     b_op = _ginibre(master, name, trial, "B", n)
-    da = np.repeat(a_op.singular_values, 2)[:n]
-    db = np.repeat(b_op.singular_values, 2)[:n]
+    da = dilate2(mu_matrix(a_op)).values
+    db = dilate2(mu_matrix(b_op)).values
     bound_cells = np.log1p(da) + np.log1p(db)
     v_sum = np.log1p((a_op + b_op).singular_values)
     v_prod = np.log1p(a_op.matmul(b_op).singular_values)

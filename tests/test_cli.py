@@ -57,6 +57,31 @@ def test_verify_unknown_suite_exits_2_with_menu(capsys):
     assert "majorization" in err  # the menu
 
 
+def test_det_misspelled_profile_key_exits_2(capsys):
+    code, out, err = _run(capsys, ["det", "--input", "kind=power a=0.75 sclae=2"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: profile power does not take 'sclae'; it takes a, b, scale\n"
+
+
+@pytest.mark.parametrize("suite", [",", " , ", ""])
+def test_verify_empty_suite_list_exits_2(capsys, suite):
+    code, out, err = _run(capsys, ["verify", "--suite", suite, "--n", "8", "--trials", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no suite given")
+    assert err.count("\n") == 1
+
+
+def test_verify_unknown_suite_is_one_error_line(capsys):
+    code, out, err = _run(capsys, ["verify", "--suite", "majorization,wavelets", "--n", "8",
+                                   "--trials", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown suite 'wavelets'; choose from product-log-integral,")
+    assert err.count("\n") == 1
+
+
 def test_verify_bad_n_exits_2(capsys):
     code, out, err = _run(capsys, ["verify", "--suite", "majorization", "--n", "1", "--trials", "1"])
     assert code == 2

@@ -1,6 +1,7 @@
 """Determinants over trace and space choices: branches, limits, witnesses."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from specdet.dets import (
     DetDomainError,
     _strictly_member,
     _strictly_not_member,
-    UnsupportedProductError,
     UnsupportedProfileError,
-    commuting_profile_product,
     det_multiplicativity_check,
     det_phi,
     det_phi_with_branch,
@@ -24,6 +23,7 @@ from specdet.matmodel import (
     fk_det,
     haar_unitary,
     identity,
+    mu_matrix,
     polar_abs,
     sample,
 )
@@ -44,7 +44,7 @@ from specdet.spaces import (
     space_marcinkiewicz,
 )
 from specdet.stepfn import GridFn
-from specdet.traces import integral_trace, singular_trace
+from specdet.traces import NonConvergentError, integral_trace, singular_trace
 
 
 def _ginibre(n: int, seed: int) -> MatrixOperator:
@@ -101,6 +101,21 @@ def test_det_path_independence_matrix_vs_mu_grid():
     assert br_m == br_a == br_g == 1
     assert d_matrix == d_grid  # same singular values, same fsum
     assert d_abs == pytest.approx(d_matrix, rel=1e-11)
+    # a matrix enters every determinant path as its singular value function
+    coarse = replace(singular_trace(), k_min=1, k_max=6)
+    for x in (a, MatrixOperator(np.diag([2.0, 0.5, 0.0]).astype(complex))):
+        mu = mu_matrix(x)
+        for phi in (PHI1, integral_trace(2.5), singular_trace()):
+            assert det_phi_with_branch(x, phi) == det_phi_with_branch(mu, phi)
+        cmp_x, cmp_mu = eps_limit_comparison(x, PHI1), eps_limit_comparison(mu, PHI1)
+        assert cmp_x.values == cmp_mu.values
+        assert cmp_x.limit == cmp_mu.limit
+        refusals = []
+        for y in (x, mu):
+            with pytest.raises(NonConvergentError) as exc:
+                eps_limit_comparison(y, coarse)
+            refusals.append((str(exc.value), exc.value.values))
+        assert refusals[0] == refusals[1]
 
 
 def test_det_singular_matrix_branch3():
@@ -189,52 +204,12 @@ def test_det_input_outside_elog_raises():
         det_phi(y, PHI1, space_lp(1.0))
 
 
-# ---- commuting profile products ----
-
-def test_product_of_flip_profiles_adds_exponents():
-    a = exp_flip_profile(psi_prime_profile(), 1.0)
-    b = exp_flip_profile(psi_prime_profile(), 1.0)
-    prod = commuting_profile_product(a, b)
-    phi, space = singular_trace(), space_marcinkiewicz()
-    assert det_phi(prod, phi, space) == pytest.approx(det_phi(a, phi, space) * det_phi(b, phi, space), rel=1e-12)
-    assert det_phi(prod, phi, space) == pytest.approx(math.exp(-2.0), rel=1e-12)
-
-
-def test_product_with_inverse_flip_is_constant_one():
+def test_flip_and_inverse_flip_dets_multiply_to_one():
     a = exp_flip_profile(psi_prime_profile(), 1.0)
     inv = exp_flip_profile(psi_prime_profile(), -1.0)
-    prod = commuting_profile_product(a, inv)
-    assert prod(0.3) == 1.0
     phi, space = singular_trace(), space_marcinkiewicz()
     # multiplicativity across branches: e^-1 * e^1 = 1
     assert det_phi(a, phi, space) * det_phi(inv, phi, space) == pytest.approx(1.0, rel=1e-12)
-    assert det_phi(prod, phi, space) == 1.0
-
-
-def test_product_of_power_profiles():
-    p = commuting_profile_product(power_profile(0.25), power_profile(0.5))
-    assert p(0.3) == pytest.approx(0.3 ** -0.75, rel=1e-13)
-
-
-def test_product_with_constants_and_projections():
-    c = constant_profile(3.0)
-    p = power_profile(0.5)
-    assert commuting_profile_product(c, p)(0.25) == pytest.approx(3.0 * 0.25 ** -0.5, rel=1e-14)
-    assert commuting_profile_product(constant_profile(0.0), p)(0.5) == 0.0
-    pr = commuting_profile_product(projection_profile(0.25), projection_profile(0.5))
-    assert pr.kernel_mass == 0.5
-
-
-def test_unsupported_products_raise():
-    with pytest.raises(UnsupportedProductError):
-        commuting_profile_product(psi_prime_profile(), power_profile(0.5))
-    with pytest.raises(UnsupportedProductError):
-        commuting_profile_product(
-            exp_flip_profile(psi_prime_profile(), 1.0),
-            exp_flip_profile(power_profile(0.5), 1.0),
-        )
-    with pytest.raises(UnsupportedProductError):
-        commuting_profile_product(power_profile(0.5, 1.0), power_profile(0.25))
 
 
 # ---- eps-shifted comparison ----

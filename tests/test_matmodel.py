@@ -15,7 +15,6 @@ from specdet.matmodel import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
     MatrixOperator,
-    abs_spectral_projection,
     fk_det,
     fk_det_eps,
     functional_calculus,
@@ -33,7 +32,6 @@ from specdet.matmodel import (
     pos_part,
     sample,
     save_matrix,
-    spectral_projection,
     truncate_at_level,
 )
 from specdet.stepfn import integrate, left_continuous_version
@@ -279,26 +277,6 @@ def test_exp_log_roundtrip():
     assert np.allclose(b.entries, a.entries, atol=1e-12)
     with pytest.raises(ValueError):
         op_log(a - a)  # zero matrix is not strictly positive
-
-
-def test_spectral_projection_counts_eigenvalues():
-    a = _hermitian(16, 8)
-    w = a.eigenvalues
-    lo, hi = float(w[10]), float(w[3])
-    p = spectral_projection(a, lo, hi)
-    count = int(np.sum((w >= lo) & (w <= hi)))
-    assert p.tau == pytest.approx(count / 16, abs=1e-13)
-    assert np.allclose(p.matmul(p).entries, p.entries, atol=1e-12)
-
-
-def test_abs_projection_mass_at_mu_level():
-    # tau(1_[0, c_k](|T|)) >= 1 - k/n when c_k is the (k+1)-th largest |eigenvalue|;
-    # levels come from the same eigen-data the projection uses, so this is exact
-    a = _hermitian(16, 15)
-    levels = np.sort(np.abs(a.eigenvalues))[::-1]
-    for k in range(1, 16):
-        p = abs_spectral_projection(a, float(levels[k]))
-        assert p.tau >= 1.0 - k / 16.0 - 1e-13
 
 
 def test_polar_abs_has_singular_value_spectrum():

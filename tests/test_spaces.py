@@ -21,10 +21,8 @@ from specdet.spaces import (
     PsiFn,
     SpectralProfile,
     constant_profile,
-    dilate2_profile,
     elog_membership,
     exp_flip_profile,
-    marcinkiewicz_functional,
     membership,
     parse_profile_spec,
     parse_space,
@@ -134,6 +132,25 @@ def test_constant_profile():
     assert p(0.3) == 2.5
     assert profile_integral(p, 0.0, 1.0) == 2.5
     assert p.tail_at_0 == BOUNDED
+
+
+def test_constant_profile_fields_and_log_parts():
+    z = constant_profile(0.0)
+    assert (z.name, z.tail_at_1, z.kernel_mass, z.log_plus, z.log_minus) == (
+        "const(0)", "vanishes-on-interval", 0.999, None, None)
+    p = constant_profile(0.5)
+    assert (p.name, p.tail_at_1, p.kernel_mass, p.family, p.params) == (
+        "const(0.5)", "positive-limit", 0.0, "constant", (0.5,))
+    # the log parts are bare constants: no kernel mass, no log split of their own
+    for part, c in ((p.log_plus, 0.0), (p.log_minus, -math.log(0.5))):
+        assert (part.name, part.family, part.params, part.kernel_mass) == (
+            f"const({c:g})", "constant", (c,), 0.0)
+        assert part.tail_at_1 == ("positive-limit" if c > 0.0 else "vanishes-on-interval")
+        assert part.log_plus is None and part.log_minus is None
+        assert part(0.3) == c and part.antiderivative(0.5) == 0.5 * c
+    one = constant_profile(1.0, name="one")
+    assert one.name == "one" and one.log_plus.params == (0.0,)
+    assert math.copysign(1.0, one.log_minus.params[0]) == -1.0  # max(-0.0, 0.0)
 
 
 def test_profile_rejects_evaluation_outside_domain():
@@ -403,21 +420,6 @@ def test_projection_profile():
             projection_profile(bad)
 
 
-def test_dilate2_profile_values_and_integral():
-    base = power_profile(0.5)
-    d = dilate2_profile(base)
-    for t in (0.2, 0.5, 0.9):
-        assert d(t) == pytest.approx(base(t / 2.0), rel=1e-14)
-    assert profile_integral(d, 0.0, 0.5) == pytest.approx(2.0 * profile_integral(base, 0.0, 0.25), rel=1e-13)
-    oracle, _ = quad(d.evaluator, 0.1, 0.9, epsabs=1e-13, epsrel=1e-11)
-    assert profile_integral(d, 0.1, 0.9) == pytest.approx(oracle, rel=1e-9)
-
-
-def test_dilate2_profile_kernel_mapping():
-    assert dilate2_profile(projection_profile(0.7)).kernel_mass == pytest.approx(0.4, abs=1e-15)
-    assert dilate2_profile(projection_profile(0.3)).kernel_mass == 0.0
-
-
 # ---- profile spec lines ----
 
 def test_parse_profile_spec_builtins():
@@ -431,6 +433,22 @@ def test_parse_profile_spec_builtins():
     assert s(0.3) == pytest.approx(0.3 ** -0.75, rel=1e-14)
     t = parse_profile_spec("kind=power a=0.5 b=1 scale=2")
     assert t(0.3) == pytest.approx(2.0 * power_profile(0.5, 1.0)(0.3), rel=1e-14)
+
+
+@pytest.mark.parametrize("line", [
+    "kind=power a=0.75 sclae=2",                     # unknown key
+    "name=psi-prime kernel=0.3",                     # key the builtin never reads
+    "name=projection kernel=0.5 scale=2",
+    "name=exp-neg-psi-prime-flip a=1",
+    "kind=power a=0.5 kernel=0.1",
+    "kind=power a=0.5 a=0.9",                        # repeated key
+    "name=psi-prime name=projection kernel=0.5",
+    "kind=power KIND=power a=0.5",
+    "kind=power name=psi-prime",                     # name contradicts kind
+])
+def test_parse_profile_spec_rejects_unknown_unused_and_repeated_keys(line):
+    with pytest.raises(ValueError):
+        parse_profile_spec(line)
 
 
 def test_parse_profile_spec_errors():
@@ -570,23 +588,3 @@ def test_elog_membership_power_tails():
     assert elog_membership(space_marcinkiewicz(), p) is Membership.MEMBER
     custom = space_marcinkiewicz(PsiFn("sqrt", math.sqrt))
     assert elog_membership(custom, p) is Membership.UNDECIDABLE
-
-
-# ---- marcinkiewicz functional ----
-
-def test_marcinkiewicz_functional_gridfn_hand_case():
-    # f = (2, 1) on halves: int_0^t / psi(t) at t = 1/2 is 1 / psi(1/2)
-    f = GridFn([2.0, 1.0])
-    psi = psi_log()
-    assert marcinkiewicz_functional(psi, f, 0.5) == pytest.approx(1.0 / psi(0.5), rel=1e-14)
-
-
-def test_marcinkiewicz_functional_psi_prime_is_one():
-    psi = psi_log()
-    for t in (0.5, 0.125, 2.0 ** -20):
-        assert marcinkiewicz_functional(psi, psi_prime_profile(), t) == 1.0
-
-
-def test_marcinkiewicz_functional_divergent_profile():
-    with pytest.raises(DivergenceError):
-        marcinkiewicz_functional(psi_log(), power_profile(1.5), 0.5)

@@ -7,21 +7,13 @@ import pytest
 from scipy.integrate import quad
 
 from specdet.stepfn import (
-    CellDomainError,
     GridFn,
     MonotoneStepFn,
-    apply_abs,
-    apply_exp,
-    apply_log,
-    apply_log_minus,
-    apply_log_plus,
-    apply_min_const,
     decreasing_rearrangement,
     dilate2,
     integrate,
     left_continuous_version,
     psi_eval,
-    psi_transform,
 )
 
 
@@ -230,16 +222,6 @@ def test_psi_eval_odd_symmetry_cancellation():
         assert psi_eval(f, t) == 0.0
 
 
-def test_psi_transform_samples_midpoints():
-    f = GridFn([3.0, 3.0, 3.0, 3.0])
-    pf = psi_transform(f)
-    assert pf.n_cells == 4
-    for k in range(4):
-        t = (k + 0.5) / 4.0
-        assert pf.values[k] == psi_eval(f, t)
-    assert pf.values[2] == 0.0 and pf.values[3] == 0.0
-
-
 # ---- dilation ----
 
 def test_dilate2_repeats_values():
@@ -261,46 +243,3 @@ def test_dilate2_is_halved_argument():
 def test_dilate2_odd_size():
     f = GridFn([5.0, 4.0, 3.0])
     assert np.array_equal(dilate2(f).values, [5.0, 5.0, 4.0])
-
-
-# ---- pointwise maps ----
-
-def test_apply_log_roundtrip():
-    f = GridFn([4.0, 2.0, 1.0, 0.5])
-    assert np.array_equal(apply_exp(apply_log(f)).values, f.values)
-
-
-def test_apply_log_rejects_nonpositive_with_cell_index():
-    f = GridFn([1.0, 0.0, 2.0])
-    with pytest.raises(CellDomainError) as exc:
-        apply_log(f)
-    assert exc.value.cell_index == 1
-    with pytest.raises(CellDomainError):
-        apply_log(GridFn([-1.0]))
-
-
-def test_apply_log_plus_and_minus_split():
-    f = GridFn([4.0, 1.0, 0.25])
-    lp = apply_log_plus(f)
-    lm = apply_log_minus(f)
-    assert np.array_equal(lp.values, [math.log(4.0), 0.0, 0.0])
-    assert np.array_equal(lm.values, [0.0, 0.0, -math.log(0.25)])
-    # log f = log+ f - log- f
-    assert np.allclose((lp - lm).values, apply_log(f).values, rtol=0.0, atol=0.0)
-
-
-def test_apply_log_plus_rejects_negative_only():
-    assert np.array_equal(apply_log_plus(GridFn([0.0, 1.0])).values, [0.0, 0.0])
-    with pytest.raises(CellDomainError):
-        apply_log_plus(GridFn([-0.5]))
-
-
-def test_apply_log_minus_rejects_zero():
-    with pytest.raises(CellDomainError):
-        apply_log_minus(GridFn([1.0, 0.0]))
-
-
-def test_apply_abs_and_min_const():
-    f = GridFn([-3.0, 2.0])
-    assert np.array_equal(apply_abs(f).values, [3.0, 2.0])
-    assert np.array_equal(apply_min_const(f, 1.5).values, [-3.0, 1.5])

@@ -42,6 +42,8 @@ def test_config_validation():
         SuiteConfig(suites=("majorization",), trials=-1)
     with pytest.raises(ValueError):
         SuiteConfig(suites=("nonsense",))
+    with pytest.raises(ValueError, match="no suite given"):
+        SuiteConfig(suites=())
 
 
 def test_tolerance_resolution():
