@@ -32,11 +32,8 @@ __all__ = [
     "mu_neg_part",
     "functional_calculus",
     "op_exp",
-    "op_log",
     "pos_part",
     "neg_part",
-    "polar_abs",
-    "truncate_at_level",
     "fk_det",
     "fk_det_eps",
     "save_matrix",
@@ -209,33 +206,12 @@ def op_exp(a: MatrixOperator) -> MatrixOperator:
     return functional_calculus(a, np.exp)
 
 
-def op_log(a: MatrixOperator) -> MatrixOperator:
-    w = a.eigenvalues
-    if float(w[-1]) <= 0.0:
-        raise ValueError("log requires a strictly positive matrix")
-    return functional_calculus(a, np.log)
-
-
 def pos_part(a: MatrixOperator) -> MatrixOperator:
     return functional_calculus(a, lambda w: np.clip(w, 0.0, None))
 
 
 def neg_part(a: MatrixOperator) -> MatrixOperator:
     return functional_calculus(a, lambda w: np.clip(-w, 0.0, None))
-
-
-def polar_abs(a: MatrixOperator) -> MatrixOperator:
-    """|a| = (a* a)^(1/2) assembled from the singular value decomposition."""
-    _, s, vh = np.linalg.svd(a.entries)
-    return MatrixOperator((vh.conj().T * s) @ vh)
-
-
-def truncate_at_level(a: MatrixOperator, c: float) -> MatrixOperator:
-    """min(a+, c) - min(a-, c), i.e. the spectrum clipped to [-c, c]."""
-    c = float(c)
-    if c < 0.0:
-        raise ValueError("truncation level must be nonnegative")
-    return functional_calculus(a, lambda w: np.clip(w, -c, c))
 
 
 # ---- determinants ----

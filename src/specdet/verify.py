@@ -114,6 +114,11 @@ class SuiteConfig:
     tol_overrides: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in self.tol_overrides:
+            if key not in SUITE_NAMES and key != "default":
+                raise ValueError(
+                    f"unknown tolerance target {key!r}; suites: {', '.join(SUITE_NAMES)}"
+                )
         if not 2 <= self.n <= 512:
             raise ValueError("n must lie in [2, 512]")
         if self.trials < 0:

@@ -13,6 +13,7 @@ import specdet
 from specdet import matmodel
 from specdet.cli import _build_parser, main
 from specdet.matmodel import MatrixOperator, identity, save_matrix
+from specdet.verify import SUITE_NAMES
 
 
 def _run(capsys, argv):
@@ -110,6 +111,9 @@ def test_verify_bad_tol_exits_2(capsys):
     assert code == 2
     code, out, err = _run(capsys, ["verify", "--suite", "majorization", "--tol", "majorization=abc", "--n", "8", "--trials", "1"])
     assert code == 2
+    code, out, err = _run(capsys, ["verify", "--suite", "majorization", "--tol", "majorizaton=1", "--n", "8", "--trials", "1"])
+    assert code == 2 and out == ""
+    assert err == f"error: unknown tolerance target 'majorizaton'; suites: {', '.join(SUITE_NAMES)}\n"
 
 
 def test_verify_json_format(capsys):
@@ -208,6 +212,29 @@ def test_det_eps_compare(capsys):
     assert abs(eps["limit"] - 1.0) <= 1e-6
     assert eps["converged"] is True
     assert eps["agrees_with_exact"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["det", "--input", "name=exp-neg-psi-prime-flip", "--trace", "singular:psi-log",
+     "--space", "marcinkiewicz", "--eps-compare"],
+    ["example", "--name", "ex-3-4-invertible"],
+    ["example", "--name", "ex-3-4-projection"],
+], ids=["det", "ex-3-4-invertible", "ex-3-4-projection"])
+def test_eps_compare_evaluates_the_determinant_once(capsys, monkeypatch, argv):
+    from specdet import cli, dets
+
+    calls = []
+    real = dets.det_phi_with_branch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dets, "det_phi_with_branch", counted)
+    monkeypatch.setattr(cli, "det_phi_with_branch", counted)
+    code, out, err = _run(capsys, argv)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_det_missing_file_exits_2(capsys, tmp_path):

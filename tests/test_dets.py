@@ -24,7 +24,6 @@ from specdet.matmodel import (
     haar_unitary,
     identity,
     mu_matrix,
-    polar_abs,
     sample,
 )
 from specdet.spaces import (
@@ -96,7 +95,8 @@ def test_det_unitary_conjugation_invariance():
 def test_det_path_independence_matrix_vs_mu_grid():
     a = _ginibre(8, 77)
     d_matrix, br_m = det_phi_with_branch(a, PHI1)
-    d_abs, br_a = det_phi_with_branch(polar_abs(a), PHI1)
+    _, s, vh = np.linalg.svd(a.entries)
+    d_abs, br_a = det_phi_with_branch(MatrixOperator((vh.conj().T * s) @ vh), PHI1)  # |a|
     d_grid, br_g = det_phi_with_branch(GridFn(a.singular_values.copy()), PHI1)
     assert br_m == br_a == br_g == 1
     assert d_matrix == d_grid  # same singular values, same fsum

@@ -27,12 +27,9 @@ from specdet.matmodel import (
     mu_pos_part,
     neg_part,
     op_exp,
-    op_log,
-    polar_abs,
     pos_part,
     sample,
     save_matrix,
-    truncate_at_level,
 )
 from specdet.stepfn import integrate, left_continuous_version
 from specdet.verify import run_check
@@ -269,34 +266,6 @@ def test_parts_decompose_and_are_positive():
     assert m.eigenvalues[-1] >= -1e-14
     # the parts multiply to zero
     assert float(np.max(np.abs(p.matmul(m).entries))) <= 1e-13
-
-
-def test_exp_log_roundtrip():
-    a = _hermitian(6, 22)
-    b = op_log(op_exp(a))
-    assert np.allclose(b.entries, a.entries, atol=1e-12)
-    with pytest.raises(ValueError):
-        op_log(a - a)  # zero matrix is not strictly positive
-
-
-def test_polar_abs_has_singular_value_spectrum():
-    a = _ginibre(9, 30)
-    b = polar_abs(a)
-    assert b.self_adjoint
-    assert np.allclose(b.eigenvalues, a.singular_values, atol=1e-12)
-    assert np.allclose(b.matmul(b).entries, (a.entries.conj().T @ a.entries), atol=1e-11)
-
-
-def test_truncation_kills_mu_beyond_level():
-    # T minus its truncation at mu(t, T) has mu(t, .) = 0
-    a = _hermitian(16, 44)
-    mu = mu_matrix(a)
-    for k in (1, 4, 9):
-        t = k / 16.0
-        trunc = truncate_at_level(a, mu(t))
-        rest = a - trunc
-        assert mu_matrix(rest)(t) <= 1e-13
-        assert trunc.norm <= mu(t) + 1e-13
 
 
 def test_functional_calculus_identity():

@@ -1,12 +1,24 @@
 """Trace functionals: the integral family and the dyadic singular family."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from specdet import traces
+from specdet.dets import eps_limit_comparison
 from specdet.matmodel import EnsembleSpec, MatrixOperator, haar_unitary, identity, sample
-from specdet.spaces import PowerTail, SpectralProfile, power_profile, psi_log, psi_prime_profile, scale_profile
+from specdet.spaces import (
+    PowerTail,
+    SpectralProfile,
+    parse_profile_spec,
+    parse_space,
+    power_profile,
+    psi_log,
+    psi_prime_profile,
+    scale_profile,
+)
 from specdet.stepfn import GridFn
 from specdet.traces import (
     NonConvergentError,
@@ -236,3 +248,97 @@ def test_oscillating_fixture_is_honest():
         oracle, err = quad(p.evaluator, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=400,
                            points=None)
         assert p.antiderivative(hi) - p.antiderivative(lo) == pytest.approx(oracle, rel=1e-7)
+
+
+# ---- window-first evaluation against the eager scheme ----
+
+def _eager_dyadic_limit(phi, f):
+    """Reference: every dyadic ratio in k order, then the window test."""
+    ratios = []
+    for k in range(phi.k_min, phi.k_max + 1):
+        t_k = 2.0 ** (-k)
+        ratios.append(traces._head_integral(f, t_k) / phi.psi(t_k))
+    window = ratios[-5:]
+    if max(window) - min(window) > phi.delta_conv:
+        raise NonConvergentError(
+            f"dyadic scheme for {phi.name} did not stabilize: last window "
+            f"spread {max(window) - min(window):.3e} exceeds {phi.delta_conv:.1e}",
+            ratios,
+        )
+    return window[-1]
+
+
+def _refusal(phi, f, limit):
+    with pytest.raises(NonConvergentError) as exc:
+        limit(phi, f)
+    return str(exc.value), exc.value.values
+
+
+@pytest.fixture
+def head_calls(monkeypatch):
+    calls = []
+    real = traces._head_integral
+
+    def counted(f, t):
+        calls.append(t)
+        return real(f, t)
+
+    monkeypatch.setattr(traces, "_head_integral", counted)
+    return calls
+
+
+def test_converged_evaluation_reads_only_the_window(head_calls):
+    phi = singular_trace()
+    assert eval_functional(phi, psi_prime_profile()) == 1.0
+    assert head_calls == [2.0 ** -k for k in range(phi.k_max - 4, phi.k_max + 1)]
+    grid = GridFn([3.0, 1.0, 0.5])
+    expected = _eager_dyadic_limit(phi, grid)
+    head_calls.clear()
+    assert eval_functional(phi, grid) == expected
+    assert len(head_calls) == 5
+
+
+def test_refusal_evaluates_every_dyadic_point_once(head_calls):
+    phi = singular_trace()
+    with pytest.raises(NonConvergentError):
+        eval_functional(phi, _oscillating_profile())
+    assert sorted(head_calls) == sorted(2.0 ** -k for k in range(phi.k_min, phi.k_max + 1))
+
+
+@pytest.mark.parametrize("phi, f", [
+    (singular_trace(), _oscillating_profile()),
+    (replace(singular_trace(), k_min=1, k_max=6), GridFn([4.0, 2.0, 1.0, 0.25])),
+    (replace(singular_trace(), k_min=1, k_max=3), GridFn([4.0, 2.0, 1.0, 0.25])),
+    (replace(singular_trace(), k_min=1, k_max=3), _oscillating_profile()),
+], ids=["oscillating", "grid", "grid-short-range", "oscillating-short-range"])
+def test_refusal_matches_eager_scheme(phi, f):
+    message, values = _refusal(phi, f, traces._dyadic_limit)
+    assert (message, values) == _refusal(phi, f, _eager_dyadic_limit)
+    assert len(values) == phi.k_max - phi.k_min + 1
+
+
+def _det_outcome(x, space):
+    try:
+        cmp = eps_limit_comparison(x, singular_trace(), space)
+    except NonConvergentError as exc:
+        return type(exc).__name__, str(exc), [v.hex() for v in exc.values]
+    except ValueError as exc:  # domain, membership and unsupported-profile refusals
+        return type(exc).__name__, str(exc)
+    return cmp.det_value.hex(), cmp.branch, [v.hex() for v in cmp.values], cmp.limit
+
+
+@pytest.mark.parametrize("spec", [
+    "name=psi-prime",
+    "name=exp-neg-psi-prime-flip scale=1",
+    "name=exp-neg-psi-prime-flip scale=2",
+    "name=projection kernel=0.5",
+    "name=projection kernel=0.25",
+    "kind=power a=0.75",
+    "kind=power a=1 b=-2",
+])
+def test_eps_comparison_matches_eager_scheme(spec, monkeypatch):
+    x = parse_profile_spec(spec)
+    spaces = [parse_space(s) for s in ("L1", "L2", "Lp:0.5", "Linf", "Llog", "marcinkiewicz")]
+    window_first = [_det_outcome(x, space) for space in spaces]
+    monkeypatch.setattr(traces, "_dyadic_limit", _eager_dyadic_limit)
+    assert window_first == [_det_outcome(x, space) for space in spaces]

@@ -44,6 +44,8 @@ def test_config_validation():
         SuiteConfig(suites=("nonsense",))
     with pytest.raises(ValueError, match="no suite given"):
         SuiteConfig(suites=())
+    with pytest.raises(ValueError, match="unknown tolerance target 'majorizaton'; suites: "):
+        SuiteConfig(suites=("majorization",), tol_overrides={"majorizaton": -1.0})
 
 
 def test_tolerance_resolution():
