@@ -32,6 +32,7 @@ from .matmodel import load_matrix
 from .spaces import (
     DivergenceError,
     MembershipUndecidableError,
+    QuadratureError,
     exp_flip_profile,
     parse_profile_spec,
     parse_space,
@@ -56,6 +57,7 @@ _MATH_ERRORS = (
     NonConvergentError,
     UnsupportedProfileError,
     DivergenceError,
+    QuadratureError,
     LinAlgError,
 )
 

@@ -24,14 +24,13 @@ from .spaces import (
     SUPERPOWER,
     Membership,
     MembershipUndecidableError,
-    PowerTail,
     SpectralProfile,
     SymmetricSpace,
+    _tail_rule,
     constant_profile,
     elog_membership,
     exp_flip_profile,
     membership,
-    psi_log,
 )
 from .traces import TraceFunctional, eval_functional, integral_trace
 from .matmodel import MatrixOperator, mu_matrix
@@ -219,6 +218,8 @@ def eps_limit_comparison(x, phi: TraceFunctional,
     """
     if not (1 <= k_min < k_max):
         raise ValueError("need 1 <= k_min < k_max")
+    if not 1 <= window <= k_max - k_min + 1:
+        raise ValueError(f"window must lie in [1, k_max - k_min + 1] = [1, {k_max - k_min + 1}]")
     if isinstance(x, MatrixOperator):
         x = mu_matrix(x)
     det_value, branch = det_phi_with_branch(x, phi, space)
@@ -245,32 +246,19 @@ def eps_limit_comparison(x, phi: TraceFunctional,
 
 # ---- the two-space separation scenario ----
 
-def _strictly_member(space: SymmetricSpace, t: SpectralProfile) -> bool:
-    tail = t.tail_at_0
-    if tail == BOUNDED:
-        return True
-    if isinstance(tail, PowerTail):
-        if space.kind == "lp":
-            return space.p * tail.a < 1.0 - _WITNESS_MARGIN
-        if space.kind == "llog":
-            return True
-        if space.kind == "marcinkiewicz" and space.psi is psi_log():
-            return tail.a < 1.0 - _WITNESS_MARGIN
-    return False
+def _certified(space: SymmetricSpace, t: SpectralProfile, verdict: Membership) -> bool:
+    """The tail row of t in space gives verdict with a margin beyond _WITNESS_MARGIN.
 
-
-def _strictly_not_member(space: SymmetricSpace, t: SpectralProfile) -> bool:
-    tail = t.tail_at_0
-    if tail == SUPERPOWER:
-        return space.kind in ("lp", "linf", "marcinkiewicz")
-    if isinstance(tail, PowerTail):
-        if space.kind == "lp":
-            return space.p * tail.a > 1.0 + _WITNESS_MARGIN
-        if space.kind == "linf":
-            return tail.a > 0.0 or tail.b > 0.0
-        if space.kind == "marcinkiewicz" and space.psi is psi_log():
-            return tail.a > 1.0 + _WITNESS_MARGIN
-    return False
+    The margin is tested in the exponent's own float form, x < 1 - w or
+    x > 1 + w (near the boundary x = 1 -+ margin exactly): abs(x - 1) > w
+    would certify a = 1 + 1e-9 outside L1.
+    """
+    got, margin = _tail_rule(space, t.tail_at_0)
+    if got is not verdict:
+        return False
+    if verdict is Membership.MEMBER:
+        return 1.0 - margin < 1.0 - _WITNESS_MARGIN
+    return 1.0 + margin > 1.0 + _WITNESS_MARGIN
 
 
 @dataclass(frozen=True)
@@ -297,12 +285,12 @@ def separating_witness_scenario(small_space: SymmetricSpace,
     margin: certified inside the large space, certified outside the small
     one.  Boundary or undecidable witnesses are rejected, never eyeballed.
     """
-    if not _strictly_member(large_space, t):
+    if not _certified(large_space, t, Membership.MEMBER):
         raise DetDomainError(
             f"{t.name!r} is not a certified strict member of {large_space.name}; "
             "refusing a boundary witness"
         )
-    if not _strictly_not_member(small_space, t):
+    if not _certified(small_space, t, Membership.NOT_MEMBER):
         raise DetDomainError(
             f"{t.name!r} is not certified to escape {small_space.name} strictly; "
             "refusing a boundary witness"

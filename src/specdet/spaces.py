@@ -1,11 +1,18 @@
 """Symmetric function spaces on (0, 1) and closed-form spectral profiles.
 
 Membership of a profile in a space is decided by tail metadata carried on the
-profile, never by eyeballing floats: the oracle either applies a registered
-rule (power-class integrability, boundedness, a registered antiderivative for
-Marcinkiewicz norms) or answers Undecidable.  Grid functions are bounded, and
-every nonzero symmetric space contains the bounded functions, so they are
-always members.
+profile, never by eyeballing floats.  One rule table, keyed by the space kind
+and the class of the tail at 0 (bounded, PowerTail, superpower, unknown),
+gives a verdict (or Undecidable) and the margin by which the deciding exponent
+clears its boundary; a second row set answers for log+ of the profile.
+membership, elog_membership, the integrability check of profile_integral and
+the integral trace (the L1 row) and the strict witness certificates of dets
+all read it.  The Marcinkiewicz power rules are those of psi_log() only.
+Grid functions are bounded, and every nonzero symmetric space contains the
+bounded functions, so they are always members.
+
+A profile integral is exact through a registered antiderivative; otherwise
+adaptive quadrature computes it and a quadrature warning is a refusal.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ __all__ = [
     "Membership",
     "DivergenceError",
     "MembershipUndecidableError",
+    "QuadratureError",
     "PsiFn",
     "psi_log",
     "SymmetricSpace",
@@ -78,6 +86,10 @@ class DivergenceError(ValueError):
 
 class MembershipUndecidableError(ValueError):
     """No registered rule decides the membership question; refusing to guess."""
+
+
+class QuadratureError(ValueError):
+    """Adaptive quadrature warned that its value may be inaccurate."""
 
 
 def _exp(x: float) -> float:
@@ -489,24 +501,12 @@ def parse_profile_spec(line: str) -> SpectralProfile:
 
 # ---- integrals of profiles ----
 
-def _integrable_near_zero(p: SpectralProfile):
-    """True / False / None (unknown) for int_0 of the profile."""
-    tail = p.tail_at_0
-    if tail == BOUNDED:
-        return True
-    if tail == SUPERPOWER:
-        return False
-    if isinstance(tail, PowerTail):
-        if tail.a < 1.0 - _RULE_EPS:
-            return True
-        if tail.a > 1.0 + _RULE_EPS:
-            return False
-        return tail.b < -1.0 - _RULE_EPS
-    return None
-
-
 def profile_integral(p: SpectralProfile, lo: float, hi: float) -> float:
-    """int_lo^hi of the profile; exact via the registered antiderivative when present."""
+    """int_lo^hi of the profile; exact via the registered antiderivative when present.
+
+    Otherwise adaptive quadrature computes it, and a quadrature warning is a
+    refusal (QuadratureError), not a value.
+    """
     if not 0.0 <= lo <= hi <= 1.0:
         raise ValueError("bounds must satisfy 0 <= lo <= hi <= 1")
     if lo == hi:
@@ -514,62 +514,86 @@ def profile_integral(p: SpectralProfile, lo: float, hi: float) -> float:
     if p.antiderivative is not None:
         flo = 0.0 if lo == 0.0 else p.antiderivative(lo)
         return p.antiderivative(hi) - flo
-    if lo == 0.0 and _integrable_near_zero(p) is False:
+    if lo == 0.0 and _tail_rule(_L1, p.tail_at_0)[0] is Membership.NOT_MEMBER:
         raise DivergenceError(f"profile {p.name!r} is not integrable near 0")
-    # full_output=1 keeps scipy from printing roundoff warnings for endpoint
-    # singularities that the adaptive rule already handles
+    # full_output=1 keeps scipy from printing its warning; a fourth element,
+    # the warning message, means the value may be off by more than its estimate
     out = quad(p.evaluator, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200, full_output=1)
+    if len(out) > 3:
+        raise QuadratureError(
+            f"quadrature of profile {p.name!r} on ({float(lo)!r}, {float(hi)!r}) is unreliable: "
+            + " ".join(out[3].split())
+        )
     return float(out[0])
 
 
-# ---- the membership oracle ----
+# ---- the membership rule table ----
 
-def _power_in_lp(tail: PowerTail, p: float) -> Membership:
-    pa = p * tail.a
-    pb = p * tail.b
-    if pa < 1.0 - _RULE_EPS:
-        return Membership.MEMBER
-    if pa > 1.0 + _RULE_EPS:
-        return Membership.NOT_MEMBER
-    return Membership.MEMBER if pb < -1.0 - _RULE_EPS else Membership.NOT_MEMBER
+_M, _N, _U = Membership.MEMBER, Membership.NOT_MEMBER, Membership.UNDECIDABLE
+_L1 = space_lp(1.0)
 
 
-def _power_in_mpsi_log(tail: PowerTail) -> Membership:
-    # Rules specific to psi(t) = 1/(2 - log t): int_0^t mu / psi(t) stays
-    # bounded exactly when mu is integrable with at least one spare log power.
-    if tail.a < 1.0 - _RULE_EPS:
-        return Membership.MEMBER
-    if tail.a > 1.0 + _RULE_EPS:
-        return Membership.NOT_MEMBER
-    return Membership.MEMBER if tail.b <= -2.0 + _RULE_EPS else Membership.NOT_MEMBER
+def _edge(x: float, on_edge: Membership) -> Tuple[Membership, float]:
+    """Member below the boundary x = 1, not above it, on_edge within _RULE_EPS of it."""
+    if x < 1.0 - _RULE_EPS:
+        return _M, 1.0 - x
+    if x > 1.0 + _RULE_EPS:
+        return _N, x - 1.0
+    return on_edge, 0.0
+
+
+def _linf_power(space: SymmetricSpace, t: PowerTail) -> Tuple[Membership, float]:
+    # t^0 log^b with b <= 0 is bounded but clears no boundary (margin 0); only
+    # growth (a > 0 or b > 0) certifies a non-member
+    if t.a == 0.0 and t.b <= 0.0:
+        return _M, 0.0
+    return _N, math.inf if t.a > 0.0 or t.b > 0.0 else 0.0
+
+
+# (space kind, tail class) -> verdict and margin, or a rule (space, tail) that
+# returns them.  The margin is how far the deciding exponent clears its
+# boundary (p*a against 1 in Lp, a against 1 in M(psi-log)): +inf where no
+# exponent is compared, 0 on the boundary.  A bounded tail is a member of every
+# space and a missing cell is undecidable.  The Marcinkiewicz power rules hold
+# for psi-log only: int_0^t mu / psi(t) stays bounded exactly when mu is
+# integrable with at least one spare log power.  Superpower tails are not
+# integrable near 0.
+_RULES = {
+    ("lp", PowerTail): lambda s, t: _edge(s.p * t.a, _M if s.p * t.b < -1.0 - _RULE_EPS else _N),
+    ("linf", PowerTail): _linf_power,
+    ("marcinkiewicz", PowerTail): lambda s, t: _edge(t.a, _M if t.b <= -2.0 + _RULE_EPS else _N),
+    ("lp", SUPERPOWER): (_N, math.inf),
+    ("linf", SUPERPOWER): (_N, math.inf),
+    ("marcinkiewicz", SUPERPOWER): (_N, math.inf),
+}
+# The same for log+ of the profile: log+ of a power tail grows like a*log(1/t).
+_LOG_PLUS_RULES = {
+    ("lp", PowerTail): (_M, math.inf),
+    ("linf", PowerTail): (_N, math.inf),
+    ("marcinkiewicz", PowerTail): (_M, math.inf),
+}
+
+
+def _tail_rule(space: SymmetricSpace, tail, log_plus: bool = False) -> Tuple[Membership, float]:
+    """The table's verdict and margin for a tail_at_0 in space (for its log+ if log_plus)."""
+    if space.kind == "llog":
+        space, log_plus = _L1, True
+    if tail == BOUNDED:
+        return _M, math.inf
+    cls = PowerTail if isinstance(tail, PowerTail) else tail if tail == SUPERPOWER else None
+    if cls is PowerTail and space.kind == "marcinkiewicz" and space.psi is not _PSI_LOG:
+        return _U, math.inf
+    cell = (_LOG_PLUS_RULES if log_plus else _RULES).get((space.kind, cls), (_U, math.inf))
+    return cell(space, tail) if callable(cell) else cell
 
 
 def membership(space: SymmetricSpace, f) -> Membership:
     """Decide whether mu-class membership holds; Undecidable rather than guessed."""
     if isinstance(f, GridFn):
         return Membership.MEMBER
-    tail = f.tail_at_0
     if space.kind == "llog":
-        return elog_membership(space_lp(1.0), f)
-    if tail == BOUNDED:
-        return Membership.MEMBER
-    if isinstance(tail, PowerTail):
-        if space.kind == "lp":
-            return _power_in_lp(tail, space.p)
-        if space.kind == "linf":
-            bounded = tail.a == 0.0 and tail.b <= 0.0
-            return Membership.MEMBER if bounded else Membership.NOT_MEMBER
-        if space.kind == "marcinkiewicz":
-            if space.psi is _PSI_LOG:
-                return _power_in_mpsi_log(tail)
-            return Membership.UNDECIDABLE
-    if tail == SUPERPOWER:
-        if space.kind in ("lp", "linf"):
-            return Membership.NOT_MEMBER
-        if space.kind == "marcinkiewicz":
-            # not integrable near 0, so the functional is infinite
-            return Membership.NOT_MEMBER
-    return Membership.UNDECIDABLE
+        return elog_membership(_L1, f)
+    return _tail_rule(space, f.tail_at_0)[0]
 
 
 def elog_membership(space: SymmetricSpace, f) -> Membership:
@@ -578,19 +602,4 @@ def elog_membership(space: SymmetricSpace, f) -> Membership:
         return Membership.MEMBER
     if f.log_plus is not None:
         return membership(space, f.log_plus)
-    tail = f.tail_at_0
-    if tail == BOUNDED:
-        return Membership.MEMBER
-    if isinstance(tail, PowerTail):
-        # log+ f grows like a * log(1/t): the (a=0, b=1) class.
-        if space.kind == "linf":
-            return Membership.NOT_MEMBER
-        if space.kind == "llog":
-            return Membership.MEMBER
-        if space.kind == "lp":
-            return Membership.MEMBER
-        if space.kind == "marcinkiewicz":
-            if space.psi is _PSI_LOG:
-                return Membership.MEMBER
-            return Membership.UNDECIDABLE
-    return Membership.UNDECIDABLE
+    return _tail_rule(space, f.tail_at_0, log_plus=True)[0]

@@ -23,11 +23,13 @@ import numpy as np
 from .stepfn import GridFn, decreasing_rearrangement, integrate
 from .spaces import (
     DivergenceError,
+    Membership,
     PsiFn,
     SpectralProfile,
-    _integrable_near_zero,
+    membership,
     profile_integral,
     psi_log,
+    space_lp,
 )
 
 __all__ = [
@@ -39,6 +41,9 @@ __all__ = [
     "eval_functional",
     "eval_on_operator",
 ]
+
+
+_L1 = space_lp(1.0)
 
 
 class NonConvergentError(ArithmeticError):
@@ -133,7 +138,7 @@ def _eval_nonincreasing(phi: TraceFunctional, f) -> float:
     """phi on data already in decreasing-rearrangement form."""
     if phi.kind == "integral":
         if isinstance(f, SpectralProfile):
-            if _integrable_near_zero(f) is False:
+            if membership(_L1, f) is Membership.NOT_MEMBER:
                 raise DivergenceError(
                     f"profile {f.name!r} is not integrable; integral trace is infinite"
                 )

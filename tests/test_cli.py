@@ -176,6 +176,20 @@ def test_det_lapack_failure_exits_1(capsys, tmp_path, failing_svd):
     assert err == "error: SVD did not converge\n"
 
 
+def test_det_quadrature_warning_exits_1(capsys):
+    # the shifted log+ of this superpower profile has no antiderivative, and
+    # quad cannot integrate its psi'-like tail from 0 to the requested accuracy
+    code, out, err = _run(capsys, [
+        "det", "--input", "name=exp-neg-psi-prime-flip scale=-1",
+        "--trace", "integral:1", "--space", "L1", "--eps-compare",
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: quadrature of profile 'log+(exp-neg-psi-prime-flip+0.0625)' "
+                          "on (0.0, 1.0) is unreliable: ")
+    assert err.count("\n") == 1
+
+
 def test_det_profile_line_flip(capsys):
     code, out, err = _run(capsys, [
         "det", "--input", "name=exp-neg-psi-prime-flip",

@@ -8,8 +8,7 @@ import pytest
 
 from specdet.dets import (
     DetDomainError,
-    _strictly_member,
-    _strictly_not_member,
+    _certified,
     UnsupportedProfileError,
     det_multiplicativity_check,
     det_phi,
@@ -27,14 +26,20 @@ from specdet.matmodel import (
     sample,
 )
 from specdet.spaces import (
+    BOUNDED,
+    SUPERPOWER,
+    DivergenceError,
     Membership,
     MembershipUndecidableError,
+    PowerTail,
     PsiFn,
+    SpectralProfile,
     constant_profile,
     elog_membership,
     exp_flip_profile,
     membership,
     power_profile,
+    profile_integral,
     projection_profile,
     psi_prime_profile,
     space_linf,
@@ -43,7 +48,7 @@ from specdet.spaces import (
     space_marcinkiewicz,
 )
 from specdet.stepfn import GridFn
-from specdet.traces import NonConvergentError, integral_trace, singular_trace
+from specdet.traces import NonConvergentError, eval_functional, integral_trace, singular_trace
 
 
 def _ginibre(n: int, seed: int) -> MatrixOperator:
@@ -269,6 +274,16 @@ def test_eps_comparison_validates_window():
         eps_limit_comparison(identity(2), PHI1, k_min=5, k_max=5)
 
 
+
+@pytest.mark.parametrize("window", [0, -3, 28])
+def test_eps_comparison_rejects_a_window_outside_the_k_range(window):
+    # k = 4..30 gives 27 values; window 0 would read values[-0:] (all of them)
+    # and window -3 values[3:]
+    with pytest.raises(ValueError, match=r"window must lie in \[1, k_max - k_min \+ 1\] = \[1, 27\]"):
+        eps_limit_comparison(_ginibre(8, 5), PHI1, window=window)
+    for ok in (1, 27):
+        assert len(eps_limit_comparison(_ginibre(8, 5), PHI1, window=ok).values) == 27
+
 # ---- separating witness ----
 
 def test_witness_scenario_l2_vs_l1():
@@ -348,8 +363,8 @@ def _decision_profile(key):
 def _decisions(space, profile):
     short = {Membership.MEMBER: "M", Membership.NOT_MEMBER: "N", Membership.UNDECIDABLE: "U"}
     return (short[membership(space, profile)] + short[elog_membership(space, profile)]
-            + str(int(_strictly_member(space, profile)))
-            + str(int(_strictly_not_member(space, profile))))
+            + str(int(_certified(space, profile, Membership.MEMBER)))
+            + str(int(_certified(space, profile, Membership.NOT_MEMBER))))
 
 
 @pytest.mark.parametrize("key", list(_PSI_LOG_DECISIONS), ids=str)
@@ -365,3 +380,149 @@ def test_psi_named_impostor_is_never_certified():
         separating_witness_scenario(space_linf(), impostor, power_profile(0.9))
     with pytest.raises(MembershipUndecidableError):
         det_phi(exp_flip_profile(power_profile(0.75), -1.0), integral_trace(1.0), impostor)
+
+
+# Every space kind crossed with boundary-hugging tails, recorded from the five
+# rule functions the table replaced.  A code is "text*n" for n repeats.
+def _ulps(x):
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+_NEAR_ONE = (1.0,) + tuple(x for e in (1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-9, 1.0 + 1e-9)
+                           for x in _ulps(e))
+_NEAR_B_EDGES = (-2.0, -1.0) + tuple(
+    x for e in (-2.0 - 1e-12, -2.0 + 1e-12, -1.0 - 1e-12, -1.0 + 1e-12) for x in _ulps(e))
+_PS = (1.0, 0.5, 1.5, 2.0)
+_DECISION_TAILS = (
+    [BOUNDED, SUPERPOWER, "unknown", PowerTail(0.0, 0.0), PowerTail(0.0, 1.0),
+     PowerTail(0.5), PowerTail(1.5)]
+    # p*a (a itself for p = 1) against 1, then p*b on the boundary p*a = 1
+    + [PowerTail(x / p, b / p) for p in _PS for x in _NEAR_ONE for b in (0.0, -3.0)]
+    + [PowerTail(1.0 / p, b / p) for p in _PS for b in _NEAR_B_EDGES]
+)
+_DECISION_SPACES = {
+    "L0.5": space_lp(0.5), "L1": space_lp(1.0), "L2": space_lp(2.0), "Lp:1.5": space_lp(1.5),
+    "Linf": space_linf(), "Llog": space_llog(), "M(psi-log)": space_marcinkiewicz(),
+    "impostor": space_marcinkiewicz(PsiFn("psi-log", math.sqrt)),
+}
+# (space, with a registered log+ of the same tail) -> membership, log+
+# membership, strict member, strict non-member, one code per tail
+_RECORDED_DECISIONS = {
+    ("L0.5", False): (
+        "MM10 NU01 UU00 MM10*30 NM00 MM00*3 NM00 MM00 NM00 MM00 NM00 MM00 "
+        "NM00 MM00 NM00*2 MM10*2 MM00*4 NM00*4 NM01*2 MM10*66 MM00 NM00 "
+        "MM00*7 NM00*5 MM10*28"
+    ),
+    ("L0.5", True): (
+        "MM10 NN01 UU00 MM10*30 NN00 MM00*3 NN00 MM00 NN00 MM00 NN00 MM00 "
+        "NN00 MM00 NN00*2 MM10*2 MM00*4 NN00*4 NN01*2 MM10*66 MM00 NN00 "
+        "MM00*7 NN00*5 MM10*28"
+    ),
+    ("L1", False): (
+        "MM10 NU01 UU00 MM10*3 NM01 NM00 MM00*3 NM00 MM00 NM00 MM00 NM00 "
+        "MM00 NM00 MM00 NM00*2 MM10*2 MM00*4 NM00*4 NM01*28 MM10*52 MM00 "
+        "NM00 MM00*7 NM00*5 NM01*14 MM10*28"
+    ),
+    ("L1", True): (
+        "MM10 NN01 UU00 MM10*3 NN01 NN00 MM00*3 NN00 MM00 NN00 MM00 NN00 "
+        "MM00 NN00 MM00 NN00*2 MM10*2 MM00*4 NN00*4 NN01*28 MM10*52 MM00 "
+        "NN00 MM00*7 NN00*5 NN01*14 MM10*28"
+    ),
+    ("L2", False): (
+        "MM10 NU01 UU00 MM10*2 NM00 NM01*79 NM00 MM00*3 NM00 MM00 NM00 MM00 "
+        "NM00 MM00 NM00 MM00 NM00*2 MM10*2 MM00*4 NM00*4 NM01*44 MM00 NM00 "
+        "MM00*7 NM00*5"
+    ),
+    ("L2", True): (
+        "MM10 NN01 UU00 MM10*2 NN00 NN01*79 NN00 MM00*3 NN00 MM00 NN00 MM00 "
+        "NN00 MM00 NN00 MM00 NN00*2 MM10*2 MM00*4 NN00*4 NN01*44 MM00 NN00 "
+        "MM00*7 NN00*5"
+    ),
+    ("Lp:1.5", False): (
+        "MM10 NU01 UU00 MM10*3 NM01*53 NM00 MM00*3 NM00 MM00 NM00 MM00 NM00 "
+        "MM00 NM00 MM00 NM00*2 MM10*2 MM00*4 NM00*4 NM01*2 MM10*26 NM01*28 "
+        "MM00 NM00 MM00*7 NM00*5 MM10*14"
+    ),
+    ("Lp:1.5", True): (
+        "MM10 NN01 UU00 MM10*3 NN01*53 NN00 MM00*3 NN00 MM00 NN00 MM00 NN00 "
+        "MM00 NN00 MM00 NN00*2 MM10*2 MM00*4 NN00*4 NN01*2 MM10*26 NN01*28 "
+        "MM00 NN00 MM00*7 NN00*5 MM10*14"
+    ),
+    ("Linf", False): (
+        "MM10 NU01 UU00 MN00 NN01*163"
+    ),
+    ("Linf", True): (
+        "MM10 NN01 UU00 MM00 NN01*163"
+    ),
+    ("Llog", False): (
+        "MM10 UU00*2 MM10*164"
+    ),
+    ("Llog", True): (
+        "MM10 NU00 UU00 MM10*3 NM10*2 MM10*3 NM10 MM10 NM10 MM10 NM10 MM10 "
+        "NM10 MM10 NM10*2 MM10*6 NM10*32 MM10*53 NM10 MM10*7 NM10*19 "
+        "MM10*28"
+    ),
+    ("M(psi-log)", False): (
+        "MM10 NU01 UU00 MM10*3 NM01 NM00 MM00*3 NM00 MM00 NM00 MM00 NM00 "
+        "MM00 NM00 MM00 NM00*2 MM10*2 MM00*4 NM00*4 NM01*28 MM10*52 MM00 "
+        "NM00 MM00*5 NM00*7 NM01*14 MM10*28"
+    ),
+    ("M(psi-log)", True): (
+        "MM10 NN01 UU00 MM10*3 NN01 NN00 MM00*3 NN00 MM00 NN00 MM00 NN00 "
+        "MM00 NN00 MM00 NN00*2 MM10*2 MM00*4 NN00*4 NN01*28 MM10*52 MM00 "
+        "NN00 MM00*5 NN00*7 NN01*14 MM10*28"
+    ),
+    ("impostor", False): (
+        "MM10 NU01 UU00*165"
+    ),
+    ("impostor", True): (
+        "MM10 NN01 UU00*165"
+    ),
+}
+# integral trace, then profile_integral on (0, 0.5): D diverges, F finite
+_RECORDED_INTEGRABILITY = (
+    "FF DD FF*4 DD*2 FF*3 DD FF DD FF DD FF DD FF DD*2 FF*6 DD*32 FF*53 "
+    "DD FF*7 DD*19 FF*28"
+)
+
+
+def _expand(codes):
+    out = []
+    for token in codes.split():
+        code, _, n = token.partition("*")
+        out += [code] * int(n or 1)
+    return out
+
+
+def _tail_profile(tail, with_log_plus):
+    return SpectralProfile(name=f"tail {tail}", evaluator=lambda t: 1.0, tail_at_0=tail,
+                           log_plus=_tail_profile(tail, False) if with_log_plus else None)
+
+
+@pytest.mark.parametrize("key", list(_RECORDED_DECISIONS), ids=str)
+def test_decisions_unchanged_on_every_space(key):
+    name, with_log_plus = key
+    space = _DECISION_SPACES[name]
+    got = [_decisions(space, _tail_profile(t, with_log_plus)) for t in _DECISION_TAILS]
+    want = _expand(_RECORDED_DECISIONS[key])
+    assert len(want) == len(_DECISION_TAILS)
+    assert [(t, g, w) for t, g, w in zip(_DECISION_TAILS, got, want) if g != w] == []
+
+
+def _integrability(tail):
+    p = _tail_profile(tail, False)
+    out = ""
+    for call in (lambda: eval_functional(PHI1, p), lambda: profile_integral(p, 0.0, 0.5)):
+        try:
+            call()
+            out += "F"
+        except DivergenceError:
+            out += "D"
+    return out
+
+
+def test_integrability_unchanged():
+    want = _expand(_RECORDED_INTEGRABILITY)
+    assert len(want) == len(_DECISION_TAILS)
+    got = [_integrability(t) for t in _DECISION_TAILS]
+    assert [(t, g, w) for t, g, w in zip(_DECISION_TAILS, got, want) if g != w] == []

@@ -7,6 +7,7 @@ endpoint shrinks) before the symbolic answer is frozen.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from specdet.spaces import (
     Membership,
     PowerTail,
     PsiFn,
+    QuadratureError,
     SpectralProfile,
     constant_profile,
     elog_membership,
@@ -335,6 +337,37 @@ def test_profile_integral_divergent_raises():
         profile_integral(p, 0.0, 1.0)
     # away from 0 the integral exists: int_0.5^1 t^-1.5 dt = 2 sqrt(2) - 2
     assert profile_integral(p, 0.5, 1.0) == pytest.approx(2.0 * (0.5 ** -0.5) - 2.0, rel=1e-9)
+
+
+# every family that registers an antiderivative, the generic scaled one included
+_EXACT_PROFILES = [
+    constant_profile(2.0), power_profile(0.75), power_profile(0.5, 0.0, 3.0),
+    psi_prime_profile(7.0), projection_profile(0.25), scale_profile(projection_profile(0.5), 3.0),
+]
+
+
+@pytest.mark.parametrize("p", _EXACT_PROFILES, ids=lambda p: p.family)
+def test_quadrature_agrees_with_antiderivative_or_refuses(p):
+    bare = replace(p, antiderivative=None)
+    refused = []
+    intervals = [(0.0, 2.0 ** -k) for k in range(0, 41, 4)] + [(0.25, 0.75), (2.0 ** -30, 2.0 ** -10)]
+    for lo, hi in intervals:
+        try:
+            value = profile_integral(bare, lo, hi)
+        except QuadratureError:
+            refused.append((lo, hi))
+            continue
+        assert value == pytest.approx(profile_integral(p, lo, hi), rel=1e-9)
+    # psi' = 1/(t (2 - log t)^2) defeats the adaptive rule from 0; under the
+    # old silent fallback the head integral came out 0.4% to 4.5% low
+    assert refused == ([iv for iv in intervals if iv[0] == 0.0] if p.family == "psi-prime" else [])
+
+
+def test_quadrature_warning_is_a_refusal():
+    # power(1, -2) is psi' without its antiderivative
+    with pytest.raises(QuadratureError, match=r"on \(0\.0, 9\.094947017729282e-13\) is unreliable: "
+                       r"The maximum number of subdivisions \(200\) has been achieved\."):
+        profile_integral(power_profile(1.0, -2.0), 0.0, 2.0 ** -40)
 
 
 def test_profile_integral_bounds_validation():

@@ -11,6 +11,7 @@ from specdet.dets import eps_limit_comparison
 from specdet.matmodel import EnsembleSpec, MatrixOperator, haar_unitary, identity, sample
 from specdet.spaces import (
     PowerTail,
+    QuadratureError,
     SpectralProfile,
     parse_profile_spec,
     parse_space,
@@ -226,6 +227,14 @@ def test_singular_trace_nonconvergent_fixture():
     window = ratios[-5:]
     assert max(window) - min(window) > 1e-3  # far past the 1e-6 gate
     assert all(math.isfinite(r) for r in ratios)
+
+
+def test_singular_trace_refuses_an_inaccurate_head_integral():
+    # quad warns at the first window point, 2^-36; without the check the
+    # window's ratios come out 4% to 4.5% below the exact 1 and the scheme
+    # refuses with NonConvergentError instead
+    with pytest.raises(QuadratureError, match=r"on \(0\.0, 1\.4551915228366852e-11\)"):
+        eval_functional(singular_trace(), power_profile(1, -2))
 
 
 def test_singular_trace_statement_carries_spread():
