@@ -12,7 +12,10 @@ Grid functions are bounded, and every nonzero symmetric space contains the
 bounded functions, so they are always members.
 
 A profile integral is exact through a registered antiderivative; otherwise
-adaptive quadrature computes it and a quadrature warning is a refusal.
+adaptive quadrature computes it and a quadrature warning is a refusal.  scipy
+supplies that quadrature and is imported lazily, on the first call of quad, so
+a process whose profiles all have antiderivatives (and every matrix or verify
+run) never loads it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .stepfn import GridFn
 
@@ -203,10 +205,19 @@ def parse_space(text: str) -> SymmetricSpace:
 
 @dataclass(frozen=True)
 class PowerTail:
-    """Behaviour C * t^(-a) * log(.)^b as t -> 0+."""
+    """Behaviour C * t^(-a) * log(.)^b as t -> 0+.
+
+    a >= 0: a nonincreasing nonnegative profile cannot vanish at 0 like t^|a|.
+    """
 
     a: float
     b: float = 0.0
+
+    def __post_init__(self):
+        if not self.a >= 0.0:
+            raise ValueError(f"tail exponent a must be nonnegative, got {self.a!r}")
+        if math.isnan(self.b):
+            raise ValueError("tail exponent b must be a number, got nan")
 
 
 BOUNDED = "bounded"
@@ -501,6 +512,15 @@ def parse_profile_spec(line: str) -> SpectralProfile:
 
 # ---- integrals of profiles ----
 
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on the first call: importing scipy costs
+    more than the rest of the package together.  A module-level function, so
+    callers and instrumentation can rebind spaces.quad."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
+
+
 def profile_integral(p: SpectralProfile, lo: float, hi: float) -> float:
     """int_lo^hi of the profile; exact via the registered antiderivative when present.
 
@@ -543,11 +563,11 @@ def _edge(x: float, on_edge: Membership) -> Tuple[Membership, float]:
 
 
 def _linf_power(space: SymmetricSpace, t: PowerTail) -> Tuple[Membership, float]:
-    # t^0 log^b with b <= 0 is bounded but clears no boundary (margin 0); only
-    # growth (a > 0 or b > 0) certifies a non-member
+    # t^0 log^b with b <= 0 is bounded but clears no boundary (margin 0); every
+    # other power tail grows (a > 0 or b > 0), which certifies a non-member
     if t.a == 0.0 and t.b <= 0.0:
         return _M, 0.0
-    return _N, math.inf if t.a > 0.0 or t.b > 0.0 else 0.0
+    return _N, math.inf
 
 
 # (space kind, tail class) -> verdict and margin, or a rule (space, tail) that

@@ -380,3 +380,48 @@ def test_plain_det_after_eps_compare_has_no_eps_key(capsys):
     assert code == 0 and "eps" in json.loads(out)
     code, out, err = _run(capsys, argv)
     assert code == 0 and "eps" not in json.loads(out)
+
+
+# scipy is imported on the first quadrature only: verify, a matrix file and a
+# profile with exact integrals (or one refused before any integral) never
+# need it; an integral of a profile without an antiderivative does
+_SCIPY_FREE_START = """
+import json, sys
+from specdet.cli import main
+from specdet.matmodel import identity, save_matrix
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+tmp = sys.argv[1]
+save_matrix(identity(4), tmp + "/id.mat")
+codes = [
+    main(["verify", "--suite", "all", "--n", "16", "--trials", "1", "--out", tmp + "/v.csv"]),
+    main(["det", "--input", tmp + "/id.mat", "--out", tmp + "/m.json"]),
+    main(["det", "--input", "kind=power a=0.5", "--out", tmp + "/p.json"]),
+    main(["det", "--input", "name=exp-neg-psi-prime-flip", "--out", tmp + "/f.json"]),
+]
+before = scipy_loaded()
+
+from specdet.spaces import power_profile, profile_integral
+p = power_profile(0.5, 1.0)
+value = profile_integral(p, 0.1, 0.9)
+after = scipy_loaded()
+from scipy.integrate import quad
+direct = quad(p.evaluator, 0.1, 0.9, epsabs=1e-14, epsrel=1e-10, limit=200, full_output=1)[0]
+print(json.dumps({"codes": codes, "before": before, "after": after,
+                  "value": value.hex(), "direct": float(direct).hex()}))
+"""
+
+
+def test_start_up_and_exact_runs_do_not_import_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specdet.__file__)))
+    run = subprocess.run([sys.executable, "-c", _SCIPY_FREE_START, str(tmp_path)],
+                         capture_output=True, text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    report = json.loads(run.stdout)
+    # power(0.5) registers no log split, so its det refuses (exit 1)
+    assert report["codes"] == [0, 0, 1, 0]
+    assert report["before"] == []
+    assert "scipy.integrate" in report["after"]
+    assert report["value"] == report["direct"]

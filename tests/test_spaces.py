@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from specdet import spaces
 from specdet.spaces import (
     BOUNDED,
     SUPERPOWER,
@@ -179,12 +180,24 @@ def test_power_profile_log_factor_monotone():
 
 
 def test_power_profile_validation():
-    with pytest.raises(ValueError):
+    # power_profile checks a before PowerTail would
+    with pytest.raises(ValueError, match=r"^a must be nonnegative \(profiles are nonincreasing\)$"):
         power_profile(-0.5)
     with pytest.raises(ValueError):
         power_profile(0.0, -1.0)  # increasing near 0
     with pytest.raises(ValueError):
         power_profile(0.5, 0.0, scale=0.0)
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 0.0), (-1e-300, 0.0), (math.nan, 0.0), (0.5, math.nan)])
+def test_power_tail_rejects_a_vanishing_or_nan_exponent(a, b):
+    # t^|a| vanishes at 0, which no nonincreasing nonnegative profile does
+    with pytest.raises(ValueError, match="tail exponent"):
+        PowerTail(a, b)
+
+
+def test_power_tail_accepts_the_boundary_exponents():
+    assert PowerTail(0.0, -3.0).a == 0.0 and PowerTail(-0.0).a == 0.0
 
 
 def test_audit_rejects_increasing_profile():
@@ -329,6 +342,26 @@ def test_profile_integral_quad_fallback():
     p = power_profile(0.5, 1.0)
     direct, _ = quad(p.evaluator, 0.1, 0.9, epsabs=1e-13, epsrel=1e-11, limit=400)
     assert profile_integral(p, 0.1, 0.9) == pytest.approx(direct, rel=1e-9)
+
+
+def test_profile_integral_calls_the_module_quad_binding(monkeypatch):
+    # profile_integral looks quad up in the module on every call, and quad
+    # never rebinds itself, so a wrapper bound to spaces.quad (as the
+    # benchmark's tracer binds one) sees every call, not just the first
+    calls = []
+    real = spaces.quad
+
+    def counting_quad(func, a, b, **kwargs):
+        calls.append((a, b))
+        return real(func, a, b, **kwargs)
+
+    monkeypatch.setattr(spaces, "quad", counting_quad)
+    p = power_profile(0.5, 1.0)
+    for lo, hi in ((0.1, 0.9), (0.2, 0.8)):
+        assert profile_integral(p, lo, hi) == real(p.evaluator, lo, hi, epsabs=1e-14, epsrel=1e-10,
+                                                   limit=200, full_output=1)[0]
+    profile_integral(power_profile(0.75), 0.1, 0.9)   # exact: no quadrature
+    assert calls == [(0.1, 0.9), (0.2, 0.8)]
 
 
 def test_profile_integral_divergent_raises():
