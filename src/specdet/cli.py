@@ -49,6 +49,7 @@ from .verify import (
     result_to_json,
     rows_to_csv,
     run_suite,
+    thread_count,
 )
 
 _MATH_ERRORS = (
@@ -100,6 +101,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             suites=suites, n=args.n, trials=args.trials, seed=args.seed,
             tol_overrides=tols,
         )
+        thread_count()  # a malformed SPECDET_THREADS is a usage error
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

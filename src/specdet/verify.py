@@ -51,6 +51,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "run_check",
     "run_suite",
+    "thread_count",
     "rows_to_csv",
     "result_to_json",
 ]
@@ -130,6 +131,8 @@ class SuiteConfig:
 class SuiteResult:
     config: SuiteConfig
     reports: Dict[str, CheckReport]
+    # whole run_suite wall time; each report's runtime_ms sums per-job time
+    wall_ms: float
 
     @property
     def passed(self) -> bool:
@@ -168,9 +171,24 @@ def _psd(master: int, check: str, trial: int, slot: str, n: int) -> MatrixOperat
     return MatrixOperator((w + w.conj().T) / 2.0)
 
 
-def _ok(quantity: float, bound: float, tol: float) -> Tuple[float, bool]:
+def _ok(quantity, bound, tol: float):
+    """Margin and pass flag; elementwise when quantity and bound are arrays."""
     margin = bound - quantity
     return margin, margin >= -tol * (1.0 + abs(bound))
+
+
+def _rows(name, seed, trial, n, tol, ts, quantities, bounds) -> List[CheckRow]:
+    """One row per point, with margins and flags computed over whole arrays.
+
+    ``tolist`` hands the rows Python floats and bools, whose ``repr`` the CSV
+    relies on.
+    """
+    q = np.asarray(quantities, dtype=float)
+    b = np.asarray(bounds, dtype=float)
+    margin, ok = _ok(q, b, tol)
+    columns = (np.asarray(ts, dtype=float).tolist(), q.tolist(), b.tolist(),
+               margin.tolist(), ok.tolist())
+    return [CheckRow(name, seed, trial, n, *fields) for fields in zip(*columns)]
 
 
 def _boundary_ts(n: int, frac: float) -> List[float]:
@@ -193,13 +211,9 @@ def _check_product_log_integral(n, master, trial, tol):
     g = GridFn(np.log(prod.singular_values)) - lambda_matrix(t_op) - lambda_matrix(s_op)
     mu_t, mu_s = mu_matrix(t_op), mu_matrix(s_op)
     ts = [k / (2 * n) for k in range(1, n // 2)] or [0.125]
-    rows = []
-    for t in ts:
-        q = abs(integrate(g, 2 * t, 1.0 - 2 * t))
-        b = 8.0 * t * (mu_t(t) + mu_s(t))
-        margin, ok = _ok(q, b, tol)
-        rows.append(CheckRow(name, seed, trial, n, t, q, b, margin, ok))
-    return rows
+    q = [abs(integrate(g, 2 * t, 1.0 - 2 * t)) for t in ts]
+    b = 8.0 * np.array(ts) * (mu_t.values_at(ts) + mu_s.values_at(ts))
+    return _rows(name, seed, trial, n, tol, ts, q, b)
 
 
 def _check_product_log_pointwise(n, master, trial, tol):
@@ -218,17 +232,14 @@ def _check_product_log_pointwise(n, master, trial, tol):
     mu_t, mu_s = mu_matrix(t_op), mu_matrix(s_op)
     mu_t_left = left_continuous_version(mu_t)
     mu_s_left = left_continuous_version(mu_s)
-    rows = []
-    for u in _midpoint_ts(n, 1.0) + _boundary_ts(n, 1.0):
-        q_hi = logmu(u)
-        b_hi = mu_t(u / 2) + mu_s(u / 2)
-        margin, ok = _ok(q_hi, b_hi, tol)
-        rows.append(CheckRow(name, seed, trial, n, u, q_hi, b_hi, margin, ok))
-        q_lo = -logmu(u)
-        b_lo = mu_t_left((1.0 - u) / 2) + mu_s_left((1.0 - u) / 2)
-        margin, ok = _ok(q_lo, b_lo, tol)
-        rows.append(CheckRow(name, seed, trial, n, u, q_lo, b_lo, margin, ok))
-    return rows
+    us = np.array(_midpoint_ts(n, 1.0) + _boundary_ts(n, 1.0))
+    q_hi = logmu.values_at(us)
+    b_hi = mu_t.values_at(us / 2) + mu_s.values_at(us / 2)
+    b_lo = mu_t_left.values_at((1.0 - us) / 2) + mu_s_left.values_at((1.0 - us) / 2)
+    # each u gives its upper row, then its lower row
+    return _rows(name, seed, trial, n, tol, np.repeat(us, 2),
+                 np.column_stack((q_hi, -q_hi)).ravel(),
+                 np.column_stack((b_hi, b_lo)).ravel())
 
 
 def _check_majorization(n, master, trial, tol):
@@ -239,17 +250,14 @@ def _check_majorization(n, master, trial, tol):
     s_op = _psd(master, name, trial, "B", n)
     mu_sum = mu_matrix(t_op + s_op)
     mu_parts = mu_matrix(t_op) + mu_matrix(s_op)
-    rows = []
-    for k in range(1, n // 2 + 1):
-        t = k / n
-        head_sum = integrate(mu_sum, 0.0, t)
-        head_parts = integrate(mu_parts, 0.0, t)
-        head_sum_2t = integrate(mu_sum, 0.0, 2 * t)
-        margin, ok = _ok(head_sum, head_parts, tol)
-        rows.append(CheckRow(name, seed, trial, n, t, head_sum, head_parts, margin, ok))
-        margin, ok = _ok(head_parts, head_sum_2t, tol)
-        rows.append(CheckRow(name, seed, trial, n, t, head_parts, head_sum_2t, margin, ok))
-    return rows
+    ts = [k / n for k in range(1, n // 2 + 1)]
+    head_sum = [integrate(mu_sum, 0.0, t) for t in ts]
+    head_parts = [integrate(mu_parts, 0.0, t) for t in ts]
+    head_sum_2t = [integrate(mu_sum, 0.0, 2 * t) for t in ts]
+    # each t gives the lower comparison, then the upper one
+    return _rows(name, seed, trial, n, tol, np.repeat(ts, 2),
+                 np.column_stack((head_sum, head_parts)).ravel(),
+                 np.column_stack((head_parts, head_sum_2t)).ravel())
 
 
 def _check_sum_psi_bound(n, master, trial, tol):
@@ -260,13 +268,10 @@ def _check_sum_psi_bound(n, master, trial, tol):
     s_op = _psd(master, name, trial, "B", n)
     mu_sum = mu_matrix(t_op + s_op)
     h = mu_sum - mu_matrix(t_op) - mu_matrix(s_op)
-    rows = []
-    for t in _boundary_ts(n, 0.5) + _midpoint_ts(n, 0.5):
-        q = abs(integrate(h, t, 1.0 - t))
-        b = 4.0 * t * mu_sum(t)
-        margin, ok = _ok(q, b, tol)
-        rows.append(CheckRow(name, seed, trial, n, t, q, b, margin, ok))
-    return rows
+    ts = _boundary_ts(n, 0.5) + _midpoint_ts(n, 0.5)
+    q = [abs(integrate(h, t, 1.0 - t)) for t in ts]
+    b = 4.0 * np.array(ts) * mu_sum.values_at(ts)
+    return _rows(name, seed, trial, n, tol, ts, q, b)
 
 
 def _split_threshold(w: np.ndarray, n: int) -> Tuple[int, int, float]:
@@ -292,19 +297,13 @@ def _check_split_psi_vanishing(n, master, trial, tol):
     t_op = _hermitian(master, name, trial, "A", n)
     h = lambda_matrix(t_op) - mu_pos_part(t_op) + mu_neg_part(t_op)
     _p, _m, t_star = _split_threshold(t_op.eigenvalues, n)
-    rows = []
-    for t in _boundary_ts(n, 0.5):
-        if t < t_star - _CUTOFF_GUARD:
-            q = abs(psi_eval(h, t))
-            margin, ok = _ok(q, 0.0, tol)
-            rows.append(CheckRow(name, seed, trial, n, t, q, 0.0, margin, ok))
+    ts = [t for t in _boundary_ts(n, 0.5) if t < t_star - _CUTOFF_GUARD]
+    q = [abs(psi_eval(h, t)) for t in ts]
     sup = max(
         abs(psi_eval(h, t)) for t in _boundary_ts(n, 0.5) + _midpoint_ts(n, 0.5)
     )
     b_sup = 2.0 * t_op.norm / max(t_star, 1.0 / n)
-    margin, ok = _ok(sup, b_sup, tol)
-    rows.append(CheckRow(name, seed, trial, n, 0.5, sup, b_sup, margin, ok))
-    return rows
+    return _rows(name, seed, trial, n, tol, ts + [0.5], q + [sup], [0.0] * len(ts) + [b_sup])
 
 
 def _psi_tpm(x: MatrixOperator) -> GridFn:
@@ -334,15 +333,10 @@ def _check_sum_psi_composite(n, master, trial, tol):
         max(abs(psi_eval(h, t)) for t in grid)
         for h in [_psi_tpm(x) for x in (t_op, s_op, ts_op)]
     )
-    rows = []
-    margin, ok = _ok(ident_gap, 0.0, tol)
-    rows.append(CheckRow(name, seed, trial, n, 0.0, ident_gap, 0.0, margin, ok))
-    for t in grid:
-        q = abs(psi_eval(g, t))
-        b = 12.0 * mu_a(t) + c_sum
-        margin, ok = _ok(q, b, tol)
-        rows.append(CheckRow(name, seed, trial, n, t, q, b, margin, ok))
-    return rows
+    q = [abs(psi_eval(g, t)) for t in grid]
+    b = 12.0 * mu_a.values_at(grid) + c_sum
+    return _rows(name, seed, trial, n, tol, [0.0] + grid, [ident_gap] + q,
+                 np.concatenate(([0.0], b)))
 
 
 def _check_commutator_criterion(n, master, trial, tol):
@@ -364,17 +358,13 @@ def _check_commutator_criterion(n, master, trial, tol):
         r_max = max(p, m) / n - _CUTOFF_GUARD
     else:
         r_max = 0.5
-    rows = []
-    for r in _boundary_ts(n, 0.5) + _midpoint_ts(n, 0.5):
-        if r >= r_max:
-            continue
-        cut = mu_t(r)
+    rs = [r for r in _boundary_ts(n, 0.5) + _midpoint_ts(n, 0.5) if r < r_max]
+    cuts = mu_t.values_at(rs)
+    q = []
+    for r, cut in zip(rs, cuts.tolist()):
         tau_trunc = math.fsum(w[np.abs(w) <= cut]) / n
-        q = abs(tau_trunc / r - psi_eval(lam, r))
-        b = 2.0 * mu_t(r)
-        margin, ok = _ok(q, b, tol)
-        rows.append(CheckRow(name, seed, trial, n, r, q, b, margin, ok))
-    return rows
+        q.append(abs(tau_trunc / r - psi_eval(lam, r)))
+    return _rows(name, seed, trial, n, tol, rs, q, 2.0 * cuts)
 
 
 def _worst_pair_row(name, seed, trial, n, tol, lhs, rhs, ts):
@@ -441,14 +431,9 @@ def _check_log_closure(n, master, trial, tol):
     bound_cells = np.log1p(da) + np.log1p(db)
     v_sum = np.log1p((a_op + b_op).singular_values)
     v_prod = np.log1p(a_op.matmul(b_op).singular_values)
-    rows = []
-    for k in range(n):
-        t = (k + 0.5) / n
-        for q in (float(v_sum[k]), float(v_prod[k])):
-            margin, ok = _ok(q, float(bound_cells[k]), tol)
-            rows.append(CheckRow(name, seed, trial, n, t, q,
-                                 float(bound_cells[k]), margin, ok))
-    return rows
+    # each cell gives its sum row, then its product row
+    return _rows(name, seed, trial, n, tol, np.repeat((np.arange(n) + 0.5) / n, 2),
+                 np.column_stack((v_sum, v_prod)).ravel(), np.repeat(bound_cells, 2))
 
 
 _CHECKS: Dict[str, Callable] = {
@@ -475,15 +460,20 @@ def run_check(name: str, n: int, master_seed: int, trial: int,
     return _CHECKS[name](n, master_seed, trial, tol)
 
 
-def _thread_count() -> int:
+def thread_count() -> int:
+    """Worker threads from ``SPECDET_THREADS`` (default 1); ValueError unless an integer >= 1."""
     raw = os.environ.get("SPECDET_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"SPECDET_THREADS must be an integer >= 1, got {raw!r}")
+    return count
 
 
 def run_suite(config: SuiteConfig) -> SuiteResult:
+    wall_start = time.perf_counter()
     jobs = [(name, trial) for name in config.suites for trial in range(config.trials)]
 
     def _one(job):
@@ -492,7 +482,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
         rows = run_check(name, config.n, config.seed, trial, config.tolerance(name))
         return name, trial, rows, (time.perf_counter() - start) * 1000.0
 
-    workers = min(_thread_count(), max(1, len(jobs)))
+    workers = min(thread_count(), max(1, len(jobs)))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_one, jobs))
@@ -518,7 +508,8 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
             runtime_ms=runtime,
             rows=rows,
         )
-    return SuiteResult(config=config, reports=reports)
+    return SuiteResult(config=config, reports=reports,
+                       wall_ms=(time.perf_counter() - wall_start) * 1000.0)
 
 
 # ---- serialization ----
@@ -550,6 +541,7 @@ def result_to_json(result: SuiteResult) -> str:
             "tol_overrides": dict(result.config.tol_overrides),
         },
         "passed": result.passed,
+        "wall_ms": result.wall_ms,
         "reports": {},
     }
     for name in result.config.suites:

@@ -83,6 +83,15 @@ def test_verify_unknown_suite_is_one_error_line(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+def test_verify_malformed_thread_count_exits_2(capsys, monkeypatch, value):
+    # invalid values only: a valid one would start worker threads
+    monkeypatch.setenv("SPECDET_THREADS", value)
+    code, out, err = _run(capsys, ["verify", "--suite", "majorization", "--n", "8", "--trials", "2"])
+    assert code == 2 and out == ""
+    assert err == f"error: SPECDET_THREADS must be an integer >= 1, got {value!r}\n"
+
+
 def test_verify_bad_n_exits_2(capsys):
     code, out, err = _run(capsys, ["verify", "--suite", "majorization", "--n", "1", "--trials", "1"])
     assert code == 2

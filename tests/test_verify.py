@@ -1,11 +1,17 @@
 """Verification harness: check rows, determinism, serialization, tolerances."""
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import specdet
+from specdet import stepfn, verify
 from specdet.matmodel import EnsembleSpec, MatrixOperator, mu_matrix, op_exp, sample
 from specdet.stepfn import GridFn, integrate, psi_eval
 from specdet.verify import (
@@ -260,6 +266,7 @@ def test_json_structure():
     assert set(rep) >= {"trials", "n", "rows", "worst_margin", "violations", "passed", "runtime_ms", "worst_row"}
     assert rep["violations"] == 0
     assert rep["worst_row"]["margin"] == rep["worst_margin"]
+    assert payload["wall_ms"] == result.wall_ms > 0.0
 
 
 def test_rows_order_follows_suite_order():
@@ -269,3 +276,87 @@ def test_rows_order_follows_suite_order():
     switch = names.index("majorization")
     assert all(x == "log-closure" for x in names[:switch])
     assert all(x == "majorization" for x in names[switch:])
+
+
+# ---- identity with the per-point and per-cell references ----
+
+def test_row_fields_are_python_scalars():
+    # a numpy scalar would print as np.float64(...) under repr
+    for row in run_suite(_quick_config(n=9, trials=1)).rows:
+        for value in dataclasses.astuple(row)[4:8]:
+            assert type(value) is float
+        assert type(row.ok) is bool
+
+
+@pytest.mark.parametrize("n", [7, 16, 37])
+def test_csv_bytes_equal_with_the_references_swapped_in(monkeypatch, n):
+    from stepfn_reference import integrate_reference, rows_reference, values_at_reference
+
+    config = _quick_config(n=n, trials=3, seed=42)
+    fast = rows_to_csv(run_suite(config).rows)
+    monkeypatch.setattr(stepfn, "integrate", integrate_reference)   # psi_eval's binding
+    monkeypatch.setattr(verify, "integrate", integrate_reference)
+    monkeypatch.setattr(GridFn, "values_at", values_at_reference)
+    monkeypatch.setattr(verify, "_rows", rows_reference)
+    assert rows_to_csv(run_suite(config).rows) == fast
+
+
+# ---- golden report digests ----
+
+# SHA-256 of `specdet verify --suite all --n N --trials T --seed S` stdout,
+# keyed by numpy's OpenBLAS version and the kernel core in use; the bytes
+# depend on both, so any other BLAS set-up skips
+_GOLDEN_CSV_SHA256 = {
+    "0.3.31.188.0/Haswell": {
+        (37, 5, 7): "729aeeb43153331d914df46b6eee6d317d9d5d40cde102fd571d9fc960c65613",
+        (64, 3, 42): "aba2368da55e0aaddb9e317b974b750a9e81ce8fcf4c915dc7aa3a390f400d13",
+    },
+}
+
+_GOLDEN_RUN = """
+import contextlib, ctypes, glob, hashlib, io, json, os, sys
+import numpy
+from specdet.cli import main
+
+
+def blas_key():
+    libdir = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "libscipy_openblas*.so")):
+        lib = ctypes.CDLL(path)
+        suffix = "64_" if "openblas64" in os.path.basename(path) else ""
+        try:
+            core = getattr(lib, "scipy_openblas_get_corename" + suffix)
+            config = getattr(lib, "scipy_openblas_get_config" + suffix)
+        except AttributeError:
+            continue
+        core.argtypes = config.argtypes = []
+        core.restype = config.restype = ctypes.c_char_p
+        return config().decode().split()[1] + "/" + core().decode()
+    return None
+
+
+digests = {}
+for n, trials, seed in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "--suite", "all", "--n", str(n), "--trials", str(trials),
+                     "--seed", str(seed)])
+    assert code == 0, code
+    digests[f"{n},{trials},{seed}"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+print(json.dumps({"key": blas_key(), "digests": digests}))
+"""
+
+
+def test_golden_csv_digests():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specdet.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "SPECDET_THREADS"}
+    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OPENBLAS_CORETYPE="Haswell")
+    shapes = [(37, 5, 7), (64, 3, 42)]
+    run = subprocess.run([sys.executable, "-c", _GOLDEN_RUN, json.dumps(shapes)],
+                         capture_output=True, text=True, timeout=300, env=env, check=True)
+    report = json.loads(run.stdout)
+    golden = _GOLDEN_CSV_SHA256.get(report["key"])
+    if golden is None:
+        pytest.skip(f"no digests recorded for BLAS set-up {report['key']}")
+    for shape in shapes:
+        assert report["digests"][",".join(map(str, shape))] == golden[shape], shape
