@@ -33,12 +33,10 @@ from .spaces import (
     DivergenceError,
     MembershipUndecidableError,
     QuadratureError,
-    exp_flip_profile,
     parse_profile_spec,
     parse_space,
     power_profile,
     projection_profile,
-    psi_prime_profile,
     space_lp,
     space_marcinkiewicz,
 )
@@ -194,7 +192,7 @@ def _example_scenario(name: str) -> dict:
         })
 
     if name == "ex-3-4-invertible":
-        x = exp_flip_profile(psi_prime_profile(), 1.0, name="exp-neg-psi-prime-flip")
+        x = parse_profile_spec("name=exp-neg-psi-prime-flip")
         phi = singular_trace()
         space = space_marcinkiewicz()
         cmp = eps_limit_comparison(x, phi, space)

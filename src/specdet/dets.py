@@ -178,8 +178,6 @@ def _eps_profiles(x: SpectralProfile, eps: float) -> Tuple[SpectralProfile, Spec
             evaluator=lambda s, _f=x.log_plus.evaluator, _l=math.log(eps):
                 float(np.logaddexp(_f(s), _l)),
             tail_at_0=x.log_plus.tail_at_0,
-            tail_at_1="positive-limit",
-            family="shifted-log",
         )
         lm = constant_profile(0.0)
         return lp, lm
@@ -187,15 +185,11 @@ def _eps_profiles(x: SpectralProfile, eps: float) -> Tuple[SpectralProfile, Spec
         name=f"log+({x.name}+{eps:g})",
         evaluator=lambda s, _f=x.evaluator, _e=eps: _log_plus(_f(s) + _e),
         tail_at_0=BOUNDED,
-        tail_at_1="positive-limit",
-        family="shifted-log",
     )
     lm = SpectralProfile(
         name=f"log-({x.name}+{eps:g})",
         evaluator=lambda s, _f=x.evaluator, _e=eps: _log_minus(_f(1.0 - s) + _e),
         tail_at_0=BOUNDED,
-        tail_at_1="positive-limit",
-        family="shifted-log",
     )
     return lp, lm
 
@@ -227,11 +221,9 @@ def eps_limit_comparison(x, phi: TraceFunctional,
     if isinstance(x, SpectralProfile):
         values = [_eps_term_profile(x, phi, e) for e in epsilons]
     elif isinstance(x, GridFn):
+        # mu + e is positive and nonincreasing: branch 1 of the grid path
         mu = decreasing_rearrangement(x).values
-        values = [
-            math.exp(eval_functional(phi, GridFn(np.log(mu + e)), signed=True))
-            for e in epsilons
-        ]
+        values = [_det_grid(GridFn(mu + e), phi)[0] for e in epsilons]
     else:
         raise TypeError(f"cannot run the comparison on {type(x).__name__}")
     tail = values[-window:]

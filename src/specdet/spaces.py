@@ -236,18 +236,19 @@ class SpectralProfile:
     integral traces exact instead of quadrature-approximate.  log_plus and
     log_minus, when registered, are the decreasing rearrangements of
     log+ evaluator and log- evaluator, ready for trace evaluation.
+    rescale, when registered, maps k > 0 to the closed form of k * profile
+    (the profile's own constructor at the multiplied parameter); scale_profile
+    returns it in place of the generic scaled profile.
     """
 
     name: str
     evaluator: Callable[[float], float]
     tail_at_0: object = BOUNDED          # PowerTail | "bounded" | "superpower"
-    tail_at_1: str = "decays-to-zero"    # "positive-limit" | "decays-to-zero" | "vanishes-on-interval"
     kernel_mass: float = 0.0
     antiderivative: Optional[Callable[[float], float]] = None
     log_plus: Optional["SpectralProfile"] = None
     log_minus: Optional["SpectralProfile"] = None
-    family: str = "custom"
-    params: Tuple = ()
+    rescale: Optional[Callable[[float], "SpectralProfile"]] = None
 
     def __post_init__(self):
         if not (0.0 <= self.kernel_mass < 1.0):
@@ -289,13 +290,11 @@ def _constant(c: float, name: Optional[str] = None, kernel_mass: float = 0.0,
         name=name or f"const({c:g})",
         evaluator=lambda t, _c=c: _c,
         tail_at_0=BOUNDED,
-        tail_at_1="positive-limit" if c > 0.0 else "vanishes-on-interval",
         kernel_mass=kernel_mass,
         antiderivative=lambda t, _c=c: _c * t,
         log_plus=log_plus,
         log_minus=log_minus,
-        family="constant",
-        params=(c,),
+        rescale=lambda k, _c=c: constant_profile(_c * k),
     )
 
 
@@ -340,10 +339,8 @@ def power_profile(a: float, b: float = 0.0, scale: float = 1.0,
         name=name or f"power(a={a:g},b={b:g},scale={scale:g})",
         evaluator=ev,
         tail_at_0=BOUNDED if (a == 0.0 and b <= 0.0) else PowerTail(a, b),
-        tail_at_1="positive-limit",
         antiderivative=anti,
-        family="power",
-        params=(a, b, scale),
+        rescale=lambda k, _a=a, _b=b, _s=scale: power_profile(_a, _b, _s * k),
     )
 
 
@@ -356,10 +353,8 @@ def psi_prime_profile(scale: float = 1.0) -> SpectralProfile:
         name=f"psi-prime(x{scale:g})" if scale != 1.0 else "psi-prime",
         evaluator=lambda t, _s=scale: _s / (t * (2.0 - math.log(t)) ** 2),
         tail_at_0=PowerTail(1.0, -2.0),
-        tail_at_1="positive-limit",
         antiderivative=lambda t, _s=scale: _s / (2.0 - math.log(t)),
-        family="psi-prime",
-        params=(scale,),
+        rescale=lambda k, _s=scale: psi_prime_profile(_s * k),
     )
 
 
@@ -370,13 +365,8 @@ def scale_profile(p: SpectralProfile, c: float) -> SpectralProfile:
         raise ValueError("scaling constant must be positive")
     if c == 1.0:
         return p
-    if p.family == "constant":
-        return constant_profile(p.params[0] * c)
-    if p.family == "power":
-        a, b, s = p.params
-        return power_profile(a, b, s * c)
-    if p.family == "psi-prime":
-        return psi_prime_profile(p.params[0] * c)
+    if p.rescale is not None:
+        return p.rescale(c)
     anti = None
     if p.antiderivative is not None:
         anti = lambda t, _f=p.antiderivative, _c=c: _c * _f(t)
@@ -384,11 +374,8 @@ def scale_profile(p: SpectralProfile, c: float) -> SpectralProfile:
         name=f"{c:g}*{p.name}",
         evaluator=lambda t, _f=p.evaluator, _c=c: _c * _f(t),
         tail_at_0=p.tail_at_0,
-        tail_at_1=p.tail_at_1,
         kernel_mass=p.kernel_mass,
         antiderivative=anti,
-        family="scaled",
-        params=(p.family, p.params, c),
     )
 
 
@@ -417,11 +404,8 @@ def exp_flip_profile(base: SpectralProfile, c: float = 1.0,
             name=name or f"exp(-{c:g}*{base.name}(1-t))",
             evaluator=ev,
             tail_at_0=BOUNDED,
-            tail_at_1="decays-to-zero" if unbounded else "positive-limit",
             log_plus=zero,
             log_minus=scale_profile(base, c),
-            family="exp-flip",
-            params=(base.family, base.params, c),
         )
     if not unbounded:
         raise ValueError("exp-flip with negative coefficient needs an unbounded power-class base")
@@ -431,11 +415,8 @@ def exp_flip_profile(base: SpectralProfile, c: float = 1.0,
         name=name or f"exp({k:g}*{base.name})",
         evaluator=ev,
         tail_at_0=SUPERPOWER,
-        tail_at_1="positive-limit",
         log_plus=scale_profile(base, k),
         log_minus=zero,
-        family="exp-flip",
-        params=(base.family, base.params, c),
     )
 
 
@@ -449,21 +430,24 @@ def projection_profile(kernel: float) -> SpectralProfile:
         name=f"projection(kernel={kernel:g})",
         evaluator=lambda t, _e=edge: 1.0 if t < _e else 0.0,
         tail_at_0=BOUNDED,
-        tail_at_1="vanishes-on-interval",
         kernel_mass=kernel,
         antiderivative=lambda t, _e=edge: min(t, _e),
         log_plus=constant_profile(0.0),
-        family="projection",
-        params=(kernel,),
     )
 
 
-# the keys each builtin reads, besides name and kind
+# builtin name -> (constructor, {key: default}): the keys each builtin reads
+# besides name and kind, passed to the constructor by name.  projection's
+# default kernel 0.0 lies outside (0, 1), so a line must give it.
 _BUILTINS = {
-    "psi-prime": ("scale",),
-    "exp-neg-psi-prime-flip": ("scale",),
-    "projection": ("kernel",),
-    "power": ("a", "b", "scale"),
+    "psi-prime": (psi_prime_profile, {"scale": 1.0}),
+    "exp-neg-psi-prime-flip": (
+        lambda scale: exp_flip_profile(psi_prime_profile(), c=scale,
+                                       name="exp-neg-psi-prime-flip"),
+        {"scale": 1.0},
+    ),
+    "projection": (projection_profile, {"kernel": 0.0}),
+    "power": (power_profile, {"a": 0.0, "b": 0.0, "scale": 1.0}),
 }
 
 
@@ -472,8 +456,9 @@ def parse_profile_spec(line: str) -> SpectralProfile:
 
     Builtins: psi-prime (scale), exp-neg-psi-prime-flip (scale is the
     exponent coefficient), projection (kernel is the kernel mass), power (a,
-    b, scale).  kind=power is a shorthand for the power builtin.  A key that
-    is unknown, repeated, or not read by the chosen builtin is an error.
+    b, scale).  kind=power is a shorthand for the power builtin.  An omitted
+    key takes its _BUILTINS default.  A key that is unknown, repeated, or not
+    read by the chosen builtin is an error.
     """
     fields = {}
     for token in line.split():
@@ -495,19 +480,12 @@ def parse_profile_spec(line: str) -> SpectralProfile:
     builtin = (name or "").lower()
     if builtin not in _BUILTINS:
         raise ValueError(f"unknown builtin profile {name!r}; builtins: {tuple(_BUILTINS)}")
-    takes = _BUILTINS[builtin]
+    build, defaults = _BUILTINS[builtin]
     for key in fields:
-        if key not in takes:
-            raise ValueError(f"profile {builtin} does not take {key!r}; it takes {', '.join(takes)}")
-    val = {key: float(value) for key, value in fields.items()}
-    if builtin == "power":
-        return power_profile(val.get("a", 0.0), val.get("b", 0.0), val.get("scale", 1.0))
-    if builtin == "psi-prime":
-        return psi_prime_profile(val.get("scale", 1.0))
-    if builtin == "exp-neg-psi-prime-flip":
-        return exp_flip_profile(psi_prime_profile(), c=val.get("scale", 1.0),
-                                name="exp-neg-psi-prime-flip")
-    return projection_profile(val.get("kernel", 0.0))
+        if key not in defaults:
+            raise ValueError(f"profile {builtin} does not take {key!r}; it takes {', '.join(defaults)}")
+    parsed = {key: float(value) for key, value in fields.items()}
+    return build(**{**defaults, **parsed})
 
 
 # ---- integrals of profiles ----

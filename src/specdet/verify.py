@@ -295,7 +295,7 @@ def _check_split_psi_vanishing(n, master, trial, tol):
     name = "split-psi-vanishing"
     seed = _trial_seed(master, name, trial, "A")
     t_op = _hermitian(master, name, trial, "A", n)
-    h = lambda_matrix(t_op) - mu_pos_part(t_op) + mu_neg_part(t_op)
+    h = _psi_tpm(t_op)
     _p, _m, t_star = _split_threshold(t_op.eigenvalues, n)
     ts = [t for t in _boundary_ts(n, 0.5) if t < t_star - _CUTOFF_GUARD]
     q = [abs(psi_eval(h, t)) for t in ts]
@@ -352,8 +352,7 @@ def _check_commutator_criterion(n, master, trial, tol):
     w = t_op.eigenvalues
     lam = lambda_matrix(t_op)
     mu_t = mu_matrix(t_op)
-    p = int(np.sum(w > 0.0))
-    m = int(np.sum(w < 0.0))
+    p, m, _ = _split_threshold(w, n)
     if p > 0 and m > 0:
         r_max = max(p, m) / n - _CUTOFF_GUARD
     else:

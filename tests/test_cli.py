@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import specdet
-from specdet import matmodel
+from specdet import matmodel, spaces
 from specdet.cli import _build_parser, main
 from specdet.matmodel import MatrixOperator, identity, save_matrix
 from specdet.verify import SUITE_NAMES
@@ -63,6 +63,47 @@ def test_det_misspelled_profile_key_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: profile power does not take 'sclae'; it takes a, b, scale\n"
+
+
+def test_det_projection_without_kernel_exits_2(capsys):
+    # the table default kernel=0.0 is refused by projection_profile; without a
+    # default the constructor's TypeError would escape as a traceback
+    code, out, err = _run(capsys, ["det", "--input", "name=projection"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: kernel mass must lie in (0, 1)\n"
+
+
+def _readme_profile_grammar():
+    """{builtin: [(key, default or None when the line must give it)]} from the README."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("Profile line grammar", 1)[1].split("```")[1]
+    rows = {}
+    for line in block.strip().splitlines():
+        first, *keys = line.split("  ", 1)[0].split()
+        row = first.partition("=")[2]
+        assert row not in rows, line
+        rows[row] = []
+        for token in keys:
+            key, _, value = token.strip("[]").partition("=")
+            rows[row].append((key, float(value) if token.startswith("[") else None))
+    return rows
+
+
+def test_readme_profile_grammar_names_the_builtin_table():
+    rows = _readme_profile_grammar()
+    assert list(rows) == list(spaces._BUILTINS)
+    for row, keys in rows.items():
+        _build, defaults = spaces._BUILTINS[row]
+        assert [key for key, _ in keys] == list(defaults), row
+        for key, shown in keys:
+            if shown is None:  # a key the line must give: the table default is refused
+                with pytest.raises(ValueError):
+                    spaces.parse_profile_spec(f"name={row}")
+            else:
+                assert shown == defaults[key], (row, key)
 
 
 @pytest.mark.parametrize("suite", [",", " , ", ""])

@@ -139,21 +139,17 @@ def test_constant_profile():
 
 def test_constant_profile_fields_and_log_parts():
     z = constant_profile(0.0)
-    assert (z.name, z.tail_at_1, z.kernel_mass, z.log_plus, z.log_minus) == (
-        "const(0)", "vanishes-on-interval", 0.999, None, None)
+    assert (z.name, z.kernel_mass, z.log_plus, z.log_minus) == ("const(0)", 0.999, None, None)
     p = constant_profile(0.5)
-    assert (p.name, p.tail_at_1, p.kernel_mass, p.family, p.params) == (
-        "const(0.5)", "positive-limit", 0.0, "constant", (0.5,))
+    assert (p.name, p.kernel_mass) == ("const(0.5)", 0.0)
     # the log parts are bare constants: no kernel mass, no log split of their own
     for part, c in ((p.log_plus, 0.0), (p.log_minus, -math.log(0.5))):
-        assert (part.name, part.family, part.params, part.kernel_mass) == (
-            f"const({c:g})", "constant", (c,), 0.0)
-        assert part.tail_at_1 == ("positive-limit" if c > 0.0 else "vanishes-on-interval")
+        assert (part.name, part.kernel_mass) == (f"const({c:g})", 0.0)
         assert part.log_plus is None and part.log_minus is None
         assert part(0.3) == c and part.antiderivative(0.5) == 0.5 * c
     one = constant_profile(1.0, name="one")
-    assert one.name == "one" and one.log_plus.params == (0.0,)
-    assert math.copysign(1.0, one.log_minus.params[0]) == -1.0  # max(-0.0, 0.0)
+    assert one.name == "one" and one.log_plus(0.5) == 0.0
+    assert math.copysign(1.0, one.log_minus(0.5)) == -1.0  # max(-0.0, 0.0)
 
 
 def test_profile_rejects_evaluation_outside_domain():
@@ -372,14 +368,19 @@ def test_profile_integral_divergent_raises():
     assert profile_integral(p, 0.5, 1.0) == pytest.approx(2.0 * (0.5 ** -0.5) - 2.0, rel=1e-9)
 
 
-# every family that registers an antiderivative, the generic scaled one included
+# every constructor that registers an antiderivative, the generic scaled one
+# included; the ids are fixed labels so the test ids stay put
 _EXACT_PROFILES = [
-    constant_profile(2.0), power_profile(0.75), power_profile(0.5, 0.0, 3.0),
-    psi_prime_profile(7.0), projection_profile(0.25), scale_profile(projection_profile(0.5), 3.0),
+    pytest.param(constant_profile(2.0), id="constant"),
+    pytest.param(power_profile(0.75), id="power0"),
+    pytest.param(power_profile(0.5, 0.0, 3.0), id="power1"),
+    pytest.param(psi_prime_profile(7.0), id="psi-prime"),
+    pytest.param(projection_profile(0.25), id="projection"),
+    pytest.param(scale_profile(projection_profile(0.5), 3.0), id="scaled"),
 ]
 
 
-@pytest.mark.parametrize("p", _EXACT_PROFILES, ids=lambda p: p.family)
+@pytest.mark.parametrize("p", _EXACT_PROFILES)
 def test_quadrature_agrees_with_antiderivative_or_refuses(p):
     bare = replace(p, antiderivative=None)
     refused = []
@@ -393,7 +394,7 @@ def test_quadrature_agrees_with_antiderivative_or_refuses(p):
         assert value == pytest.approx(profile_integral(p, lo, hi), rel=1e-9)
     # psi' = 1/(t (2 - log t)^2) defeats the adaptive rule from 0; under the
     # old silent fallback the head integral came out 0.4% to 4.5% low
-    assert refused == ([iv for iv in intervals if iv[0] == 0.0] if p.family == "psi-prime" else [])
+    assert refused == ([iv for iv in intervals if iv[0] == 0.0] if p.name.startswith("psi-prime") else [])
 
 
 def test_quadrature_warning_is_a_refusal():
@@ -464,6 +465,34 @@ def test_scale_profile_paths():
         scale_profile(p, -1.0)
 
 
+def _assert_same_profile(p, q):
+    """Same name, kernel mass and tail, and bit-equal evaluator and antiderivative."""
+    assert (p.name, p.kernel_mass, p.tail_at_0) == (q.name, q.kernel_mass, q.tail_at_0)
+    ts = spaces._PROFILE_GRID if p.tail_at_0 != SUPERPOWER else spaces._SUPERPOWER_GRID
+    assert [float(p.evaluator(t)).hex() for t in ts] == [float(q.evaluator(t)).hex() for t in ts]
+    assert (p.antiderivative is None) == (q.antiderivative is None)
+    if p.antiderivative is not None:
+        assert [p.antiderivative(t).hex() for t in ts] == [q.antiderivative(t).hex() for t in ts]
+
+
+# (profile, its constructor at a multiplied parameter): k * profile in closed form
+_RESCALABLE = [
+    (constant_profile(2.5), lambda k: constant_profile(2.5 * k)),
+    (constant_profile(0.0), lambda k: constant_profile(0.0 * k)),
+    (power_profile(0.75), lambda k: power_profile(0.75, 0.0, 1.0 * k)),
+    (power_profile(0.5, 2.0, 1.5), lambda k: power_profile(0.5, 2.0, 1.5 * k)),
+    (power_profile(1.0, -2.0, 0.3), lambda k: power_profile(1.0, -2.0, 0.3 * k)),
+    (psi_prime_profile(), lambda k: psi_prime_profile(1.0 * k)),
+    (psi_prime_profile(2.5), lambda k: psi_prime_profile(2.5 * k)),
+]
+
+
+@pytest.mark.parametrize("k", [3.0, 7.0, 0.1])
+@pytest.mark.parametrize("p, direct", _RESCALABLE, ids=lambda v: getattr(v, "name", ""))
+def test_scale_profile_is_the_constructor_at_the_multiplied_parameter(p, direct, k):
+    _assert_same_profile(scale_profile(p, k), direct(k))
+
+
 def test_scale_profile_generic_keeps_kernel():
     p = projection_profile(0.25)
     q = scale_profile(p, 5.0)
@@ -499,6 +528,26 @@ def test_parse_profile_spec_builtins():
     assert s(0.3) == pytest.approx(0.3 ** -0.75, rel=1e-14)
     t = parse_profile_spec("kind=power a=0.5 b=1 scale=2")
     assert t(0.3) == pytest.approx(2.0 * power_profile(0.5, 1.0)(0.3), rel=1e-14)
+
+
+def _parse_outcome(line):
+    try:
+        return parse_profile_spec(line)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("builtin", list(spaces._BUILTINS))
+def test_builtin_line_without_keys_equals_its_defaults_written_out(builtin):
+    _build, defaults = spaces._BUILTINS[builtin]
+    bare = f"name={builtin}"
+    full = bare + "".join(f" {key}={value!r}" for key, value in defaults.items())
+    got, want = _parse_outcome(bare), _parse_outcome(full)
+    if builtin == "projection":
+        # the default kernel 0.0 is refused: a projection line must give it
+        assert got == want == "kernel mass must lie in (0, 1)"
+    else:
+        _assert_same_profile(got, want)
 
 
 @pytest.mark.parametrize("line", [
