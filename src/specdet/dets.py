@@ -52,6 +52,15 @@ __all__ = [
 # at least this much in the exponent; boundary profiles are rejected.
 _WITNESS_MARGIN = 1e-9
 
+# The eps-shifted sequence of eps_limit_comparison.
+_EPS_K_MIN = 4
+_EPS_K_MAX = 30
+_EPS_WINDOW = 5
+_EPS_AGREE_TOL = 1e-6
+
+# The trace of the multiplicativity check and of the witness scenario.
+_PHI1 = integral_trace(1.0)
+
 
 class DetDomainError(ValueError):
     """The input is outside the determinant domain for the given space."""
@@ -139,13 +148,11 @@ class MultiplicativityReport:
     rel_discrepancy: float
 
 
-def det_multiplicativity_check(a: MatrixOperator, b: MatrixOperator,
-                               phi: Optional[TraceFunctional] = None) -> MultiplicativityReport:
-    """Compare det(ab) against det(a) det(b) for a matrix pair."""
-    phi = phi or integral_trace(1.0)
-    det_ab = det_phi(a.matmul(b), phi)
-    det_a = det_phi(a, phi)
-    det_b = det_phi(b, phi)
+def det_multiplicativity_check(a: MatrixOperator, b: MatrixOperator) -> MultiplicativityReport:
+    """Compare det(ab) against det(a) det(b) for a matrix pair, under integral:1."""
+    det_ab = det_phi(a.matmul(b), _PHI1)
+    det_a = det_phi(a, _PHI1)
+    det_b = det_phi(b, _PHI1)
     product = det_a * det_b
     scale = max(abs(det_ab), abs(product), 1e-300)
     return MultiplicativityReport(det_ab, det_a, det_b, product,
@@ -200,24 +207,18 @@ def _eps_term_profile(x: SpectralProfile, phi: TraceFunctional, eps: float) -> f
 
 
 def eps_limit_comparison(x, phi: TraceFunctional,
-                         space: Optional[SymmetricSpace] = None,
-                         k_min: int = 4, k_max: int = 30,
-                         window: int = 5, agree_tol: float = 1e-6) -> EpsComparison:
+                         space: Optional[SymmetricSpace] = None) -> EpsComparison:
     """Exact determinant next to det-like values of the eps-shifted input.
 
-    The shifted sequence uses eps = 2^-k for k_min <= k <= k_max.  The limit
-    is declared converged when the last `window` values agree to agree_tol;
-    `agree` then records whether that limit matches the exact value, which by
-    design it need not.
+    The shifted sequence uses eps = 2^-k for 4 <= k <= 30.  The limit is
+    declared converged when the last five values agree to 1e-6 (relative
+    above 1); `agree` then records whether that limit matches the exact
+    value, which by design it need not.
     """
-    if not (1 <= k_min < k_max):
-        raise ValueError("need 1 <= k_min < k_max")
-    if not 1 <= window <= k_max - k_min + 1:
-        raise ValueError(f"window must lie in [1, k_max - k_min + 1] = [1, {k_max - k_min + 1}]")
     if isinstance(x, MatrixOperator):
         x = mu_matrix(x)
     det_value, branch = det_phi_with_branch(x, phi, space)
-    epsilons = [2.0 ** (-k) for k in range(k_min, k_max + 1)]
+    epsilons = [2.0 ** (-k) for k in range(_EPS_K_MIN, _EPS_K_MAX + 1)]
     if isinstance(x, SpectralProfile):
         values = [_eps_term_profile(x, phi, e) for e in epsilons]
     elif isinstance(x, GridFn):
@@ -226,13 +227,13 @@ def eps_limit_comparison(x, phi: TraceFunctional,
         values = [_det_grid(GridFn(mu + e), phi)[0] for e in epsilons]
     else:
         raise TypeError(f"cannot run the comparison on {type(x).__name__}")
-    tail = values[-window:]
+    tail = values[-_EPS_WINDOW:]
     spread = max(tail) - min(tail)
-    converged = spread <= agree_tol * max(1.0, abs(tail[-1]))
+    converged = spread <= _EPS_AGREE_TOL * max(1.0, abs(tail[-1]))
     limit = tail[-1] if converged else None
     agree = None
     if converged:
-        agree = abs(limit - det_value) <= agree_tol * max(1.0, abs(det_value))
+        agree = abs(limit - det_value) <= _EPS_AGREE_TOL * max(1.0, abs(det_value))
     return EpsComparison(det_value, branch, epsilons, values, limit, converged, agree)
 
 
@@ -267,11 +268,9 @@ class WitnessReport:
 
 def separating_witness_scenario(small_space: SymmetricSpace,
                                 large_space: SymmetricSpace,
-                                t: SpectralProfile,
-                                phi_small: Optional[TraceFunctional] = None,
-                                phi_large: Optional[TraceFunctional] = None) -> WitnessReport:
+                                t: SpectralProfile) -> WitnessReport:
     """Exhibit x = exp(-t) whose determinant is positive over the large space
-    and zero (branch 2) over the small one.
+    and zero (branch 2) over the small one, both under integral:1.
 
     The witness profile t must clear both membership boundaries by a strict
     margin: certified inside the large space, certified outside the small
@@ -288,11 +287,9 @@ def separating_witness_scenario(small_space: SymmetricSpace,
             "refusing a boundary witness"
         )
     x = exp_flip_profile(t, 1.0)
-    phi_small = phi_small or integral_trace(1.0)
-    phi_large = phi_large or integral_trace(1.0)
-    det_large, br_large = det_phi_with_branch(x, phi_large, large_space)
-    det_small, br_small = det_phi_with_branch(x, phi_small, small_space)
-    integral_t = eval_functional(phi_large, t)
+    det_large, br_large = det_phi_with_branch(x, _PHI1, large_space)
+    det_small, br_small = det_phi_with_branch(x, _PHI1, small_space)
+    integral_t = eval_functional(_PHI1, t)
     return WitnessReport(
         witness_name=t.name,
         small_space=small_space.name,

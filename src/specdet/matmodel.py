@@ -238,14 +238,14 @@ def fk_det_eps(a: MatrixOperator, eps: float) -> float:
 class EnsembleSpec:
     """Deterministic recipe for one random matrix.
 
-    kind: one of ENSEMBLE_KINDS.  spectrum is required by the diagonal and
-    haar-unitary-conjugate kinds and must have length n.  Sampling the same
-    spec twice yields bitwise identical matrices.
+    kind: one of ENSEMBLE_KINDS.  The Gaussian kinds draw entries of variance
+    1/n.  spectrum is required by the diagonal and haar-unitary-conjugate
+    kinds and must have length n.  Sampling the same spec twice yields bitwise
+    identical matrices.
     """
 
     kind: str
     n: int
-    scale: float = 1.0
     seed: int = 0
     spectrum: Optional[Tuple[float, ...]] = None
 
@@ -254,8 +254,6 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble kind {self.kind!r}; choose from {ENSEMBLE_KINDS}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError("scale must be positive and finite")
         if self.kind in ("diagonal-with-prescribed-spectrum", "haar-unitary-conjugate"):
             if self.spectrum is None:
                 raise ValueError(f"{self.kind} requires a prescribed spectrum")
@@ -281,9 +279,9 @@ def sample(spec: EnsembleSpec) -> MatrixOperator:
     """Draw the matrix described by spec (seeded, deterministic)."""
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "iid-complex-gaussian":
-        return MatrixOperator(_ginibre(rng, spec.n, spec.scale))
+        return MatrixOperator(_ginibre(rng, spec.n, 1.0))
     if spec.kind == "hermitian-gaussian":
-        g = _ginibre(rng, spec.n, spec.scale * math.sqrt(2.0))
+        g = _ginibre(rng, spec.n, math.sqrt(2.0))
         return MatrixOperator((g + g.conj().T) / 2.0)
     if spec.kind == "diagonal-with-prescribed-spectrum":
         return MatrixOperator(np.diag(np.asarray(spec.spectrum, dtype=float)).astype(np.complex128))

@@ -283,11 +283,11 @@ def _audit_profile(p: SpectralProfile) -> None:
             )
 
 
-def _constant(c: float, name: Optional[str] = None, kernel_mass: float = 0.0,
+def _constant(c: float, kernel_mass: float = 0.0,
               log_plus: Optional[SpectralProfile] = None,
               log_minus: Optional[SpectralProfile] = None) -> SpectralProfile:
     return SpectralProfile(
-        name=name or f"const({c:g})",
+        name=f"const({c:g})",
         evaluator=lambda t, _c=c: _c,
         tail_at_0=BOUNDED,
         kernel_mass=kernel_mass,
@@ -298,22 +298,21 @@ def _constant(c: float, name: Optional[str] = None, kernel_mass: float = 0.0,
     )
 
 
-def constant_profile(c: float, name: Optional[str] = None) -> SpectralProfile:
+def constant_profile(c: float) -> SpectralProfile:
     c = float(c)
     if c < 0.0 or not math.isfinite(c):
         raise ValueError("constant must be finite and nonnegative")
     if c == 0.0:
-        return _constant(c, name, kernel_mass=0.999)
+        return _constant(c, kernel_mass=0.999)
     # a positive constant has the trivial log split; registering it keeps
     # determinants of constant profiles on the generic path.  The parts are
     # bare constants: no kernel mass and no log split of their own.
     lp = _constant(max(math.log(c), 0.0))
     lm = _constant(max(-math.log(c), 0.0))
-    return _constant(c, name, log_plus=lp, log_minus=lm)
+    return _constant(c, log_plus=lp, log_minus=lm)
 
 
-def power_profile(a: float, b: float = 0.0, scale: float = 1.0,
-                  name: Optional[str] = None) -> SpectralProfile:
+def power_profile(a: float, b: float = 0.0, scale: float = 1.0) -> SpectralProfile:
     """scale * t^(-a) * log(C/t)^b with log C = max(1, |b|/a), nonincreasing by design."""
     a = float(a)
     b = float(b)
@@ -336,7 +335,7 @@ def power_profile(a: float, b: float = 0.0, scale: float = 1.0,
     if b == 0.0 and a < 1.0:
         anti = lambda t, _a=a, _s=scale: _s * t ** (1.0 - _a) / (1.0 - _a)
     return SpectralProfile(
-        name=name or f"power(a={a:g},b={b:g},scale={scale:g})",
+        name=f"power(a={a:g},b={b:g},scale={scale:g})",
         evaluator=ev,
         tail_at_0=BOUNDED if (a == 0.0 and b <= 0.0) else PowerTail(a, b),
         antiderivative=anti,

@@ -76,20 +76,14 @@ class GridFn:
         return self._convention
 
     def __call__(self, t: float) -> float:
-        t = float(t)
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"evaluation point {t} outside (0, 1)")
-        n = self.n_cells
-        x = t * n
-        k = round(x)
-        if abs(x - k) <= _SNAP and 1 <= k <= n - 1:
-            idx = k if self._convention == "right" else k - 1
-        else:
-            idx = min(int(math.floor(x)), n - 1)
-        return float(self._values[idx])
+        return float(self.values_at((t,))[0])
 
     def values_at(self, ts) -> np.ndarray:
-        """``[self(t) for t in ts]`` as one array: the same snap rule and convention."""
+        """The value at each point of ts.
+
+        A point within _SNAP cell widths of an interior node sits on the
+        node, where the convention picks the side.
+        """
         x = np.asarray(ts, dtype=float)
         inside = (x > 0.0) & (x < 1.0)
         if not np.all(inside):

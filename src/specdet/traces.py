@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .stepfn import GridFn, decreasing_rearrangement, integrate
+from .matmodel import MatrixOperator, lambda_matrix
 from .spaces import (
     DivergenceError,
     Membership,
@@ -45,6 +46,12 @@ __all__ = [
 
 _L1 = space_lp(1.0)
 
+# The singular family's dyadic scheme: t_k = 2^-k for _K_MIN <= k <= _K_MAX,
+# converged when the last five ratios spread at most _DELTA_CONV.
+_K_MIN = 8
+_K_MAX = 40
+_DELTA_CONV = 1e-6
+
 
 class NonConvergentError(ArithmeticError):
     """The dyadic extrapolation did not stabilize; carries the sampled tail."""
@@ -61,20 +68,14 @@ class TraceFunctional:
     kind: str
     c: float = 1.0
     psi: Optional[PsiFn] = None
-    k_min: int = 8
-    k_max: int = 40
-    delta_conv: float = 1e-6
 
     def __post_init__(self):
         if self.kind not in ("integral", "singular"):
             raise ValueError(f"unknown trace kind {self.kind!r}")
         if self.kind == "integral" and not (self.c >= 0.0 and math.isfinite(self.c)):
             raise ValueError("integral trace weight must be finite and nonnegative")
-        if self.kind == "singular":
-            if self.psi is None:
-                raise ValueError("singular trace needs a psi function")
-            if not 1 <= self.k_min < self.k_max:
-                raise ValueError("need 1 <= k_min < k_max")
+        if self.kind == "singular" and self.psi is None:
+            raise ValueError("singular trace needs a psi function")
 
     @property
     def name(self) -> str:
@@ -112,7 +113,7 @@ def _head_integral(f, t: float) -> float:
 
 
 def _dyadic_limit(phi: TraceFunctional, f) -> float:
-    """lim (1/psi(t)) int_0^t f along t_k = 2^-k, k_min <= k <= k_max.
+    """lim (1/psi(t)) int_0^t f along t_k = 2^-k, _K_MIN <= k <= _K_MAX.
 
     Only the last five ratios decide convergence and give the value, so they
     are evaluated first; the earlier ratios are computed only for a refusal,
@@ -123,13 +124,13 @@ def _dyadic_limit(phi: TraceFunctional, f) -> float:
         t_k = 2.0 ** (-k)
         return _head_integral(f, t_k) / phi.psi(t_k)
 
-    first = max(phi.k_min, phi.k_max - 4)
-    window = [ratio(k) for k in range(first, phi.k_max + 1)]
-    if max(window) - min(window) > phi.delta_conv:
+    first = _K_MAX - 4
+    window = [ratio(k) for k in range(first, _K_MAX + 1)]
+    if max(window) - min(window) > _DELTA_CONV:
         raise NonConvergentError(
             f"dyadic scheme for {phi.name} did not stabilize: last window "
-            f"spread {max(window) - min(window):.3e} exceeds {phi.delta_conv:.1e}",
-            [ratio(k) for k in range(phi.k_min, first)] + window,
+            f"spread {max(window) - min(window):.3e} exceeds {_DELTA_CONV:.1e}",
+            [ratio(k) for k in range(_K_MIN, first)] + window,
         )
     return window[-1]
 
@@ -175,8 +176,6 @@ def eval_on_operator(phi: TraceFunctional, a) -> float:
     function is bounded, so singular functionals vanish on them by design);
     asking for a singular trace here is a usage error, not a zero.
     """
-    from .matmodel import MatrixOperator, mu_neg_part, mu_pos_part
-
     if not isinstance(a, MatrixOperator):
         raise TypeError("eval_on_operator expects a MatrixOperator")
     if not a.self_adjoint:
@@ -186,4 +185,4 @@ def eval_on_operator(phi: TraceFunctional, a) -> float:
             "singular functionals vanish on matrix models; evaluate them on "
             "profiles or grid functions instead"
         )
-    return _eval_nonincreasing(phi, mu_pos_part(a)) - _eval_nonincreasing(phi, mu_neg_part(a))
+    return eval_functional(phi, lambda_matrix(a), signed=True)

@@ -103,11 +103,13 @@ class SuiteConfig:
     tol_overrides: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for key in self.tol_overrides:
+        for key, tol in self.tol_overrides.items():
             if key not in SUITE_NAMES and key != "default":
                 raise ValueError(
                     f"unknown tolerance target {key!r}; suites: {', '.join(SUITE_NAMES)}"
                 )
+            if math.isnan(tol):
+                raise ValueError(f"tolerance for {key!r} is NaN")
         if not 2 <= self.n <= 512:
             raise ValueError("n must lie in [2, 512]")
         if self.trials < 0:
@@ -115,9 +117,11 @@ class SuiteConfig:
         menu = ", ".join(SUITE_NAMES)
         if not self.suites:
             raise ValueError(f"no suite given; choose from {menu}")
-        for name in self.suites:
+        for i, name in enumerate(self.suites):
             if name not in SUITE_NAMES:
                 raise ValueError(f"unknown suite {name!r}; choose from {menu}")
+            if name in self.suites[:i]:
+                raise ValueError(f"suite {name!r} is given more than once")
 
     def tolerance(self, check: str) -> float:
         if check in self.tol_overrides:
@@ -157,12 +161,12 @@ def _trial_seed(master: int, check: str, trial: int, slot: str) -> int:
 
 def _hermitian(master: int, check: str, trial: int, slot: str, n: int) -> MatrixOperator:
     seed = _trial_seed(master, check, trial, slot)
-    return sample(EnsembleSpec("hermitian-gaussian", n=n, scale=1.0, seed=seed))
+    return sample(EnsembleSpec("hermitian-gaussian", n=n, seed=seed))
 
 
 def _ginibre(master: int, check: str, trial: int, slot: str, n: int) -> MatrixOperator:
     seed = _trial_seed(master, check, trial, slot)
-    return sample(EnsembleSpec("iid-complex-gaussian", n=n, scale=1.0, seed=seed))
+    return sample(EnsembleSpec("iid-complex-gaussian", n=n, seed=seed))
 
 
 def _psd(master: int, check: str, trial: int, slot: str, n: int) -> MatrixOperator:
@@ -367,12 +371,9 @@ def _check_commutator_criterion(n, master, trial, tol):
 
 
 def _worst_pair_row(name, seed, trial, n, tol, lhs, rhs, ts):
-    """Row for the worst margin over a vectorized family of comparisons."""
-    margins = rhs - lhs
-    idx = int(np.argmin(margins))
-    q, b, t = float(lhs[idx]), float(rhs[idx]), float(ts[idx])
-    margin, ok = _ok(q, b, tol)
-    return CheckRow(name, seed, trial, n, t, q, b, margin, ok)
+    """The one row of the worst margin over a vectorized family of comparisons."""
+    i = int(np.argmin(rhs - lhs))
+    return _rows(name, seed, trial, n, tol, ts[i:i + 1], lhs[i:i + 1], rhs[i:i + 1])
 
 
 def _check_standard_inequalities(n, master, trial, tol):
@@ -397,9 +398,9 @@ def _check_standard_inequalities(n, master, trial, tol):
     ii, jj = ii[mask], jj[mask]
     kk = ii + jj
     ts = kk / n
-    rows.append(_worst_pair_row(name, seed, trial, n, tol,
+    rows.extend(_worst_pair_row(name, seed, trial, n, tol,
                                 v_sum[kk], a[ii] + b[jj], ts))
-    rows.append(_worst_pair_row(name, seed, trial, n, tol,
+    rows.extend(_worst_pair_row(name, seed, trial, n, tol,
                                 v_prod[kk], a[ii] * b[jj], ts))
     # interior family: s, t at cell midpoints, s + t = (i + j + 1)/n
     i0 = np.arange(0, n)
@@ -408,9 +409,9 @@ def _check_standard_inequalities(n, master, trial, tol):
     ii, jj = ii[mask], jj[mask]
     kk = ii + jj + 1
     ts = kk / n
-    rows.append(_worst_pair_row(name, seed, trial, n, tol,
+    rows.extend(_worst_pair_row(name, seed, trial, n, tol,
                                 v_sum[kk], a[ii] + b[jj], ts))
-    rows.append(_worst_pair_row(name, seed, trial, n, tol,
+    rows.extend(_worst_pair_row(name, seed, trial, n, tol,
                                 v_prod[kk], a[ii] * b[jj], ts))
     return rows
 
@@ -479,7 +480,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
         name, trial = job
         start = time.perf_counter()
         rows = run_check(name, config.n, config.seed, trial, config.tolerance(name))
-        return name, trial, rows, (time.perf_counter() - start) * 1000.0
+        return rows, (time.perf_counter() - start) * 1000.0
 
     workers = min(thread_count(), max(1, len(jobs)))
     if workers > 1:
@@ -488,14 +489,14 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     else:
         outcomes = [_one(job) for job in jobs]
 
+    # outcomes follow job order, so each suite's trials are one slice
     reports: Dict[str, CheckReport] = {}
-    for name in config.suites:
-        per_check = [o for o in outcomes if o[0] == name]
-        per_check.sort(key=lambda o: o[1])
-        rows = [row for _, _, trial_rows, _ in per_check for row in trial_rows]
+    for i, name in enumerate(config.suites):
+        per_check = outcomes[i * config.trials:(i + 1) * config.trials]
+        rows = [row for trial_rows, _ in per_check for row in trial_rows]
         violations = sum(1 for r in rows if not r.ok)
         worst = min((r.margin for r in rows), default=math.inf)
-        runtime = sum(o[3] for o in per_check)
+        runtime = sum(ms for _, ms in per_check)
         reports[name] = CheckReport(
             check_name=name,
             seed=config.seed,

@@ -2,7 +2,8 @@
 
 ``integrate_reference`` is the per-cell loop that ``stepfn.integrate`` used
 before it cached its full-cell terms, and ``values_at_reference`` is the
-per-point ``GridFn.__call__`` path that ``GridFn.values_at`` batches.
+per-point snap rule that ``GridFn.values_at`` (and through it
+``GridFn.__call__``) applies to a whole array.
 ``rows_reference`` builds check rows one scalar ``_ok`` at a time, the way
 the suites did before they computed margins over arrays.
 """
@@ -11,6 +12,7 @@ import math
 
 import numpy as np
 
+from specdet.stepfn import _SNAP
 from specdet.verify import CheckRow, _ok
 
 
@@ -35,7 +37,20 @@ def integrate_reference(f, a, b):
 
 
 def values_at_reference(f, ts):
-    return np.array([f(t) for t in ts], dtype=float)
+    out = []
+    for t in ts:
+        t = float(t)
+        if not 0.0 < t < 1.0:
+            raise ValueError(f"evaluation point {t} outside (0, 1)")
+        n = f.n_cells
+        x = t * n
+        k = round(x)
+        if abs(x - k) <= _SNAP and 1 <= k <= n - 1:
+            idx = k if f.convention == "right" else k - 1
+        else:
+            idx = min(int(math.floor(x)), n - 1)
+        out.append(float(f.values[idx]))
+    return np.array(out, dtype=float)
 
 
 def rows_reference(name, seed, trial, n, tol, ts, quantities, bounds):

@@ -115,6 +115,26 @@ def test_verify_empty_suite_list_exits_2(capsys, suite):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("suite", ["majorization,majorization",
+                                   "majorization,log-closure, majorization"])
+def test_verify_repeated_suite_exits_2(capsys, suite):
+    # run as given, a repeated suite would report each of its rows four times
+    code, out, err = _run(capsys, ["verify", "--suite", suite, "--n", "8", "--trials", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: suite 'majorization' is given more than once\n"
+
+
+@pytest.mark.parametrize("tol, key", [("nan", "default"), ("NaN", "default"),
+                                      ("majorization=nan", "majorization"),
+                                      ("default=-nan", "default")])
+def test_verify_nan_tolerance_exits_2(capsys, tol, key):
+    # no margin compares >= NaN, so a NaN tolerance would fail every row
+    code, out, err = _run(capsys, ["verify", "--suite", "majorization", "--n", "8",
+                                   "--trials", "1", "--tol", tol])
+    assert (code, out) == (2, "")
+    assert err == f"error: tolerance for {key!r} is NaN\n"
+
+
 def test_verify_unknown_suite_is_one_error_line(capsys):
     code, out, err = _run(capsys, ["verify", "--suite", "majorization,wavelets", "--n", "8",
                                    "--trials", "1"])

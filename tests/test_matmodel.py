@@ -338,8 +338,6 @@ def test_ensemble_spec_validation():
     with pytest.raises(ValueError):
         EnsembleSpec(kind="iid-complex-gaussian", n=0)
     with pytest.raises(ValueError):
-        EnsembleSpec(kind="iid-complex-gaussian", n=4, scale=0.0)
-    with pytest.raises(ValueError):
         EnsembleSpec(kind="diagonal-with-prescribed-spectrum", n=4)
     with pytest.raises(ValueError):
         EnsembleSpec(kind="haar-unitary-conjugate", n=4, spectrum=(1.0, 2.0))
@@ -374,12 +372,6 @@ def test_haar_conjugate_preserves_spectrum():
 def test_haar_unitary_is_unitary():
     u = haar_unitary(8, np.random.default_rng(17))
     assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
-
-
-def test_ginibre_scale():
-    a = sample(EnsembleSpec(kind="iid-complex-gaussian", n=64, seed=1, scale=2.0))
-    b = sample(EnsembleSpec(kind="iid-complex-gaussian", n=64, seed=1, scale=1.0))
-    assert np.allclose(a.entries, 2.0 * b.entries, atol=1e-15)
 
 
 # ---- persistence ----

@@ -147,8 +147,8 @@ def test_constant_profile_fields_and_log_parts():
         assert (part.name, part.kernel_mass) == (f"const({c:g})", 0.0)
         assert part.log_plus is None and part.log_minus is None
         assert part(0.3) == c and part.antiderivative(0.5) == 0.5 * c
-    one = constant_profile(1.0, name="one")
-    assert one.name == "one" and one.log_plus(0.5) == 0.0
+    one = constant_profile(1.0)
+    assert one.name == "const(1)" and one.log_plus(0.5) == 0.0
     assert math.copysign(1.0, one.log_minus(0.5)) == -1.0  # max(-0.0, 0.0)
 
 

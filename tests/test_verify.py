@@ -52,6 +52,11 @@ def test_config_validation():
         SuiteConfig(suites=())
     with pytest.raises(ValueError, match="unknown tolerance target 'majorizaton'; suites: "):
         SuiteConfig(suites=("majorization",), tol_overrides={"majorizaton": -1.0})
+    with pytest.raises(ValueError, match="^suite 'majorization' is given more than once$"):
+        SuiteConfig(suites=("majorization", "log-closure", "majorization"))
+    for key in ("default", "majorization"):
+        with pytest.raises(ValueError, match=f"^tolerance for '{key}' is NaN$"):
+            SuiteConfig(suites=("majorization",), tol_overrides={key: math.nan})
 
 
 def test_tolerance_resolution():
