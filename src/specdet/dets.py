@@ -27,7 +27,6 @@ from .spaces import (
     SpectralProfile,
     SymmetricSpace,
     _tail_rule,
-    constant_profile,
     elog_membership,
     exp_flip_profile,
     membership,
@@ -172,22 +171,23 @@ class EpsComparison:
     agree: Optional[bool] = None
 
 
-def _eps_profiles(x: SpectralProfile, eps: float) -> Tuple[SpectralProfile, SpectralProfile]:
+def _eps_term_profile(x: SpectralProfile, phi: TraceFunctional, eps: float) -> float:
+    """exp(phi(log+(x + eps)) - phi(log-(x + eps))) for a profile x."""
     if x.tail_at_0 == SUPERPOWER:
         if x.log_plus is None:
             raise UnsupportedProfileError(
                 f"profile {x.name!r} grows too fast for direct shifted logs and "
                 "has no registered log+"
             )
-        # log(x + eps) = logaddexp(log x, log eps) where x >= 1
-        lp = SpectralProfile(
-            name=f"log+({x.name}+{eps:g})",
-            evaluator=lambda s, _f=x.log_plus.evaluator, _l=math.log(eps):
-                float(np.logaddexp(_f(s), _l)),
-            tail_at_0=x.log_plus.tail_at_0,
+        # x >= 1, so log(x + eps) = log+ x + log1p(eps / x): phi takes the
+        # registered log+ exactly, plus the bounded rest, rearranged
+        rest = SpectralProfile(
+            name=f"log1p({eps:g}/{x.name})",
+            evaluator=lambda s, _f=x.log_plus.evaluator, _e=eps:
+                math.log1p(_e * math.exp(-_f(1.0 - s))),
+            tail_at_0=BOUNDED,
         )
-        lm = constant_profile(0.0)
-        return lp, lm
+        return math.exp(eval_functional(phi, x.log_plus) + eval_functional(phi, rest))
     lp = SpectralProfile(
         name=f"log+({x.name}+{eps:g})",
         evaluator=lambda s, _f=x.evaluator, _e=eps: _log_plus(_f(s) + _e),
@@ -198,11 +198,6 @@ def _eps_profiles(x: SpectralProfile, eps: float) -> Tuple[SpectralProfile, Spec
         evaluator=lambda s, _f=x.evaluator, _e=eps: _log_minus(_f(1.0 - s) + _e),
         tail_at_0=BOUNDED,
     )
-    return lp, lm
-
-
-def _eps_term_profile(x: SpectralProfile, phi: TraceFunctional, eps: float) -> float:
-    lp, lm = _eps_profiles(x, eps)
     return math.exp(eval_functional(phi, lp) - eval_functional(phi, lm))
 
 

@@ -108,8 +108,9 @@ class SuiteConfig:
                 raise ValueError(
                     f"unknown tolerance target {key!r}; suites: {', '.join(SUITE_NAMES)}"
                 )
-            if math.isnan(tol):
-                raise ValueError(f"tolerance for {key!r} is NaN")
+            # NaN fails every row and +inf passes every row, whatever the margins
+            if math.isnan(tol) or tol == math.inf:
+                raise ValueError(f"tolerance for {key!r} is {'NaN' if math.isnan(tol) else '+inf'}")
         if not 2 <= self.n <= 512:
             raise ValueError("n must lie in [2, 512]")
         if self.trials < 0:
@@ -159,18 +160,16 @@ def _trial_seed(master: int, check: str, trial: int, slot: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _hermitian(master: int, check: str, trial: int, slot: str, n: int) -> MatrixOperator:
-    seed = _trial_seed(master, check, trial, slot)
+def _hermitian(seed: int, n: int) -> MatrixOperator:
     return sample(EnsembleSpec("hermitian-gaussian", n=n, seed=seed))
 
 
-def _ginibre(master: int, check: str, trial: int, slot: str, n: int) -> MatrixOperator:
-    seed = _trial_seed(master, check, trial, slot)
+def _ginibre(seed: int, n: int) -> MatrixOperator:
     return sample(EnsembleSpec("iid-complex-gaussian", n=n, seed=seed))
 
 
-def _psd(master: int, check: str, trial: int, slot: str, n: int) -> MatrixOperator:
-    g = _ginibre(master, check, trial, slot, n).entries
+def _psd(seed: int, n: int) -> MatrixOperator:
+    g = _ginibre(seed, n).entries
     w = g @ g.conj().T
     return MatrixOperator((w + w.conj().T) / 2.0)
 
@@ -203,34 +202,30 @@ def _midpoint_ts(n: int, frac: float) -> List[float]:
     return [(k - 0.5) / n for k in range(1, n + 1) if (k - 0.5) / n < frac]
 
 
+def _half_grid(n: int) -> List[float]:
+    """Cell boundaries, then cell midpoints, below 1/2."""
+    return _boundary_ts(n, 0.5) + _midpoint_ts(n, 0.5)
+
+
 # ---- the checks ----
 
-def _check_product_log_integral(n, master, trial, tol):
+def _check_product_log_integral(n, t_op, s_op):
     """|int_{2t}^{1-2t} (log mu(e^T e^S) - lam T - lam S)| <= 8t(mu(t,T)+mu(t,S)), t < 1/4."""
-    name = "product-log-integral"
-    seed = _trial_seed(master, name, trial, "A")
-    t_op = _hermitian(master, name, trial, "A", n)
-    s_op = _hermitian(master, name, trial, "B", n)
     prod = op_exp(t_op).matmul(op_exp(s_op))
     g = GridFn(np.log(prod.singular_values)) - lambda_matrix(t_op) - lambda_matrix(s_op)
     mu_t, mu_s = mu_matrix(t_op), mu_matrix(s_op)
     ts = [k / (2 * n) for k in range(1, n // 2)] or [0.125]
     q = [abs(integrate(g, 2 * t, 1.0 - 2 * t)) for t in ts]
-    b = 8.0 * np.array(ts) * (mu_t.values_at(ts) + mu_s.values_at(ts))
-    return _rows(name, seed, trial, n, tol, ts, q, b)
+    return ts, q, 8.0 * np.array(ts) * (mu_t.values_at(ts) + mu_s.values_at(ts))
 
 
-def _check_product_log_pointwise(n, master, trial, tol):
+def _check_product_log_pointwise(n, t_op, s_op):
     """Two-sided pointwise bound on log mu(u, e^T e^S) for every u in (0,1).
 
     Upper: mu(u/2,T) + mu(u/2,S); lower: -mu~((1-u)/2,T) - mu~((1-u)/2,S),
     with the left-continuous versions on the lower side.  Both are emitted as
     rows with margin = bound - quantity, the lower side negated.
     """
-    name = "product-log-pointwise"
-    seed = _trial_seed(master, name, trial, "A")
-    t_op = _hermitian(master, name, trial, "A", n)
-    s_op = _hermitian(master, name, trial, "B", n)
     prod = op_exp(t_op).matmul(op_exp(s_op))
     logmu = GridFn(np.log(prod.singular_values))
     mu_t, mu_s = mu_matrix(t_op), mu_matrix(s_op)
@@ -241,17 +236,12 @@ def _check_product_log_pointwise(n, master, trial, tol):
     b_hi = mu_t.values_at(us / 2) + mu_s.values_at(us / 2)
     b_lo = mu_t_left.values_at((1.0 - us) / 2) + mu_s_left.values_at((1.0 - us) / 2)
     # each u gives its upper row, then its lower row
-    return _rows(name, seed, trial, n, tol, np.repeat(us, 2),
-                 np.column_stack((q_hi, -q_hi)).ravel(),
-                 np.column_stack((b_hi, b_lo)).ravel())
+    return (np.repeat(us, 2), np.column_stack((q_hi, -q_hi)).ravel(),
+            np.column_stack((b_hi, b_lo)).ravel())
 
 
-def _check_majorization(n, master, trial, tol):
+def _check_majorization(n, t_op, s_op):
     """int_0^t mu(T+S) <= int_0^t (mu T + mu S) <= int_0^{2t} mu(T+S) for positive T, S."""
-    name = "majorization"
-    seed = _trial_seed(master, name, trial, "A")
-    t_op = _psd(master, name, trial, "A", n)
-    s_op = _psd(master, name, trial, "B", n)
     mu_sum = mu_matrix(t_op + s_op)
     mu_parts = mu_matrix(t_op) + mu_matrix(s_op)
     ts = [k / n for k in range(1, n // 2 + 1)]
@@ -259,23 +249,17 @@ def _check_majorization(n, master, trial, tol):
     head_parts = [integrate(mu_parts, 0.0, t) for t in ts]
     head_sum_2t = [integrate(mu_sum, 0.0, 2 * t) for t in ts]
     # each t gives the lower comparison, then the upper one
-    return _rows(name, seed, trial, n, tol, np.repeat(ts, 2),
-                 np.column_stack((head_sum, head_parts)).ravel(),
-                 np.column_stack((head_parts, head_sum_2t)).ravel())
+    return (np.repeat(ts, 2), np.column_stack((head_sum, head_parts)).ravel(),
+            np.column_stack((head_parts, head_sum_2t)).ravel())
 
 
-def _check_sum_psi_bound(n, master, trial, tol):
+def _check_sum_psi_bound(n, t_op, s_op):
     """|int_t^{1-t} (mu(T+S) - mu T - mu S)| <= 4t mu(t,T+S) for positive T, S, t < 1/2."""
-    name = "sum-psi-bound"
-    seed = _trial_seed(master, name, trial, "A")
-    t_op = _psd(master, name, trial, "A", n)
-    s_op = _psd(master, name, trial, "B", n)
     mu_sum = mu_matrix(t_op + s_op)
     h = mu_sum - mu_matrix(t_op) - mu_matrix(s_op)
-    ts = _boundary_ts(n, 0.5) + _midpoint_ts(n, 0.5)
+    ts = _half_grid(n)
     q = [abs(integrate(h, t, 1.0 - t)) for t in ts]
-    b = 4.0 * np.array(ts) * mu_sum.values_at(ts)
-    return _rows(name, seed, trial, n, tol, ts, q, b)
+    return ts, q, 4.0 * np.array(ts) * mu_sum.values_at(ts)
 
 
 def _split_threshold(w: np.ndarray, n: int) -> Tuple[int, int, float]:
@@ -288,7 +272,7 @@ def _split_threshold(w: np.ndarray, n: int) -> Tuple[int, int, float]:
     return p, m, min(t0, 1.0 - t0)
 
 
-def _check_split_psi_vanishing(n, master, trial, tol):
+def _check_split_psi_vanishing(n, t_op):
     """Psi(lambda(T) - mu(T+) + mu(T-)) vanishes below the support cutoff.
 
     Below t* = min(t0, 1 - t0), t0 the trace of the support of T+, the value
@@ -296,25 +280,20 @@ def _check_split_psi_vanishing(n, master, trial, tol):
     power-of-2 n); above it the function is still bounded by 2*norm/t*, which
     is emitted as a final sup row at t = 0.5.
     """
-    name = "split-psi-vanishing"
-    seed = _trial_seed(master, name, trial, "A")
-    t_op = _hermitian(master, name, trial, "A", n)
     h = _psi_tpm(t_op)
     _p, _m, t_star = _split_threshold(t_op.eigenvalues, n)
     ts = [t for t in _boundary_ts(n, 0.5) if t < t_star - _CUTOFF_GUARD]
     q = [abs(psi_eval(h, t)) for t in ts]
-    sup = max(
-        abs(psi_eval(h, t)) for t in _boundary_ts(n, 0.5) + _midpoint_ts(n, 0.5)
-    )
+    sup = max(abs(psi_eval(h, t)) for t in _half_grid(n))
     b_sup = 2.0 * t_op.norm / max(t_star, 1.0 / n)
-    return _rows(name, seed, trial, n, tol, ts + [0.5], q + [sup], [0.0] * len(ts) + [b_sup])
+    return ts + [0.5], q + [sup], [0.0] * len(ts) + [b_sup]
 
 
 def _psi_tpm(x: MatrixOperator) -> GridFn:
     return lambda_matrix(x) - mu_pos_part(x) + mu_neg_part(x)
 
 
-def _check_sum_psi_composite(n, master, trial, tol):
+def _check_sum_psi_composite(n, t_op, s_op):
     """|Psi(lam T + lam S - lam(T+S))(t)| <= 12 mu(t,A) + C_T + C_S + C_{T+S}.
 
     A = (T+S)+ + T- + S- = (T+S)- + T+ + S+ is positive; the C terms are the
@@ -322,37 +301,29 @@ def _check_sum_psi_composite(n, master, trial, tol):
     identity between the two decompositions of A is asserted as a row at
     t = 0.
     """
-    name = "sum-psi-composite"
-    seed = _trial_seed(master, name, trial, "A")
-    t_op = _hermitian(master, name, trial, "A", n)
-    s_op = _hermitian(master, name, trial, "B", n)
     ts_op = t_op + s_op
     a1 = pos_part(ts_op) + neg_part(t_op) + neg_part(s_op)
     a2 = neg_part(ts_op) + pos_part(t_op) + pos_part(s_op)
     ident_gap = float(np.max(np.abs(a1.entries - a2.entries)))
     mu_a = mu_matrix(a1)
     g = lambda_matrix(t_op) + lambda_matrix(s_op) - lambda_matrix(ts_op)
-    grid = _boundary_ts(n, 0.5) + _midpoint_ts(n, 0.5)
+    grid = _half_grid(n)
     c_sum = sum(
         max(abs(psi_eval(h, t)) for t in grid)
         for h in [_psi_tpm(x) for x in (t_op, s_op, ts_op)]
     )
     q = [abs(psi_eval(g, t)) for t in grid]
     b = 12.0 * mu_a.values_at(grid) + c_sum
-    return _rows(name, seed, trial, n, tol, [0.0] + grid, [ident_gap] + q,
-                 np.concatenate(([0.0], b)))
+    return [0.0] + grid, [ident_gap] + q, np.concatenate(([0.0], b))
 
 
-def _check_commutator_criterion(n, master, trial, tol):
+def _check_commutator_criterion(n, t_op):
     """|(1/r) tau(truncation of T at mu(r,T)) - Psi lambda(T)(r)| <= 2 mu(r,T).
 
     The truncation keeps the eigenvalues of modulus <= mu(r,T).  Rows cover
     r below the larger of the two support traces (all r < 1/2 when T is
     definite or kernel-free); hand-built kernels shrink the certified range.
     """
-    name = "commutator-criterion"
-    seed = _trial_seed(master, name, trial, "A")
-    t_op = _hermitian(master, name, trial, "A", n)
     w = t_op.eigenvalues
     lam = lambda_matrix(t_op)
     mu_t = mu_matrix(t_op)
@@ -361,91 +332,71 @@ def _check_commutator_criterion(n, master, trial, tol):
         r_max = max(p, m) / n - _CUTOFF_GUARD
     else:
         r_max = 0.5
-    rs = [r for r in _boundary_ts(n, 0.5) + _midpoint_ts(n, 0.5) if r < r_max]
+    rs = [r for r in _half_grid(n) if r < r_max]
     cuts = mu_t.values_at(rs)
     q = []
     for r, cut in zip(rs, cuts.tolist()):
         tau_trunc = math.fsum(w[np.abs(w) <= cut]) / n
         q.append(abs(tau_trunc / r - psi_eval(lam, r)))
-    return _rows(name, seed, trial, n, tol, rs, q, 2.0 * cuts)
+    return rs, q, 2.0 * cuts
 
 
-def _worst_pair_row(name, seed, trial, n, tol, lhs, rhs, ts):
-    """The one row of the worst margin over a vectorized family of comparisons."""
-    i = int(np.argmin(rhs - lhs))
-    return _rows(name, seed, trial, n, tol, ts[i:i + 1], lhs[i:i + 1], rhs[i:i + 1])
-
-
-def _check_standard_inequalities(n, master, trial, tol):
+def _check_standard_inequalities(n, a_op, b_op):
     """mu(s+t, A+B) <= mu(s,A) + mu(t,B) and mu(s+t, AB) <= mu(s,A) mu(t,B).
 
     Scanned over the full index range at both cell boundaries and interiors;
     one worst-margin row is emitted per inequality family.
     """
-    name = "standard-inequalities"
-    seed = _trial_seed(master, name, trial, "A")
-    a_op = _ginibre(master, name, trial, "A", n)
-    b_op = _ginibre(master, name, trial, "B", n)
     a = a_op.singular_values
     b = b_op.singular_values
     v_sum = (a_op + b_op).singular_values
     v_prod = a_op.matmul(b_op).singular_values
-    rows = []
-    # boundary family: s = i/n, t = j/n with i, j >= 1, i + j <= n - 1
-    i = np.arange(1, n)
-    jj, ii = np.meshgrid(i, i)
-    mask = (ii + jj) <= n - 1
-    ii, jj = ii[mask], jj[mask]
-    kk = ii + jj
-    ts = kk / n
-    rows.extend(_worst_pair_row(name, seed, trial, n, tol,
-                                v_sum[kk], a[ii] + b[jj], ts))
-    rows.extend(_worst_pair_row(name, seed, trial, n, tol,
-                                v_prod[kk], a[ii] * b[jj], ts))
-    # interior family: s, t at cell midpoints, s + t = (i + j + 1)/n
-    i0 = np.arange(0, n)
-    jj, ii = np.meshgrid(i0, i0)
-    mask = (ii + jj + 1) <= n - 1
-    ii, jj = ii[mask], jj[mask]
-    kk = ii + jj + 1
-    ts = kk / n
-    rows.extend(_worst_pair_row(name, seed, trial, n, tol,
-                                v_sum[kk], a[ii] + b[jj], ts))
-    rows.extend(_worst_pair_row(name, seed, trial, n, tol,
-                                v_prod[kk], a[ii] * b[jj], ts))
-    return rows
+    ts, q, bounds = [], [], []
+    # boundary family: s = i/n, t = j/n with i, j >= 1, i + j <= n - 1 (empty
+    # at n = 2); interior family: s, t at cell midpoints, s + t = (i + j + 1)/n
+    for first, shift in ((1, 0), (0, 1)):
+        i = np.arange(first, n)
+        jj, ii = np.meshgrid(i, i)
+        mask = (ii + jj + shift) <= n - 1
+        ii, jj = ii[mask], jj[mask]
+        kk = ii + jj + shift
+        for lhs, rhs in ((v_sum[kk], a[ii] + b[jj]), (v_prod[kk], a[ii] * b[jj])):
+            if kk.size:
+                worst = int(np.argmin(rhs - lhs))
+                ts.append(kk[worst] / n)
+                q.append(lhs[worst])
+                bounds.append(rhs[worst])
+    return ts, q, bounds
 
 
-def _check_log_closure(n, master, trial, tol):
+def _check_log_closure(n, a_op, b_op):
     """log(1 + mu(A+B)) and log(1 + mu(AB)) <= log(1 + D2 mu A) + log(1 + D2 mu B).
 
     Cellwise on the model grid; D2 f(t) = f(t/2) is the exact two-fold
     dilation of stepfn.dilate2.
     """
-    name = "log-closure"
-    seed = _trial_seed(master, name, trial, "A")
-    a_op = _ginibre(master, name, trial, "A", n)
-    b_op = _ginibre(master, name, trial, "B", n)
     da = dilate2(mu_matrix(a_op)).values
     db = dilate2(mu_matrix(b_op)).values
     bound_cells = np.log1p(da) + np.log1p(db)
     v_sum = np.log1p((a_op + b_op).singular_values)
     v_prod = np.log1p(a_op.matmul(b_op).singular_values)
     # each cell gives its sum row, then its product row
-    return _rows(name, seed, trial, n, tol, np.repeat((np.arange(n) + 0.5) / n, 2),
-                 np.column_stack((v_sum, v_prod)).ravel(), np.repeat(bound_cells, 2))
+    return (np.repeat((np.arange(n) + 0.5) / n, 2),
+            np.column_stack((v_sum, v_prod)).ravel(), np.repeat(bound_cells, 2))
 
 
-_CHECKS: Dict[str, Callable] = {
-    "product-log-integral": _check_product_log_integral,
-    "product-log-pointwise": _check_product_log_pointwise,
-    "majorization": _check_majorization,
-    "sum-psi-bound": _check_sum_psi_bound,
-    "split-psi-vanishing": _check_split_psi_vanishing,
-    "sum-psi-composite": _check_sum_psi_composite,
-    "commutator-criterion": _check_commutator_criterion,
-    "standard-inequalities": _check_standard_inequalities,
-    "log-closure": _check_log_closure,
+# name -> (check, sampler, slots): run_check draws one operator per slot, in
+# slot order, and the check returns (points, quantities, bounds), one per row
+_CHECKS: Dict[str, Tuple[Callable, Callable[[int, int], MatrixOperator], str]] = {
+    "product-log-integral": (_check_product_log_integral, _hermitian, "AB"),
+    "product-log-pointwise": (_check_product_log_pointwise, _hermitian, "AB"),
+    "majorization": (_check_majorization, _psd, "AB"),
+    "sum-psi-bound": (_check_sum_psi_bound, _psd, "AB"),
+    "split-psi-vanishing": (_check_split_psi_vanishing, _hermitian, "A"),
+    "sum-psi-composite": (_check_sum_psi_composite, _hermitian, "AB"),
+    "commutator-criterion": (_check_commutator_criterion, _hermitian, "A"),
+    "standard-inequalities": (_check_standard_inequalities, _ginibre, "AB"),
+    "log-closure": (_check_log_closure, _ginibre, "AB"),
 }
 
 SUITE_NAMES = tuple(_CHECKS)
@@ -453,11 +404,15 @@ SUITE_NAMES = tuple(_CHECKS)
 
 def run_check(name: str, n: int, master_seed: int, trial: int,
               tol: Optional[float] = None) -> List[CheckRow]:
+    """The rows of one trial of one check; each row carries the slot-A seed."""
     if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {SUITE_NAMES}")
     if tol is None:
         tol = DEFAULT_TOLERANCES.get(name, _DEFAULT_TOL)
-    return _CHECKS[name](n, master_seed, trial, tol)
+    check, sampler, slots = _CHECKS[name]
+    seeds = [_trial_seed(master_seed, name, trial, slot) for slot in slots]
+    ts, quantities, bounds = check(n, *(sampler(seed, n) for seed in seeds))
+    return _rows(name, seeds[0], trial, n, tol, ts, quantities, bounds)
 
 
 def thread_count() -> int:

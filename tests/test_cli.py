@@ -124,15 +124,18 @@ def test_verify_repeated_suite_exits_2(capsys, suite):
     assert err == "error: suite 'majorization' is given more than once\n"
 
 
-@pytest.mark.parametrize("tol, key", [("nan", "default"), ("NaN", "default"),
-                                      ("majorization=nan", "majorization"),
-                                      ("default=-nan", "default")])
-def test_verify_nan_tolerance_exits_2(capsys, tol, key):
-    # no margin compares >= NaN, so a NaN tolerance would fail every row
+@pytest.mark.parametrize("tol, key, what", [("nan", "default", "NaN"), ("NaN", "default", "NaN"),
+                                            ("majorization=nan", "majorization", "NaN"),
+                                            ("default=-nan", "default", "NaN"),
+                                            ("inf", "default", "+inf"),
+                                            ("majorization=Infinity", "majorization", "+inf")])
+def test_verify_nan_tolerance_exits_2(capsys, tol, key, what):
+    # no margin compares >= NaN, so a NaN tolerance would fail every row, and
+    # every finite margin is >= -inf, so +inf would pass every row
     code, out, err = _run(capsys, ["verify", "--suite", "majorization", "--n", "8",
                                    "--trials", "1", "--tol", tol])
     assert (code, out) == (2, "")
-    assert err == f"error: tolerance for {key!r} is NaN\n"
+    assert err == f"error: tolerance for {key!r} is {what}\n"
 
 
 def test_verify_unknown_suite_is_one_error_line(capsys):
@@ -246,18 +249,23 @@ def test_det_lapack_failure_exits_1(capsys, tmp_path, failing_svd):
     assert err == "error: SVD did not converge\n"
 
 
-def test_det_quadrature_warning_exits_1(capsys):
-    # the shifted log+ of this superpower profile has no antiderivative, and
-    # quad cannot integrate its psi'-like tail from 0 to the requested accuracy
+def test_det_quadrature_warning_exits_1(capsys, monkeypatch):
+    # a warning from quad (a fourth element) is a refusal, not a value; the
+    # bounded rest of the shifted superpower log has no antiderivative, so
+    # the first shifted value reaches quad
+    def warning_quad(func, a, b, **kwargs):
+        return 0.0, 1.0, {}, "The maximum number of subdivisions (200) has been achieved."
+
+    monkeypatch.setattr(spaces, "quad", warning_quad)
     code, out, err = _run(capsys, [
         "det", "--input", "name=exp-neg-psi-prime-flip scale=-1",
         "--trace", "integral:1", "--space", "L1", "--eps-compare",
     ])
     assert code == 1
     assert out == ""
-    assert err.startswith("error: quadrature of profile 'log+(exp-neg-psi-prime-flip+0.0625)' "
-                          "on (0.0, 1.0) is unreliable: ")
-    assert err.count("\n") == 1
+    assert err == ("error: quadrature of profile 'log1p(0.0625/exp-neg-psi-prime-flip)' "
+                   "on (0.0, 1.0) is unreliable: The maximum number of subdivisions (200) "
+                   "has been achieved.\n")
 
 
 def test_det_profile_line_flip(capsys):
@@ -378,6 +386,78 @@ def test_det_inverted_flip_over_l1(capsys):
     payload = json.loads(out)
     assert payload["branch"] == 1
     assert payload["value"] == pytest.approx(math.exp(0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("trace, value", [("integral:1", math.exp(0.5)),
+                                          ("singular:psi-log", math.e)])
+@pytest.mark.parametrize("space", ["L1", "marcinkiewicz", "Llog"])
+def test_det_inverted_flip_eps_sequence_converges(capsys, trace, value, space):
+    # log(x + eps) = log+ x + log1p(eps / x) for x >= 1: the exact log+ plus a
+    # bounded rest below log1p(eps), so the sequence tends to the exact value
+    code, out, err = _run(capsys, ["det", "--input", "name=exp-neg-psi-prime-flip scale=-1",
+                                   "--trace", trace, "--space", space, "--eps-compare"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["branch"] == 1
+    assert payload["value"] == pytest.approx(value, rel=1e-12)
+    eps = payload["eps"]
+    assert eps["converged"] is True and eps["agrees_with_exact"] is True
+    assert abs(eps["limit"] - value) <= 1e-6 * value
+    assert all(v >= payload["value"] for v in eps["values"])
+
+
+# (exit code, exception class) of each det call on a grid of profile lines x
+# traces x spaces x --eps-compare: one letter per call, traces as the three
+# groups, within a group the spaces in _CENSUS_SPACES order, each without and
+# then with --eps-compare
+_CENSUS_TRACES = ("integral:1", "integral:2.5", "singular:psi-log")
+_CENSUS_SPACES = ("L1", "L2", "Lp:0.5", "Linf", "Llog", "marcinkiewicz")
+_CENSUS_CODES = {".": (0, None), "U": (1, "UnsupportedProfileError"),
+                 "D": (1, "DetDomainError")}
+_NO_LOG_SPLIT = "UUUUUUDDUUUU " * 3
+_CENSUS = {
+    "name=psi-prime": _NO_LOG_SPLIT,
+    "name=exp-neg-psi-prime-flip scale=1": "............ " * 3,
+    "name=exp-neg-psi-prime-flip scale=2": "............ " * 3,
+    "name=projection kernel=0.5": "............ " * 3,
+    "name=projection kernel=0.25": "............ " * 3,
+    "kind=power a=0.75": _NO_LOG_SPLIT,
+    "kind=power a=1 b=-2": _NO_LOG_SPLIT,
+    "name=psi-prime scale=7": _NO_LOG_SPLIT,
+    "kind=power a=1 b=-3": _NO_LOG_SPLIT,
+    "kind=power a=0.5 b=1": _NO_LOG_SPLIT,
+    # exp(psi') has an unbounded log+, outside Linf and every Lp with p > 1
+    "name=exp-neg-psi-prime-flip scale=-1": "..DD..DD.... " * 3,
+}
+
+
+def test_det_refusal_census(capsys, monkeypatch):
+    from specdet import cli
+
+    raised = []
+
+    def recording(fn):
+        def call(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except Exception as exc:
+                raised.append(type(exc).__name__)
+                raise
+        return call
+
+    for name in ("det_phi_with_branch", "eps_limit_comparison"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    for line, letters in _CENSUS.items():
+        expected = [_CENSUS_CODES[c] for c in letters.replace(" ", "")]
+        got = []
+        for trace in _CENSUS_TRACES:
+            for space in _CENSUS_SPACES:
+                for eps in ([], ["--eps-compare"]):
+                    raised.clear()
+                    code, _, _ = _run(capsys, ["det", "--input", line, "--trace", trace,
+                                               "--space", space] + eps)
+                    got.append((code, raised[0] if raised else None))
+        assert got == expected, line
 
 
 def test_det_membership_refusal_exits_1(capsys):

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import specdet
 from specdet import stepfn, verify
@@ -55,8 +56,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="^suite 'majorization' is given more than once$"):
         SuiteConfig(suites=("majorization", "log-closure", "majorization"))
     for key in ("default", "majorization"):
-        with pytest.raises(ValueError, match=f"^tolerance for '{key}' is NaN$"):
-            SuiteConfig(suites=("majorization",), tol_overrides={key: math.nan})
+        for tol, what in ((math.nan, "NaN"), (math.inf, r"\+inf")):
+            with pytest.raises(ValueError, match=f"^tolerance for '{key}' is {what}$"):
+                SuiteConfig(suites=("majorization",), tol_overrides={key: tol})
 
 
 def test_tolerance_resolution():
@@ -172,12 +174,13 @@ def test_split_check_zero_rows_below_threshold():
 def test_forced_failure_with_negative_tolerance():
     # margin >= -tol * (1 + |bound|) is unsatisfiable once tol < 0 and
     # the margin is smaller than |tol|, so this manufactures violations
-    cfg = SuiteConfig(suites=("majorization",), n=8, trials=1, seed=11,
-                      tol_overrides={"majorization": -10.0})
-    result = run_suite(cfg)
-    assert not result.passed
-    assert result.reports["majorization"].violations > 0
-    assert json.loads(result_to_json(result))["passed"] is False
+    for tol in (-10.0, -math.inf):
+        cfg = SuiteConfig(suites=("majorization",), n=8, trials=1, seed=11,
+                          tol_overrides={"majorization": tol})
+        result = run_suite(cfg)
+        assert not result.passed
+        assert result.reports["majorization"].violations > 0
+        assert json.loads(result_to_json(result))["passed"] is False
 
 
 # ---- determinism ----
@@ -213,12 +216,18 @@ def test_lazy_spectra_match_eager_decomposition(monkeypatch, n):
     assert rows_to_csv(run_suite(config).rows) == lazy
 
 
-def test_trial_rows_are_independent_of_surrounding_trials():
-    # rows for trial k must not depend on how many trials surround it
-    solo = run_check("majorization", 8, 11, 1)
-    cfg = _quick_config(suites=("majorization",), trials=2)
-    within = [r for r in run_suite(cfg).rows if r.trial == 1]
-    assert rows_to_csv(solo) == rows_to_csv(within)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(SUITE_NAMES), n=st.integers(2, 40), trials=st.integers(1, 3),
+       seed=st.integers(0, 2**63))
+@example(name="majorization", n=8, trials=2, seed=11)
+def test_trial_rows_are_independent_of_surrounding_trials(name, n, trials, seed):
+    # rows for trial k must not depend on how many trials surround it, and
+    # run_check alone must reproduce them
+    config = _quick_config(suites=(name,), n=n, trials=trials, seed=seed)
+    rows = run_suite(config).rows
+    for trial in range(trials):
+        solo = run_check(name, n, seed, trial, config.tolerance(name))
+        assert rows_to_csv(solo) == rows_to_csv([r for r in rows if r.trial == trial])
 
 
 def test_different_seeds_give_different_rows():
