@@ -5,8 +5,8 @@ CSV or JSON report, `det` evaluates one determinant on a matrix file or a
 profile spec line, `example` reproduces the named closed-form scenarios and
 compares against their expected constants.  Exit codes: 0 success, 1 honest
 mathematical failure (violated bound, non-convergent limit, undecidable
-membership, domain refusal, a LAPACK decomposition that fails), 2 usage
-errors.
+membership, domain refusal, a LAPACK decomposition that fails, a
+determinant past the float range), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -58,9 +58,19 @@ _MATH_ERRORS = (
     DivergenceError,
     QuadratureError,
     LinAlgError,
+    OverflowError,
 )
 
 EXAMPLE_NAMES = ("ex-3-4-invertible", "ex-3-4-projection", "prop-3-2")
+
+
+def _math_failure(exc: Exception) -> int:
+    """Print the one error line of a mathematical failure; the exit code is 1."""
+    if isinstance(exc, OverflowError):
+        # the audit refuses overflowing profiles, so this is a determinant's exp
+        exc = "the determinant overflows the float range"
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 def _write_output(payload: str, path: Optional[str]) -> bool:
@@ -163,8 +173,7 @@ def cmd_det(args: argparse.Namespace) -> int:
                 "agrees_with_exact": cmp.agree,
             }
     except _MATH_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _math_failure(exc)
     if not _write_output(json.dumps(report, indent=2) + "\n", args.out):
         return 2
     return 0
@@ -224,8 +233,7 @@ def cmd_example(args: argparse.Namespace) -> int:
     try:
         report = _example_scenario(args.name)
     except _MATH_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _math_failure(exc)
     if not _write_output(json.dumps(report, indent=2) + "\n", args.out):
         return 2
     return 0 if report["pass"] else 1

@@ -69,23 +69,11 @@ class UnsupportedProfileError(ValueError):
     """The profile lacks the registered data needed for an exact answer."""
 
 
-def _log_plus(x: float) -> float:
-    return math.log(x) if x > 1.0 else 0.0
-
-
-def _log_minus(x: float) -> float:
-    if x >= 1.0:
-        return 0.0
-    if x <= 0.0:
-        return math.inf
-    return -math.log(x)
-
-
 def _det_grid(mu: GridFn, phi: TraceFunctional) -> Tuple[float, int]:
     v = decreasing_rearrangement(mu).values
     if v[-1] == 0.0:
         return 0.0, 3
-    return math.exp(eval_functional(phi, GridFn(np.log(v)), signed=True)), 1
+    return math.exp(eval_functional(phi, GridFn(np.log(v)))), 1
 
 
 def det_phi_with_branch(x, phi: TraceFunctional,
@@ -190,12 +178,12 @@ def _eps_term_profile(x: SpectralProfile, phi: TraceFunctional, eps: float) -> f
         return math.exp(eval_functional(phi, x.log_plus) + eval_functional(phi, rest))
     lp = SpectralProfile(
         name=f"log+({x.name}+{eps:g})",
-        evaluator=lambda s, _f=x.evaluator, _e=eps: _log_plus(_f(s) + _e),
+        evaluator=lambda s, _f=x.evaluator, _e=eps: math.log(y) if (y := _f(s) + _e) > 1.0 else 0.0,
         tail_at_0=BOUNDED,
     )
     lm = SpectralProfile(
         name=f"log-({x.name}+{eps:g})",
-        evaluator=lambda s, _f=x.evaluator, _e=eps: _log_minus(_f(1.0 - s) + _e),
+        evaluator=lambda s, _f=x.evaluator, _e=eps: 0.0 if (y := _f(1.0 - s) + _e) >= 1.0 else -math.log(y),
         tail_at_0=BOUNDED,
     )
     return math.exp(eval_functional(phi, lp) - eval_functional(phi, lm))

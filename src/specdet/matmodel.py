@@ -28,8 +28,6 @@ __all__ = [
     "identity",
     "mu_matrix",
     "lambda_matrix",
-    "mu_pos_part",
-    "mu_neg_part",
     "functional_calculus",
     "op_exp",
     "pos_part",
@@ -50,7 +48,6 @@ ENSEMBLE_KINDS = (
     "iid-complex-gaussian",
     "hermitian-gaussian",
     "diagonal-with-prescribed-spectrum",
-    "haar-unitary-conjugate",
 )
 
 
@@ -181,18 +178,6 @@ def lambda_matrix(a: MatrixOperator) -> MonotoneStepFn:
     return MonotoneStepFn(a.eigenvalues)
 
 
-def mu_pos_part(a: MatrixOperator) -> MonotoneStepFn:
-    """mu of the positive part, taken from the cached eigenvalues of `a` itself."""
-    w = a.eigenvalues
-    return MonotoneStepFn(np.clip(w, 0.0, None))
-
-
-def mu_neg_part(a: MatrixOperator) -> MonotoneStepFn:
-    """mu of the negative part, taken from the cached eigenvalues of `a` itself."""
-    w = a.eigenvalues
-    return MonotoneStepFn(np.clip(-w, 0.0, None)[::-1])
-
-
 # ---- functional calculus ----
 
 def functional_calculus(a: MatrixOperator, fn: Callable[[np.ndarray], np.ndarray]) -> MatrixOperator:
@@ -239,9 +224,8 @@ class EnsembleSpec:
     """Deterministic recipe for one random matrix.
 
     kind: one of ENSEMBLE_KINDS.  The Gaussian kinds draw entries of variance
-    1/n.  spectrum is required by the diagonal and haar-unitary-conjugate
-    kinds and must have length n.  Sampling the same spec twice yields bitwise
-    identical matrices.
+    1/n.  spectrum is required by the diagonal kind and must have length n.
+    Sampling the same spec twice yields bitwise identical matrices.
     """
 
     kind: str
@@ -254,7 +238,7 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble kind {self.kind!r}; choose from {ENSEMBLE_KINDS}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.kind in ("diagonal-with-prescribed-spectrum", "haar-unitary-conjugate"):
+        if self.kind == "diagonal-with-prescribed-spectrum":
             if self.spectrum is None:
                 raise ValueError(f"{self.kind} requires a prescribed spectrum")
             if len(self.spectrum) != self.n:
@@ -285,10 +269,6 @@ def sample(spec: EnsembleSpec) -> MatrixOperator:
         return MatrixOperator((g + g.conj().T) / 2.0)
     if spec.kind == "diagonal-with-prescribed-spectrum":
         return MatrixOperator(np.diag(np.asarray(spec.spectrum, dtype=float)).astype(np.complex128))
-    if spec.kind == "haar-unitary-conjugate":
-        u = haar_unitary(spec.n, rng)
-        d = np.asarray(spec.spectrum, dtype=float)
-        return MatrixOperator((u * d) @ u.conj().T)
     raise AssertionError("unreachable")
 
 

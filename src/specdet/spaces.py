@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -262,10 +262,22 @@ class SpectralProfile:
         return float(self.evaluator(t))
 
 
+def _audit_values(evaluator, ts) -> List[float]:
+    """evaluator at each point of ts; an OverflowError (float ** raises one
+    where float * returns inf) counts as +inf."""
+    vals = []
+    for t in ts:
+        try:
+            vals.append(float(evaluator(t)))
+        except OverflowError:
+            vals.append(math.inf)
+    return vals
+
+
 def _audit_profile(p: SpectralProfile) -> None:
     # plain floats: 64 points are too few for numpy calls to pay off
     ts = _PROFILE_GRID if p.tail_at_0 != SUPERPOWER else _SUPERPOWER_GRID
-    vals = [float(p.evaluator(t)) for t in ts]
+    vals = _audit_values(p.evaluator, ts)
     if any(math.isnan(v) or v < 0.0 for v in vals):
         raise ValueError(f"profile {p.name!r} must be nonnegative on the audit grid")
     if p.tail_at_0 != SUPERPOWER and math.inf in vals:

@@ -20,6 +20,7 @@ __all__ = [
     "GridFn",
     "MonotoneStepFn",
     "decreasing_rearrangement",
+    "signed_parts",
     "left_continuous_version",
     "integrate",
     "psi_eval",
@@ -174,6 +175,18 @@ def decreasing_rearrangement(f: GridFn) -> MonotoneStepFn:
     """Decreasing rearrangement of |f|: the values of |f| sorted nonincreasingly."""
     v = np.sort(np.abs(f.values), kind="stable")[::-1]
     return MonotoneStepFn(v)
+
+
+def signed_parts(f: GridFn) -> tuple[MonotoneStepFn, MonotoneStepFn]:
+    """(f+, f-): the decreasing rearrangements of max(f, 0) and max(-f, 0).
+
+    f = f+ - f- before rearrangement, so a linear functional that only sees
+    rearranged data evaluates f as phi(f+) - phi(f-).
+    """
+    v = f.values
+    pos = decreasing_rearrangement(GridFn(np.clip(v, 0.0, None)))
+    neg = decreasing_rearrangement(GridFn(np.clip(-v, 0.0, None)))
+    return pos, neg
 
 
 def left_continuous_version(f: GridFn) -> GridFn:

@@ -4,7 +4,9 @@ Two families are provided.  The integral family sends f to c * int_0^1 f*,
 which on an n x n matrix model reproduces c * (normalized trace).  The
 singular family evaluates lim_{t->0} (1/psi(t)) int_0^t f* along a dyadic
 scheme and is the model of a trace supported at the origin: it vanishes on
-every bounded function and picks out the psi-slope of the tail.  The dyadic
+every bounded function and picks out the psi-slope of the tail.  Both are
+linear, so a signed grid function f is evaluated as phi(f+) - phi(f-), with
+each part rearranged on its own (stepfn.signed_parts).  The dyadic
 extrapolation either stabilizes within a declared window or the evaluation
 refuses with NonConvergentError; it never silently averages an oscillation.
 The window (the last five dyadic points) is evaluated first; the earlier
@@ -18,9 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .stepfn import GridFn, decreasing_rearrangement, integrate
+from .stepfn import GridFn, integrate, signed_parts
 from .matmodel import MatrixOperator, lambda_matrix
 from .spaces import (
     DivergenceError,
@@ -148,25 +148,19 @@ def _eval_nonincreasing(phi: TraceFunctional, f) -> float:
     return _dyadic_limit(phi, f)
 
 
-def eval_functional(phi: TraceFunctional, f, signed: bool = False) -> float:
+def eval_functional(phi: TraceFunctional, f) -> float:
     """Evaluate the trace functional on a grid function or registered profile.
 
-    Unsigned evaluation requires nonnegative data.  With signed=True a grid
-    function is split into positive and negative parts first; the result is
-    phi(f+) - phi(f-), each part rearranged on its own.
+    A trace is linear, so a grid function is evaluated through its signed
+    parts: phi(f) = phi(f+) - phi(f-), each part rearranged on its own.  On
+    nonnegative data f- is zero and the result is phi(f+) exactly.
     """
     if isinstance(f, SpectralProfile):
         return _eval_nonincreasing(phi, f)
     if not isinstance(f, GridFn):
         raise TypeError(f"cannot evaluate a trace on {type(f).__name__}")
-    v = f.values
-    if signed:
-        pos = decreasing_rearrangement(GridFn(np.clip(v, 0.0, None)))
-        neg = decreasing_rearrangement(GridFn(np.clip(-v, 0.0, None)))
-        return _eval_nonincreasing(phi, pos) - _eval_nonincreasing(phi, neg)
-    if np.any(v < 0.0):
-        raise ValueError("unsigned trace evaluation requires nonnegative values")
-    return _eval_nonincreasing(phi, decreasing_rearrangement(f))
+    pos, neg = signed_parts(f)
+    return _eval_nonincreasing(phi, pos) - _eval_nonincreasing(phi, neg)
 
 
 def eval_on_operator(phi: TraceFunctional, a) -> float:
@@ -185,4 +179,4 @@ def eval_on_operator(phi: TraceFunctional, a) -> float:
             "singular functionals vanish on matrix models; evaluate them on "
             "profiles or grid functions instead"
         )
-    return eval_functional(phi, lambda_matrix(a), signed=True)
+    return eval_functional(phi, lambda_matrix(a))

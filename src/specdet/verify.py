@@ -28,14 +28,13 @@ from .stepfn import (
     integrate,
     left_continuous_version,
     psi_eval,
+    signed_parts,
 )
 from .matmodel import (
     EnsembleSpec,
     MatrixOperator,
     lambda_matrix,
     mu_matrix,
-    mu_neg_part,
-    mu_pos_part,
     neg_part,
     op_exp,
     pos_part,
@@ -290,7 +289,9 @@ def _check_split_psi_vanishing(n, t_op):
 
 
 def _psi_tpm(x: MatrixOperator) -> GridFn:
-    return lambda_matrix(x) - mu_pos_part(x) + mu_neg_part(x)
+    lam = lambda_matrix(x)
+    pos, neg = signed_parts(lam)
+    return lam - pos + neg
 
 
 def _check_sum_psi_composite(n, t_op, s_op):

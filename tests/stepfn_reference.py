@@ -6,13 +6,18 @@ per-point snap rule that ``GridFn.values_at`` (and through it
 ``GridFn.__call__``) applies to a whole array.
 ``rows_reference`` builds check rows one scalar ``_ok`` at a time, the way
 the suites did before they computed margins over arrays.
+``signed_eval_reference`` is the clip, rearrange and subtract formula that
+evaluated a trace on a signed grid before ``stepfn.signed_parts`` existed,
+and ``mu_pos_part_reference`` / ``mu_neg_part_reference`` are the parts of
+an eigenvalue function as they were once read off the cached eigenvalues.
 """
 
 import math
 
 import numpy as np
 
-from specdet.stepfn import _SNAP
+from specdet import traces
+from specdet.stepfn import _SNAP, GridFn, MonotoneStepFn, decreasing_rearrangement
 from specdet.verify import CheckRow, _ok
 
 
@@ -59,3 +64,18 @@ def rows_reference(name, seed, trial, n, tol, ts, quantities, bounds):
         margin, ok = _ok(float(q), float(b), tol)
         rows.append(CheckRow(name, seed, trial, n, float(t), float(q), float(b), margin, ok))
     return rows
+
+
+def signed_eval_reference(phi, f):
+    v = f.values
+    pos = decreasing_rearrangement(GridFn(np.clip(v, 0.0, None)))
+    neg = decreasing_rearrangement(GridFn(np.clip(-v, 0.0, None)))
+    return traces._eval_nonincreasing(phi, pos) - traces._eval_nonincreasing(phi, neg)
+
+
+def mu_pos_part_reference(a):
+    return MonotoneStepFn(np.clip(a.eigenvalues, 0.0, None))
+
+
+def mu_neg_part_reference(a):
+    return MonotoneStepFn(np.clip(-a.eigenvalues, 0.0, None)[::-1])

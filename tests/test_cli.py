@@ -379,6 +379,33 @@ def test_det_domain_refusal_exits_1(capsys):
     assert "log decomposition" in err
 
 
+@pytest.mark.parametrize("line, name", [("kind=power a=400", "power(a=400,b=0,scale=1)"),
+                                        ("kind=power a=0.5 b=400", "power(a=0.5,b=400,scale=1)"),
+                                        ("kind=power a=1e308", "power(a=1e+308,b=0,scale=1)")])
+def test_det_profile_overflowing_on_the_audit_grid_exits_2(capsys, line, name):
+    code, out, err = _run(capsys, ["det", "--input", line])
+    assert (code, out) == (2, "")
+    assert err == f"error: profile {name!r} must be finite on the audit grid\n"
+
+
+_OVERFLOW = "error: the determinant overflows the float range\n"
+
+
+@pytest.mark.parametrize("eps", [[], ["--eps-compare"]])
+def test_det_overflowing_matrix_determinant_exits_1(capsys, tmp_path, eps):
+    # exp(1000 log 3) is past the float range
+    path = tmp_path / "three.mat"
+    save_matrix(identity(3) * 3.0, str(path))
+    code, out, err = _run(capsys, ["det", "--input", str(path), "--trace", "integral:1000"] + eps)
+    assert (code, out, err) == (1, "", _OVERFLOW)
+
+
+def test_det_overflowing_profile_determinant_exits_1(capsys):
+    code, out, err = _run(capsys, ["det", "--input", "name=exp-neg-psi-prime-flip scale=-1",
+                                   "--trace", "integral:1e308"])
+    assert (code, out, err) == (1, "", _OVERFLOW)
+
+
 def test_det_inverted_flip_over_l1(capsys):
     # exp(+psi') stays inside the log-closed L1 hull: det = exp(psi(1)) = e^(1/2)
     code, out, err = _run(capsys, ["det", "--input", "name=exp-neg-psi-prime-flip scale=-1"])

@@ -250,6 +250,16 @@ def test_audit_allows_overflow_only_for_superpower_tails():
         SpectralProfile(name="nan", evaluator=lambda t: math.nan, tail_at_0=SUPERPOWER)
 
 
+def test_audit_counts_a_raised_overflow_as_inf():
+    # float ** raises OverflowError past the float range instead of returning inf
+    raising = lambda t: t ** -400.0 if t < 0.05 else 1.0 / t
+    SpectralProfile(name="overflow", evaluator=raising, tail_at_0=SUPERPOWER)
+    with pytest.raises(ValueError, match="must be finite on the audit grid"):
+        SpectralProfile(name="overflow", evaluator=raising)
+    with pytest.raises(ValueError, match="must be finite on the audit grid"):
+        power_profile(400.0)
+
+
 @pytest.mark.parametrize("evaluator, kernel, message", [
     (lambda t: -1e-300, 0.0, "nonnegative"),
     (lambda t: 1.0 if t < 0.5 else -0.5, 0.0, "nonnegative"),

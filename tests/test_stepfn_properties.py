@@ -5,6 +5,8 @@
 512 cells under both conventions.  Points are drawn where the rules can
 drift apart: on nodes, one ulp either side of a node, at midpoints and
 quarter points (k/(2n)), at the edges of the node snap window, and at random.
+A trace on a signed grid must return the bits (or the refusal) of the clip,
+rearrange and subtract formula it replaced, under integral:c and singular.
 The remaining properties are those of the exact calculus itself: refinement
 to the least common multiple, additivity at split points, invariance under
 decreasing rearrangement, and serial against threaded runs of the suites.
@@ -21,8 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specdet.stepfn import GridFn, _SNAP, decreasing_rearrangement, integrate
+from specdet.traces import NonConvergentError, eval_functional, integral_trace, singular_trace
 from specdet.verify import SUITE_NAMES, SuiteConfig, rows_to_csv, run_suite
-from stepfn_reference import integrate_reference, values_at_reference
+from stepfn_reference import integrate_reference, signed_eval_reference, values_at_reference
 
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 _EPS = sys.float_info.epsilon
@@ -117,6 +120,21 @@ def test_values_at_rejects_what_call_rejects(bad):
         f(bad)
     with pytest.raises(ValueError, match=r"outside \(0, 1\)"):
         f.values_at([0.5, bad])
+
+
+def _outcome(evaluate, phi, f):
+    """The bits of evaluate(phi, f), or the refusal it raises with its sampled tail."""
+    try:
+        return evaluate(phi, f).hex()
+    except NonConvergentError as exc:
+        return str(exc), [v.hex() for v in exc.values]
+
+
+@_SETTINGS
+@given(_grids(), st.sampled_from((0.0, 1.0, 2.5, 1e-3)))
+def test_eval_functional_matches_the_clip_rearrange_subtract_formula(f, c):
+    for phi in (integral_trace(c), singular_trace()):
+        assert _outcome(eval_functional, phi, f) == _outcome(signed_eval_reference, phi, f)
 
 
 # ---- properties of the exact calculus ----

@@ -11,8 +11,6 @@ from specdet.matmodel import (
     EnsembleSpec,
     MatrixOperator,
     haar_unitary,
-    mu_neg_part,
-    mu_pos_part,
     sample,
 )
 from specdet.spaces import (
@@ -25,7 +23,7 @@ from specdet.spaces import (
     psi_prime_profile,
     scale_profile,
 )
-from specdet.stepfn import GridFn
+from specdet.stepfn import GridFn, MonotoneStepFn
 from specdet.traces import (
     NonConvergentError,
     TraceFunctional,
@@ -119,7 +117,7 @@ def test_integral_trace_is_scaled_mean():
     # power-of-two grid keeps every width exact, so the value is the exact mean
     v = np.array([2.0, -3.0, 1.0, 0.0])
     f = GridFn(v)
-    assert eval_functional(integral_trace(1.0), f, signed=True) == 0.0
+    assert eval_functional(integral_trace(1.0), f) == 0.0
     g = GridFn(np.abs(v))
     assert eval_functional(integral_trace(1.0), g) == 1.5
     assert eval_functional(integral_trace(2.0), g) == 3.0
@@ -137,15 +135,20 @@ def test_signed_eval_matches_part_difference():
     rng = np.random.default_rng(9)
     v = rng.standard_normal(32)
     phi = integral_trace(1.0)
-    whole = eval_functional(phi, GridFn(v), signed=True)
+    whole = eval_functional(phi, GridFn(v))
     pos = eval_functional(phi, GridFn(np.clip(v, 0.0, None)))
     neg = eval_functional(phi, GridFn(np.clip(-v, 0.0, None)))
     assert whole == pytest.approx(pos - neg, abs=1e-15)
 
 
-def test_unsigned_eval_rejects_negative_cells():
-    with pytest.raises(ValueError):
-        eval_functional(integral_trace(1.0), GridFn([1.0, -0.5]))
+def test_negative_grid_evaluates_to_the_part_difference():
+    # phi(f) = phi(f+) - phi(f-); on two cells of width 1/2 every term is exact
+    phi = integral_trace(1.0)
+    f = GridFn([1.0, -0.5])
+    assert eval_functional(phi, f) == 0.25
+    assert eval_functional(phi, f) == (eval_functional(phi, GridFn([1.0, 0.0]))
+                                       - eval_functional(phi, GridFn([0.0, 0.5])))
+    assert eval_functional(phi, -f) == -0.25
 
 
 def test_eval_additivity_on_grids():
@@ -153,8 +156,8 @@ def test_eval_additivity_on_grids():
     f = GridFn(rng.standard_normal(16))
     g = GridFn(rng.standard_normal(16))
     phi = integral_trace(1.0)
-    assert eval_functional(phi, f + g, signed=True) == pytest.approx(
-        eval_functional(phi, f, signed=True) + eval_functional(phi, g, signed=True), abs=1e-14
+    assert eval_functional(phi, f + g) == pytest.approx(
+        eval_functional(phi, f) + eval_functional(phi, g), abs=1e-14
     )
 
 
@@ -200,8 +203,10 @@ def test_eval_on_operator_rejections():
 
 def _per_part_reference(phi, a):
     """phi(mu(a+)) - phi(mu(a-)) from the cached eigenvalues, part by part."""
-    return (traces._eval_nonincreasing(phi, mu_pos_part(a))
-            - traces._eval_nonincreasing(phi, mu_neg_part(a)))
+    w = a.eigenvalues
+    pos = MonotoneStepFn(np.clip(w, 0.0, None))
+    neg = MonotoneStepFn(np.clip(-w, 0.0, None)[::-1])
+    return traces._eval_nonincreasing(phi, pos) - traces._eval_nonincreasing(phi, neg)
 
 
 def test_eval_on_operator_equals_the_per_part_split_bit_for_bit():
@@ -324,7 +329,8 @@ def test_converged_evaluation_reads_only_the_window(head_calls):
     expected = _eager_dyadic_limit(phi, grid)
     head_calls.clear()
     assert eval_functional(phi, grid) == expected
-    assert len(head_calls) == 5
+    # a grid is evaluated as phi(f+) - phi(f-): each part reads its window only
+    assert head_calls == [2.0 ** -k for k in range(36, 41)] * 2
 
 
 def test_refusal_evaluates_every_dyadic_point_once(head_calls):
