@@ -59,6 +59,7 @@ _MATH_ERRORS = (
     QuadratureError,
     LinAlgError,
     OverflowError,
+    FloatingPointError,
 )
 
 EXAMPLE_NAMES = ("ex-3-4-invertible", "ex-3-4-projection", "prop-3-2")

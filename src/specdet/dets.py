@@ -7,14 +7,25 @@ space with trivial kernel (branch 2) or when the kernel is nontrivial
 (branch 3).  The evaluation never regularizes silently: epsilon-shifted
 values are computed only by the explicit comparison helper, which reports
 the shifted sequence next to the exact value so discontinuities of the
-epsilon limit are visible instead of averaged away.
+epsilon limit are visible instead of averaged away.  A branch-1 value
+outside the float range refuses: exp overflowing raises OverflowError, and
+exp of a finite exponent returning 0.0 raises FloatingPointError, since a
+silent zero would read like branch 3.
+
+On a profile x the shifted sequence builds, for each of its 27 epsilons, the
+audited profiles log+(x + eps) and log-(x + eps) (for a superpower x, the
+bounded rest log1p(eps / x) beside the registered log+ x).  They read x (or
+log+ x) at the same points for every eps, the audit grid and the quadrature
+nodes of the same intervals, so one comparison reads x through one memo,
+made when the call starts and dropped when it returns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,11 +80,24 @@ class UnsupportedProfileError(ValueError):
     """The profile lacks the registered data needed for an exact answer."""
 
 
+def _exp_det(log_det: float) -> float:
+    """exp of a branch-1 log-determinant.
+
+    math.exp raises OverflowError past the float range but returns 0.0 below
+    it; a zero from a finite exponent refuses too, since branch 1 never has
+    the value 0 and a silent zero would read like the kernel branch.
+    """
+    val = math.exp(log_det)
+    if val == 0.0 and math.isfinite(log_det):
+        raise FloatingPointError("the determinant underflows the float range")
+    return val
+
+
 def _det_grid(mu: GridFn, phi: TraceFunctional) -> Tuple[float, int]:
     v = decreasing_rearrangement(mu).values
     if v[-1] == 0.0:
         return 0.0, 3
-    return math.exp(eval_functional(phi, GridFn(np.log(v)))), 1
+    return _exp_det(eval_functional(phi, GridFn(np.log(v)))), 1
 
 
 def det_phi_with_branch(x, phi: TraceFunctional,
@@ -118,8 +142,7 @@ def det_phi_with_branch(x, phi: TraceFunctional,
         )
     if lower is Membership.NOT_MEMBER:
         return 0.0, 2
-    val = math.exp(eval_functional(phi, x.log_plus) - eval_functional(phi, x.log_minus))
-    return val, 1
+    return _exp_det(eval_functional(phi, x.log_plus) - eval_functional(phi, x.log_minus)), 1
 
 
 def det_phi(x, phi: TraceFunctional, space: Optional[SymmetricSpace] = None) -> float:
@@ -159,31 +182,30 @@ class EpsComparison:
     agree: Optional[bool] = None
 
 
-def _eps_term_profile(x: SpectralProfile, phi: TraceFunctional, eps: float) -> float:
-    """exp(phi(log+(x + eps)) - phi(log-(x + eps))) for a profile x."""
+def _eps_term_profile(x: SpectralProfile, f: Callable[[float], float],
+                      phi: TraceFunctional, eps: float) -> float:
+    """exp(phi(log+(x + eps)) - phi(log-(x + eps))) for a profile x.
+
+    f is the evaluator the shifted profiles read: that of x, or for a
+    superpower x that of its registered log+.
+    """
     if x.tail_at_0 == SUPERPOWER:
-        if x.log_plus is None:
-            raise UnsupportedProfileError(
-                f"profile {x.name!r} grows too fast for direct shifted logs and "
-                "has no registered log+"
-            )
         # x >= 1, so log(x + eps) = log+ x + log1p(eps / x): phi takes the
         # registered log+ exactly, plus the bounded rest, rearranged
         rest = SpectralProfile(
             name=f"log1p({eps:g}/{x.name})",
-            evaluator=lambda s, _f=x.log_plus.evaluator, _e=eps:
-                math.log1p(_e * math.exp(-_f(1.0 - s))),
+            evaluator=lambda s, _f=f, _e=eps: math.log1p(_e * math.exp(-_f(1.0 - s))),
             tail_at_0=BOUNDED,
         )
         return math.exp(eval_functional(phi, x.log_plus) + eval_functional(phi, rest))
     lp = SpectralProfile(
         name=f"log+({x.name}+{eps:g})",
-        evaluator=lambda s, _f=x.evaluator, _e=eps: math.log(y) if (y := _f(s) + _e) > 1.0 else 0.0,
+        evaluator=lambda s, _f=f, _e=eps: math.log(y) if (y := _f(s) + _e) > 1.0 else 0.0,
         tail_at_0=BOUNDED,
     )
     lm = SpectralProfile(
         name=f"log-({x.name}+{eps:g})",
-        evaluator=lambda s, _f=x.evaluator, _e=eps: 0.0 if (y := _f(1.0 - s) + _e) >= 1.0 else -math.log(y),
+        evaluator=lambda s, _f=f, _e=eps: 0.0 if (y := _f(1.0 - s) + _e) >= 1.0 else -math.log(y),
         tail_at_0=BOUNDED,
     )
     return math.exp(eval_functional(phi, lp) - eval_functional(phi, lm))
@@ -203,11 +225,23 @@ def eps_limit_comparison(x, phi: TraceFunctional,
     det_value, branch = det_phi_with_branch(x, phi, space)
     epsilons = [2.0 ** (-k) for k in range(_EPS_K_MIN, _EPS_K_MAX + 1)]
     if isinstance(x, SpectralProfile):
-        values = [_eps_term_profile(x, phi, e) for e in epsilons]
+        base = x
+        if x.tail_at_0 == SUPERPOWER:
+            if x.log_plus is None:
+                raise UnsupportedProfileError(
+                    f"profile {x.name!r} grows too fast for direct shifted logs and "
+                    "has no registered log+"
+                )
+            base = x.log_plus
+        # evaluators are pure, so a memo hit is the float a call would
+        # return; lru_cache stores no exception, so a raise repeats as before
+        f = functools.lru_cache(maxsize=None)(base.evaluator)
+        values = [_eps_term_profile(x, f, phi, e) for e in epsilons]
     elif isinstance(x, GridFn):
-        # mu + e is positive and nonincreasing: branch 1 of the grid path
+        # mu + e is positive and nonincreasing, so the branch-1 formula
+        # applies; a shifted value is no determinant and may underflow to 0.0
         mu = decreasing_rearrangement(x).values
-        values = [_det_grid(GridFn(mu + e), phi)[0] for e in epsilons]
+        values = [math.exp(eval_functional(phi, GridFn(np.log(mu + e)))) for e in epsilons]
     else:
         raise TypeError(f"cannot run the comparison on {type(x).__name__}")
     tail = values[-_EPS_WINDOW:]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -231,7 +231,10 @@ class SpectralProfile:
     """Closed-form nonincreasing nonnegative function on (0, 1).
 
     evaluator is the function itself (profiles are their own decreasing
-    rearrangement).  antiderivative, when registered, is the exact map
+    rearrangement).  It must be a pure function of t: the eps-shifted
+    sequence of dets.eps_limit_comparison reads it through a memo, which
+    would hand back a stale value if a second call at the same t could
+    differ.  antiderivative, when registered, is the exact map
     t -> int_0^t evaluator and is what makes Marcinkiewicz functionals and
     integral traces exact instead of quadrature-approximate.  log_plus and
     log_minus, when registered, are the decreasing rearrangements of
@@ -262,29 +265,34 @@ class SpectralProfile:
         return float(self.evaluator(t))
 
 
-def _audit_values(evaluator, ts) -> List[float]:
-    """evaluator at each point of ts; an OverflowError (float ** raises one
-    where float * returns inf) counts as +inf."""
-    vals = []
+def _audit_profile(p: SpectralProfile) -> None:
+    # one pass over plain floats: 64 points are too few for numpy calls to pay
+    # off.  Every point is evaluated before any verdict, so an exception the
+    # evaluator raises at a later point still wins over a failed check.
+    ts = _PROFILE_GRID if p.tail_at_0 != SUPERPOWER else _SUPERPOWER_GRID
+    negative = infinite = rising = False
+    prev = math.inf
     for t in ts:
         try:
-            vals.append(float(evaluator(t)))
+            v = float(p.evaluator(t))
         except OverflowError:
-            vals.append(math.inf)
-    return vals
-
-
-def _audit_profile(p: SpectralProfile) -> None:
-    # plain floats: 64 points are too few for numpy calls to pay off
-    ts = _PROFILE_GRID if p.tail_at_0 != SUPERPOWER else _SUPERPOWER_GRID
-    vals = _audit_values(p.evaluator, ts)
-    if any(math.isnan(v) or v < 0.0 for v in vals):
+            # float ** raises one where float * returns inf
+            v = math.inf
+        if not v >= 0.0:
+            negative = True  # below 0 or NaN
+        elif v == math.inf:
+            infinite = True
+        # a rise above 1e-9 * (1 + previous value) fails; after an overflow
+        # to +inf (allowed for superpower tails) the bound is +inf, as it is
+        # before the first point
+        if v > prev + 1e-9 * (1.0 + prev):
+            rising = True
+        prev = v
+    if negative:
         raise ValueError(f"profile {p.name!r} must be nonnegative on the audit grid")
-    if p.tail_at_0 != SUPERPOWER and math.inf in vals:
+    if p.tail_at_0 != SUPERPOWER and infinite:
         raise ValueError(f"profile {p.name!r} must be finite on the audit grid")
-    # a rise above 1e-9 * (1 + previous value) fails; after an overflow to
-    # +inf (allowed for superpower tails) the bound is +inf
-    if any(cur > prev + 1e-9 * (1.0 + prev) for prev, cur in zip(vals, vals[1:])):
+    if rising:
         raise ValueError(f"profile {p.name!r} must be nonincreasing")
     if p.kernel_mass > 0.0:
         probe = 1.0 - 0.5 * p.kernel_mass

@@ -406,6 +406,26 @@ def test_det_overflowing_profile_determinant_exits_1(capsys):
     assert (code, out, err) == (1, "", _OVERFLOW)
 
 
+_UNDERFLOW = "error: the determinant underflows the float range\n"
+
+
+@pytest.mark.parametrize("eps", [[], ["--eps-compare"]])
+def test_det_underflowing_matrix_determinant_exits_1(capsys, tmp_path, eps):
+    # exp(1000 log 1e-5) is below the float range: no exact zero on branch 1
+    path = tmp_path / "tiny.mat"
+    save_matrix(identity(3) * 1e-5, str(path))
+    code, out, err = _run(capsys, ["det", "--input", str(path), "--trace", "integral:1000"] + eps)
+    assert (code, out, err) == (1, "", _UNDERFLOW)
+
+
+@pytest.mark.parametrize("eps", [[], ["--eps-compare"]])
+def test_det_underflowing_profile_determinant_exits_1(capsys, eps):
+    # exp(-2 * 1000 * psi(1)) = exp(-1000)
+    code, out, err = _run(capsys, ["det", "--input", "name=exp-neg-psi-prime-flip scale=2",
+                                   "--trace", "integral:1000"] + eps)
+    assert (code, out, err) == (1, "", _UNDERFLOW)
+
+
 def test_det_inverted_flip_over_l1(capsys):
     # exp(+psi') stays inside the log-closed L1 hull: det = exp(psi(1)) = e^(1/2)
     code, out, err = _run(capsys, ["det", "--input", "name=exp-neg-psi-prime-flip scale=-1"])

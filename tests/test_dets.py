@@ -1,5 +1,6 @@
 """Determinants over trace and space choices: branches, limits, witnesses."""
 
+import collections
 import math
 
 import numpy as np
@@ -37,6 +38,8 @@ from specdet.spaces import (
     elog_membership,
     exp_flip_profile,
     membership,
+    parse_profile_spec,
+    parse_space,
     power_profile,
     profile_integral,
     projection_profile,
@@ -47,7 +50,8 @@ from specdet.spaces import (
     space_marcinkiewicz,
 )
 from specdet.stepfn import GridFn
-from specdet.traces import eval_functional, integral_trace, singular_trace
+from specdet.traces import eval_functional, integral_trace, parse_trace, singular_trace
+from dets_reference import eps_term_reference
 
 
 def _ginibre(n: int, seed: int) -> MatrixOperator:
@@ -63,6 +67,16 @@ def test_det_identity_is_one():
     assert det_phi_with_branch(identity(6), PHI1) == (1.0, 1)
     assert det_phi_with_branch(identity(6), integral_trace(2.0)) == (1.0, 1)
     assert det_phi(identity(3), singular_trace()) == 1.0
+
+
+def test_det_below_the_float_range_refuses():
+    # a branch-1 determinant is never 0, so a zero from exp refuses
+    with pytest.raises(FloatingPointError, match="underflows"):
+        det_phi_with_branch(identity(3) * 1e-5, integral_trace(1000.0))
+    x = exp_flip_profile(psi_prime_profile(), 2.0)
+    with pytest.raises(FloatingPointError, match="underflows"):
+        det_phi_with_branch(x, integral_trace(1000.0), space_lp(1.0))
+    assert det_phi_with_branch(x, integral_trace(700.0), space_lp(1.0)) == (math.exp(-700.0), 1)
 
 
 def test_det_matrix_matches_fk_det():
@@ -260,6 +274,86 @@ def test_eps_comparison_projection_integral_trace_refuses():
     assert cmp.det_value == 0.0 and cmp.branch == 3
     assert not cmp.converged
     assert cmp.values[-1] < 1e-3
+
+
+def test_eps_values_below_the_float_range_read_zero():
+    # the shifted values are no determinants: they may underflow to 0.0 and
+    # the sequence still reports, while the exact value takes the kernel branch
+    spectrum = (2.0, 1.0) + (0.0,) * 6
+    a = sample(EnsembleSpec(kind="diagonal-with-prescribed-spectrum", n=8, spectrum=spectrum))
+    cmp = eps_limit_comparison(a, integral_trace(1000.0))
+    assert (cmp.det_value, cmp.branch) == (0.0, 3)
+    assert cmp.values[-1] == 0.0
+
+
+# The seven profile lines of the det-mix benchmark plus the superpower flip.
+_EPS_PROFILES = (
+    "name=psi-prime",
+    "name=exp-neg-psi-prime-flip scale=1",
+    "name=exp-neg-psi-prime-flip scale=2",
+    "name=projection kernel=0.5",
+    "name=projection kernel=0.25",
+    "kind=power a=0.75",
+    "kind=power a=1 b=-2",
+    "name=exp-neg-psi-prime-flip scale=-1",
+)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the refusal itself is the outcome compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("space", ["L1", "Linf"])
+@pytest.mark.parametrize("trace", ["integral:1", "integral:2.5", "singular:psi-log"])
+@pytest.mark.parametrize("line", _EPS_PROFILES)
+def test_eps_values_match_the_unmemoised_reference(line, trace, space):
+    x, phi, sp = parse_profile_spec(line), parse_trace(trace), parse_space(space)
+
+    def reference():
+        det_phi_with_branch(x, phi, sp)
+        return [eps_term_reference(x, phi, 2.0 ** -k).hex() for k in range(4, 31)]
+
+    got = _outcome(lambda: [v.hex() for v in eps_limit_comparison(x, phi, sp).values])
+    assert got == _outcome(reference)
+
+
+def _counted(p: SpectralProfile):
+    """p with an evaluator that counts its calls per point (the audit's excluded)."""
+    calls = collections.Counter()
+
+    def ev(t):
+        calls[t] += 1
+        return p.evaluator(t)
+
+    q = SpectralProfile(name=p.name, evaluator=ev, tail_at_0=p.tail_at_0,
+                        kernel_mass=p.kernel_mass, antiderivative=p.antiderivative,
+                        log_plus=p.log_plus, log_minus=p.log_minus)
+    calls.clear()
+    return q, calls
+
+
+@pytest.mark.parametrize("trace", ["integral:1", "integral:2.5", "singular:psi-log"])
+@pytest.mark.parametrize("scale", [1.0, 2.0, -1.0])
+def test_eps_sequence_reads_its_input_once_per_point(trace, scale):
+    phi, space = parse_trace(trace), space_lp(1.0)
+    x = exp_flip_profile(psi_prime_profile(), scale)
+    if scale > 0.0:
+        y, calls = _counted(x)
+    else:
+        # a superpower input is read through its registered log+
+        lp, calls = _counted(x.log_plus)
+        y = SpectralProfile(name=x.name, evaluator=x.evaluator, tail_at_0=SUPERPOWER,
+                            log_plus=lp, log_minus=x.log_minus)
+    values = eps_limit_comparison(y, phi, space).values
+    assert values == eps_limit_comparison(x, phi, space).values
+    once = dict(calls)
+    assert once and max(once.values()) == 1
+    # the memo lives for one call only: a second call reads every point again
+    eps_limit_comparison(y, phi, space)
+    assert calls == {t: 2 for t in once}
 
 
 # ---- separating witness ----

@@ -6,11 +6,13 @@ endpoint shrinks) before the symbolic answer is frozen.
 """
 
 import math
+import types
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from specdet import spaces
@@ -41,6 +43,7 @@ from specdet.spaces import (
     space_marcinkiewicz,
 )
 from specdet.stepfn import GridFn
+from spaces_reference import audit_profile_reference
 
 
 def _truncated_integrals(fn, exponents=(4, 7, 10)):
@@ -309,6 +312,60 @@ def test_audit_matches_the_array_reference():
         except ValueError as exc:
             got = str(exc).split(" must be ")[1].split()[0]
         assert got == expected, (trial, vals)
+
+
+# Values the one-pass audit must treat as the three-pass reference does; the
+# two strings make the evaluator raise instead of returning.
+_AUDIT_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1e308, -1e308, "overflow", "zero-division")
+
+
+@st.composite
+def _audit_cases(draw):
+    """(superpower, 64 grid values, kernel mass, value at the kernel probe)."""
+    vals = draw(st.lists(st.floats(0.0, 1e308), min_size=64, max_size=64))
+    if draw(st.booleans()):
+        vals.sort(reverse=True)
+    # a rise at, just inside or just past the 1e-9 relative slack
+    k = draw(st.integers(0, 62))
+    vals[k + 1] = vals[k] * (1.0 + draw(st.sampled_from((0.0, 0.5e-9, 1e-9, 2e-9, 3e-9))))
+    for i, v in draw(st.lists(st.tuples(st.integers(0, 63), st.sampled_from(_AUDIT_SPECIAL)),
+                              max_size=3)):
+        vals[i] = v
+    kernel = draw(st.sampled_from((0.0, 0.25, 0.5)))
+    probe_value = draw(st.sampled_from((0.0, -0.0, 5e-324, 1.0, math.nan)))
+    return draw(st.booleans()), vals, kernel, probe_value
+
+
+def _table_evaluator(table):
+    def ev(t):
+        v = table[t]
+        if v == "overflow":
+            raise OverflowError("drawn overflow")
+        if v == "zero-division":
+            raise ZeroDivisionError("drawn division by zero")
+        return v
+    return ev
+
+
+def _audit_outcome(audit, p):
+    try:
+        audit(p)
+    except Exception as exc:  # the refusal itself is the outcome compared
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_audit_cases())
+def test_one_pass_audit_matches_the_three_pass_reference(case):
+    superpower, vals, kernel, probe_value = case
+    grid = spaces._SUPERPOWER_GRID if superpower else spaces._PROFILE_GRID
+    table = {1.0 - 0.5 * kernel: probe_value, **dict(zip(grid, vals))}
+    p = types.SimpleNamespace(name="drawn", evaluator=_table_evaluator(table),
+                              tail_at_0=SUPERPOWER if superpower else BOUNDED,
+                              kernel_mass=kernel)
+    assert _audit_outcome(spaces._audit_profile, p) == _audit_outcome(audit_profile_reference, p)
 
 
 def test_audit_tolerates_rises_within_the_slack():
