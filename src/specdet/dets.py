@@ -237,13 +237,12 @@ def eps_limit_comparison(x, phi: TraceFunctional,
         # return; lru_cache stores no exception, so a raise repeats as before
         f = functools.lru_cache(maxsize=None)(base.evaluator)
         values = [_eps_term_profile(x, f, phi, e) for e in epsilons]
-    elif isinstance(x, GridFn):
+    else:
+        # det_phi_with_branch refused every other type, so x is a GridFn;
         # mu + e is positive and nonincreasing, so the branch-1 formula
         # applies; a shifted value is no determinant and may underflow to 0.0
         mu = decreasing_rearrangement(x).values
         values = [math.exp(eval_functional(phi, GridFn(np.log(mu + e)))) for e in epsilons]
-    else:
-        raise TypeError(f"cannot run the comparison on {type(x).__name__}")
     tail = values[-_EPS_WINDOW:]
     spread = max(tail) - min(tail)
     converged = spread <= _EPS_AGREE_TOL * max(1.0, abs(tail[-1]))

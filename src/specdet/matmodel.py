@@ -7,13 +7,14 @@ operator that nothing inspects costs no decomposition and one that is read
 still costs at most one of each.  Every step function the checks consume is
 derived from those cached arrays, so inequalities compare numbers produced by
 a single decomposition rather than by repeated, slightly different solves.
+A decomposition whose result leaves the float range refuses with LinAlgError.
+ginibre and hermitian_gaussian draw the seeded matrices of the verify suites.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -21,9 +22,8 @@ from .stepfn import MonotoneStepFn
 
 __all__ = [
     "MatrixOperator",
-    "EnsembleSpec",
-    "ENSEMBLE_KINDS",
-    "sample",
+    "ginibre",
+    "hermitian_gaussian",
     "haar_unitary",
     "identity",
     "mu_matrix",
@@ -32,8 +32,6 @@ __all__ = [
     "op_exp",
     "pos_part",
     "neg_part",
-    "fk_det",
-    "fk_det_eps",
     "save_matrix",
     "load_matrix",
 ]
@@ -44,11 +42,11 @@ __all__ = [
 HERMITICITY_RTOL = 1e-12
 _HERMITICITY_FLOOR = 1e-300
 
-ENSEMBLE_KINDS = (
-    "iid-complex-gaussian",
-    "hermitian-gaussian",
-    "diagonal-with-prescribed-spectrum",
-)
+
+def _require_finite(result: np.ndarray, what: str) -> None:
+    """Refuse a decomposition of finite entries that left the float range."""
+    if not np.all(np.isfinite(result)):
+        raise np.linalg.LinAlgError(f"the {what} of the matrix overflow the float range")
 
 
 class MatrixOperator:
@@ -81,6 +79,7 @@ class MatrixOperator:
     def _svd(self) -> np.ndarray:
         if self._svals is None:
             sv = np.linalg.svd(self._a, compute_uv=False)
+            _require_finite(sv, "singular values")
             sv.setflags(write=False)
             self._svals = sv
         return self._svals
@@ -90,6 +89,8 @@ class MatrixOperator:
             if not self.self_adjoint:
                 raise ValueError("matrix is not self-adjoint at the hermiticity tolerance")
             w, v = np.linalg.eigh(self._a)
+            _require_finite(w, "eigenvalues")
+            _require_finite(v, "eigenvectors")
             w = w[::-1].copy()
             v = v[:, ::-1].copy()
             w.setflags(write=False)
@@ -199,52 +200,7 @@ def neg_part(a: MatrixOperator) -> MatrixOperator:
     return functional_calculus(a, lambda w: np.clip(-w, 0.0, None))
 
 
-# ---- determinants ----
-
-def fk_det(a: MatrixOperator) -> float:
-    """(prod sigma_k)^(1/n), computed as exp(mean log sigma); 0 when singular."""
-    s = a.singular_values
-    if float(s[-1]) == 0.0:
-        return 0.0
-    return math.exp(math.fsum(np.log(s)) / a.n)
-
-
-def fk_det_eps(a: MatrixOperator, eps: float) -> float:
-    """exp(tau(log(|a| + eps))) = (prod (sigma_k + eps))^(1/n), eps > 0."""
-    eps = float(eps)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    return math.exp(math.fsum(np.log(a.singular_values + eps)) / a.n)
-
-
-# ---- ensembles ----
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Deterministic recipe for one random matrix.
-
-    kind: one of ENSEMBLE_KINDS.  The Gaussian kinds draw entries of variance
-    1/n.  spectrum is required by the diagonal kind and must have length n.
-    Sampling the same spec twice yields bitwise identical matrices.
-    """
-
-    kind: str
-    n: int
-    seed: int = 0
-    spectrum: Optional[Tuple[float, ...]] = None
-
-    def __post_init__(self):
-        if self.kind not in ENSEMBLE_KINDS:
-            raise ValueError(f"unknown ensemble kind {self.kind!r}; choose from {ENSEMBLE_KINDS}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.kind == "diagonal-with-prescribed-spectrum":
-            if self.spectrum is None:
-                raise ValueError(f"{self.kind} requires a prescribed spectrum")
-            if len(self.spectrum) != self.n:
-                raise ValueError("spectrum length must equal n")
-            object.__setattr__(self, "spectrum", tuple(float(x) for x in self.spectrum))
-
+# ---- seeded samplers ----
 
 def _ginibre(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -259,17 +215,15 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def sample(spec: EnsembleSpec) -> MatrixOperator:
-    """Draw the matrix described by spec (seeded, deterministic)."""
-    rng = np.random.default_rng(spec.seed)
-    if spec.kind == "iid-complex-gaussian":
-        return MatrixOperator(_ginibre(rng, spec.n, 1.0))
-    if spec.kind == "hermitian-gaussian":
-        g = _ginibre(rng, spec.n, math.sqrt(2.0))
-        return MatrixOperator((g + g.conj().T) / 2.0)
-    if spec.kind == "diagonal-with-prescribed-spectrum":
-        return MatrixOperator(np.diag(np.asarray(spec.spectrum, dtype=float)).astype(np.complex128))
-    raise AssertionError("unreachable")
+def ginibre(seed: int, n: int) -> MatrixOperator:
+    """Ginibre matrix of size n, complex Gaussian entries of variance 1/n."""
+    return MatrixOperator(_ginibre(np.random.default_rng(seed), n, 1.0))
+
+
+def hermitian_gaussian(seed: int, n: int) -> MatrixOperator:
+    """(g + g*)/2 for a Ginibre g of entry variance 2/n: exactly hermitian."""
+    g = _ginibre(np.random.default_rng(seed), n, math.sqrt(2.0))
+    return MatrixOperator((g + g.conj().T) / 2.0)
 
 
 # ---- plain-text persistence ----

@@ -1,17 +1,19 @@
 """Positive trace functionals on rearranged data.
 
-Two families are provided.  The integral family sends f to c * int_0^1 f*,
-which on an n x n matrix model reproduces c * (normalized trace).  The
-singular family evaluates lim_{t->0} (1/psi(t)) int_0^t f* along a dyadic
-scheme and is the model of a trace supported at the origin: it vanishes on
-every bounded function and picks out the psi-slope of the tail.  Both are
-linear, so a signed grid function f is evaluated as phi(f+) - phi(f-), with
-each part rearranged on its own (stepfn.signed_parts).  The dyadic
-extrapolation either stabilizes within a declared window or the evaluation
-refuses with NonConvergentError; it never silently averages an oscillation.
-The window (the last five dyadic points) is evaluated first; the earlier
-points are computed only when the scheme refuses, to fill the sampled tail
-the refusal carries.
+Two families are provided.  The integral family sends f to c times the head
+integral of f* at 1, c * int_0^1 f*, which on an n x n matrix model
+reproduces c * (normalized trace); for a profile that integral is
+spaces.profile_integral, the one place that refuses a non-integrable tail.
+The singular family evaluates lim_{t->0} (1/psi(t)) int_0^t f* along a
+dyadic scheme and is the model of a trace supported at the origin: it
+vanishes on every bounded function and picks out the psi-slope of the tail.
+Both are linear, so a signed grid function f is evaluated as
+phi(f+) - phi(f-), with each part rearranged on its own
+(stepfn.signed_parts).  The dyadic extrapolation either stabilizes within a
+declared window or the evaluation refuses with NonConvergentError; it never
+silently averages an oscillation.  The window (the last five dyadic points)
+is evaluated first; the earlier points are computed only when the scheme
+refuses, to fill the sampled tail the refusal carries.
 """
 
 from __future__ import annotations
@@ -22,16 +24,7 @@ from typing import Optional, Sequence
 
 from .stepfn import GridFn, integrate, signed_parts
 from .matmodel import MatrixOperator, lambda_matrix
-from .spaces import (
-    DivergenceError,
-    Membership,
-    PsiFn,
-    SpectralProfile,
-    membership,
-    profile_integral,
-    psi_log,
-    space_lp,
-)
+from .spaces import PsiFn, SpectralProfile, profile_integral, psi_log
 
 __all__ = [
     "TraceFunctional",
@@ -43,8 +36,6 @@ __all__ = [
     "eval_on_operator",
 ]
 
-
-_L1 = space_lp(1.0)
 
 # The singular family's dyadic scheme: t_k = 2^-k for _K_MIN <= k <= _K_MAX,
 # converged when the last five ratios spread at most _DELTA_CONV.
@@ -138,13 +129,7 @@ def _dyadic_limit(phi: TraceFunctional, f) -> float:
 def _eval_nonincreasing(phi: TraceFunctional, f) -> float:
     """phi on data already in decreasing-rearrangement form."""
     if phi.kind == "integral":
-        if isinstance(f, SpectralProfile):
-            if membership(_L1, f) is Membership.NOT_MEMBER:
-                raise DivergenceError(
-                    f"profile {f.name!r} is not integrable; integral trace is infinite"
-                )
-            return phi.c * profile_integral(f, 0.0, 1.0)
-        return phi.c * integrate(f, 0.0, 1.0)
+        return phi.c * _head_integral(f, 1.0)
     return _dyadic_limit(phi, f)
 
 

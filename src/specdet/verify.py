@@ -18,7 +18,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,14 +31,14 @@ from .stepfn import (
     signed_parts,
 )
 from .matmodel import (
-    EnsembleSpec,
     MatrixOperator,
+    ginibre,
+    hermitian_gaussian,
     lambda_matrix,
     mu_matrix,
     neg_part,
     op_exp,
     pos_part,
-    sample,
 )
 
 __all__ = [
@@ -159,16 +159,8 @@ def _trial_seed(master: int, check: str, trial: int, slot: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _hermitian(seed: int, n: int) -> MatrixOperator:
-    return sample(EnsembleSpec("hermitian-gaussian", n=n, seed=seed))
-
-
-def _ginibre(seed: int, n: int) -> MatrixOperator:
-    return sample(EnsembleSpec("iid-complex-gaussian", n=n, seed=seed))
-
-
 def _psd(seed: int, n: int) -> MatrixOperator:
-    g = _ginibre(seed, n).entries
+    g = ginibre(seed, n).entries
     w = g @ g.conj().T
     return MatrixOperator((w + w.conj().T) / 2.0)
 
@@ -389,27 +381,24 @@ def _check_log_closure(n, a_op, b_op):
 # name -> (check, sampler, slots): run_check draws one operator per slot, in
 # slot order, and the check returns (points, quantities, bounds), one per row
 _CHECKS: Dict[str, Tuple[Callable, Callable[[int, int], MatrixOperator], str]] = {
-    "product-log-integral": (_check_product_log_integral, _hermitian, "AB"),
-    "product-log-pointwise": (_check_product_log_pointwise, _hermitian, "AB"),
+    "product-log-integral": (_check_product_log_integral, hermitian_gaussian, "AB"),
+    "product-log-pointwise": (_check_product_log_pointwise, hermitian_gaussian, "AB"),
     "majorization": (_check_majorization, _psd, "AB"),
     "sum-psi-bound": (_check_sum_psi_bound, _psd, "AB"),
-    "split-psi-vanishing": (_check_split_psi_vanishing, _hermitian, "A"),
-    "sum-psi-composite": (_check_sum_psi_composite, _hermitian, "AB"),
-    "commutator-criterion": (_check_commutator_criterion, _hermitian, "A"),
-    "standard-inequalities": (_check_standard_inequalities, _ginibre, "AB"),
-    "log-closure": (_check_log_closure, _ginibre, "AB"),
+    "split-psi-vanishing": (_check_split_psi_vanishing, hermitian_gaussian, "A"),
+    "sum-psi-composite": (_check_sum_psi_composite, hermitian_gaussian, "AB"),
+    "commutator-criterion": (_check_commutator_criterion, hermitian_gaussian, "A"),
+    "standard-inequalities": (_check_standard_inequalities, ginibre, "AB"),
+    "log-closure": (_check_log_closure, ginibre, "AB"),
 }
 
 SUITE_NAMES = tuple(_CHECKS)
 
 
-def run_check(name: str, n: int, master_seed: int, trial: int,
-              tol: Optional[float] = None) -> List[CheckRow]:
+def run_check(name: str, n: int, master_seed: int, trial: int, tol: float) -> List[CheckRow]:
     """The rows of one trial of one check; each row carries the slot-A seed."""
     if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {SUITE_NAMES}")
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.get(name, _DEFAULT_TOL)
     check, sampler, slots = _CHECKS[name]
     seeds = [_trial_seed(master_seed, name, trial, slot) for slot in slots]
     ts, quantities, bounds = check(n, *(sampler(seed, n) for seed in seeds))

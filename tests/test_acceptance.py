@@ -15,18 +15,12 @@ import pytest
 from specdet.cli import main
 from specdet.dets import (
     det_multiplicativity_check,
+    det_phi,
     det_phi_with_branch,
     eps_limit_comparison,
     separating_witness_scenario,
 )
-from specdet.matmodel import (
-    EnsembleSpec,
-    MatrixOperator,
-    fk_det,
-    fk_det_eps,
-    haar_unitary,
-    sample,
-)
+from specdet.matmodel import MatrixOperator, ginibre, haar_unitary, hermitian_gaussian
 from specdet.spaces import (
     exp_flip_profile,
     power_profile,
@@ -67,8 +61,8 @@ def test_criterion_01_determinant_multiplicativity():
     worst = 0.0
     for n in (2, 8, 32, 64):
         for i in range(100):
-            a = sample(EnsembleSpec(kind="iid-complex-gaussian", n=n, seed=10000 + n * 1000 + 2 * i))
-            b = sample(EnsembleSpec(kind="iid-complex-gaussian", n=n, seed=10000 + n * 1000 + 2 * i + 1))
+            a = ginibre(10000 + n * 1000 + 2 * i, n)
+            b = ginibre(10000 + n * 1000 + 2 * i + 1, n)
             worst = max(worst, det_multiplicativity_check(a, b).rel_discrepancy)
     elapsed = time.perf_counter() - start
     _criterion(
@@ -82,18 +76,18 @@ def test_criterion_01_determinant_multiplicativity():
 def test_criterion_02_eps_regularization():
     worst = 0.0
     for i in range(20):
-        a = sample(EnsembleSpec(kind="iid-complex-gaussian", n=32, seed=777 + i))
-        d = fk_det(a)
-        worst = max(worst, abs(fk_det_eps(a, 2.0 ** -30) - d) / d)
+        a = ginibre(777 + i, 32)
+        d = det_phi(a, integral_trace(1.0))
+        worst = max(worst, abs(det_phi(GridFn(a.singular_values + 2.0 ** -30), integral_trace(1.0)) - d) / d)
     spectrum = (2.0, 1.0) + (0.0,) * 6
-    s = sample(EnsembleSpec(kind="diagonal-with-prescribed-spectrum", n=8, spectrum=spectrum))
-    vals = [fk_det_eps(s, 2.0 ** -k) for k in range(4, 41, 4)]
+    s = MatrixOperator(np.diag(spectrum))
+    vals = [det_phi(GridFn(s.singular_values + 2.0 ** -k), integral_trace(1.0)) for k in range(4, 41, 4)]
     monotone = all(x >= y for x, y in zip(vals, vals[1:]))
     _criterion(
         2,
         f"eps-regularized determinants: invertible worst rel {worst:.2e}, "
         f"singular tail {vals[-1]:.2e}",
-        worst <= 1e-6 and monotone and vals[-1] < 1e-6 and fk_det(s) == 0.0,
+        worst <= 1e-6 and monotone and vals[-1] < 1e-6 and det_phi(s, integral_trace(1.0)) == 0.0,
     )
 
 
@@ -224,11 +218,11 @@ def test_criterion_12_trace_axioms():
     phi = integral_trace(1.0)
     worst_tau = 0.0
     for i in range(100):
-        a = sample(EnsembleSpec(kind="hermitian-gaussian", n=64, seed=5000 + i))
+        a = hermitian_gaussian(5000 + i, 64)
         worst_tau = max(worst_tau, abs(eval_on_operator(phi, a) - a.tau))
     worst_u = 0.0
     for i in range(10):
-        a = sample(EnsembleSpec(kind="hermitian-gaussian", n=48, seed=6000 + i))
+        a = hermitian_gaussian(6000 + i, 48)
         u = haar_unitary(48, np.random.default_rng(6100 + i))
         b = MatrixOperator(u @ a.entries @ u.conj().T)
         worst_u = max(worst_u, abs(eval_on_operator(phi, b) - eval_on_operator(phi, a)))

@@ -426,6 +426,16 @@ def test_det_underflowing_profile_determinant_exits_1(capsys, eps):
     assert (code, out, err) == (1, "", _UNDERFLOW)
 
 
+@pytest.mark.parametrize("eps", [[], ["--eps-compare"]])
+def test_det_matrix_whose_singular_values_overflow_exits_1(capsys, tmp_path, eps):
+    # finite entries, singular values [inf, 0]: rank 1, so no determinant overflows
+    path = tmp_path / "huge.mat"
+    save_matrix(MatrixOperator(np.full((2, 2), 1e308)), str(path))
+    code, out, err = _run(capsys, ["det", "--input", str(path)] + eps)
+    assert (code, out) == (1, "")
+    assert err == "error: the singular values of the matrix overflow the float range\n"
+
+
 def test_det_inverted_flip_over_l1(capsys):
     # exp(+psi') stays inside the log-closed L1 hull: det = exp(psi(1)) = e^(1/2)
     code, out, err = _run(capsys, ["det", "--input", "name=exp-neg-psi-prime-flip scale=-1"])

@@ -16,15 +16,7 @@ from specdet.dets import (
     eps_limit_comparison,
     separating_witness_scenario,
 )
-from specdet.matmodel import (
-    EnsembleSpec,
-    MatrixOperator,
-    fk_det,
-    haar_unitary,
-    identity,
-    mu_matrix,
-    sample,
-)
+from specdet.matmodel import MatrixOperator, ginibre, haar_unitary, identity, mu_matrix
 from specdet.spaces import (
     BOUNDED,
     SUPERPOWER,
@@ -54,10 +46,6 @@ from specdet.traces import eval_functional, integral_trace, parse_trace, singula
 from dets_reference import eps_term_reference
 
 
-def _ginibre(n: int, seed: int) -> MatrixOperator:
-    return sample(EnsembleSpec(kind="iid-complex-gaussian", n=n, seed=seed))
-
-
 PHI1 = integral_trace(1.0)
 
 
@@ -79,39 +67,39 @@ def test_det_below_the_float_range_refuses():
     assert det_phi_with_branch(x, integral_trace(700.0), space_lp(1.0)) == (math.exp(-700.0), 1)
 
 
-def test_det_matrix_matches_fk_det():
-    for seed in range(10):
-        a = _ginibre(12, seed)
-        assert det_phi(a, PHI1) == pytest.approx(fk_det(a), rel=1e-12)
-
-
 def test_det_matrix_against_slogdet_oracle():
-    for seed in range(6):
-        a = _ginibre(9, 50 + seed)
-        _, logabs = np.linalg.slogdet(a.entries)
-        assert det_phi(a, PHI1) == pytest.approx(math.exp(logabs / 9), rel=1e-10)
+    for n, seed in [(9, 50 + k) for k in range(6)] + [(10, k) for k in range(8)]:
+        a = ginibre(seed, n)
+        sign, logabs = np.linalg.slogdet(a.entries)
+        assert abs(sign) == pytest.approx(1.0, rel=1e-12)
+        assert det_phi(a, PHI1) == pytest.approx(math.exp(logabs / n), rel=1e-10)
+    # exact cases: the identity, a multiple of it, and a singular diagonal
+    assert det_phi_with_branch(identity(7), PHI1) == (1.0, 1)
+    assert det_phi(3.0 * identity(4), PHI1) == pytest.approx(3.0, rel=1e-14)
+    singular = MatrixOperator(np.diag([2.0, 1.0, 0.0]).astype(complex))
+    assert det_phi_with_branch(singular, PHI1) == (0.0, 3)
 
 
 def test_det_scaled_trace_is_power():
-    a = _ginibre(8, 3)
+    a = ginibre(3, 8)
     assert det_phi(a, integral_trace(2.0)) == pytest.approx(det_phi(a, PHI1) ** 2, rel=1e-12)
 
 
 def test_det_inverse_is_reciprocal():
-    a = _ginibre(7, 21)
+    a = ginibre(21, 7)
     inv = MatrixOperator(np.linalg.inv(a.entries))
     assert det_phi(a, PHI1) * det_phi(inv, PHI1) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_det_unitary_conjugation_invariance():
-    a = _ginibre(10, 33)
+    a = ginibre(33, 10)
     u = haar_unitary(10, np.random.default_rng(34))
     b = MatrixOperator(u @ a.entries @ u.conj().T)
     assert det_phi(b, PHI1) == pytest.approx(det_phi(a, PHI1), rel=1e-10)
 
 
 def test_det_path_independence_matrix_vs_mu_grid():
-    a = _ginibre(8, 77)
+    a = ginibre(77, 8)
     d_matrix, br_m = det_phi_with_branch(a, PHI1)
     _, s, vh = np.linalg.svd(a.entries)
     d_abs, br_a = det_phi_with_branch(MatrixOperator((vh.conj().T * s) @ vh), PHI1)  # |a|
@@ -136,7 +124,7 @@ def test_det_singular_matrix_branch3():
 
 
 def test_det_multiplicativity_report():
-    a, b = _ginibre(16, 1), _ginibre(16, 2)
+    a, b = ginibre(1, 16), ginibre(2, 16)
     rep = det_multiplicativity_check(a, b)
     assert rep.det_ab == pytest.approx(rep.det_a * rep.det_b, rel=1e-10)
     assert rep.product == rep.det_a * rep.det_b
@@ -155,7 +143,7 @@ def test_det_rejects_unknown_input_type():
 
 def test_singular_trace_det_on_invertible_matrix_is_one():
     # bounded log spectrum has zero singular trace on both parts
-    a = _ginibre(10, 90)
+    a = ginibre(90, 10)
     assert det_phi(a, singular_trace()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -226,7 +214,7 @@ def test_flip_and_inverse_flip_dets_multiply_to_one():
 # ---- eps-shifted comparison ----
 
 def test_eps_comparison_invertible_matrix_agrees():
-    a = _ginibre(8, 5)
+    a = ginibre(5, 8)
     cmp = eps_limit_comparison(a, PHI1)
     assert cmp.branch == 1
     assert cmp.converged
@@ -239,7 +227,7 @@ def test_eps_comparison_invertible_matrix_agrees():
 
 def test_eps_comparison_singular_matrix_tends_to_zero():
     spectrum = (2.0, 1.0) + (0.0,) * 6
-    a = sample(EnsembleSpec(kind="diagonal-with-prescribed-spectrum", n=8, spectrum=spectrum))
+    a = MatrixOperator(np.diag(spectrum))
     cmp = eps_limit_comparison(a, PHI1)
     assert cmp.det_value == 0.0 and cmp.branch == 3
     assert cmp.values[-1] < 1e-6
@@ -280,7 +268,7 @@ def test_eps_values_below_the_float_range_read_zero():
     # the shifted values are no determinants: they may underflow to 0.0 and
     # the sequence still reports, while the exact value takes the kernel branch
     spectrum = (2.0, 1.0) + (0.0,) * 6
-    a = sample(EnsembleSpec(kind="diagonal-with-prescribed-spectrum", n=8, spectrum=spectrum))
+    a = MatrixOperator(np.diag(spectrum))
     cmp = eps_limit_comparison(a, integral_trace(1000.0))
     assert (cmp.det_value, cmp.branch) == (0.0, 3)
     assert cmp.values[-1] == 0.0

@@ -1,4 +1,4 @@
-"""Matrix models: spectral step functions, determinants, ensembles, persistence."""
+"""Matrix models: spectral step functions, seeded samplers, persistence."""
 
 import math
 import sys
@@ -13,13 +13,11 @@ from hypothesis import given, settings, strategies as st
 from specdet import matmodel
 from specdet.cli import main
 from specdet.matmodel import (
-    ENSEMBLE_KINDS,
-    EnsembleSpec,
     MatrixOperator,
-    fk_det,
-    fk_det_eps,
     functional_calculus,
+    ginibre,
     haar_unitary,
+    hermitian_gaussian,
     identity,
     lambda_matrix,
     load_matrix,
@@ -27,20 +25,11 @@ from specdet.matmodel import (
     neg_part,
     op_exp,
     pos_part,
-    sample,
     save_matrix,
 )
 from specdet.stepfn import integrate, left_continuous_version, signed_parts
-from specdet.verify import run_check
+from specdet.verify import SuiteConfig, run_check
 from stepfn_reference import mu_neg_part_reference, mu_pos_part_reference
-
-
-def _hermitian(n: int, seed: int) -> MatrixOperator:
-    return sample(EnsembleSpec(kind="hermitian-gaussian", n=n, seed=seed))
-
-
-def _ginibre(n: int, seed: int) -> MatrixOperator:
-    return sample(EnsembleSpec(kind="iid-complex-gaussian", n=n, seed=seed))
 
 
 # ---- construction ----
@@ -73,7 +62,7 @@ def test_hermiticity_detection():
 
 
 def test_sampled_hermitian_is_exactly_hermitian():
-    a = _hermitian(8, 5).entries
+    a = hermitian_gaussian(5, 8).entries
     assert float(np.max(np.abs(a - a.conj().T))) == 0.0
 
 
@@ -96,8 +85,8 @@ def lapack_calls(monkeypatch):
 
 
 def test_construction_and_arithmetic_run_no_decomposition(lapack_calls):
-    h = _hermitian(6, 1)
-    g = _ginibre(6, 2)
+    h = hermitian_gaussian(1, 6)
+    g = ginibre(2, 6)
     ops = [h + g, h - g, -h, 2.0 * g, g * 3, h.matmul(g), identity(6)]
     assert all(op.n == 6 for op in ops)
     assert h.entries.shape == (6, 6) and math.isfinite(g.tau)
@@ -105,7 +94,7 @@ def test_construction_and_arithmetic_run_no_decomposition(lapack_calls):
 
 
 def test_repeated_reads_decompose_at_most_once(lapack_calls):
-    g = _ginibre(6, 3)
+    g = ginibre(3, 6)
     for _ in range(3):
         assert not g.self_adjoint
         assert g.norm == g.singular_values[0]
@@ -113,7 +102,7 @@ def test_repeated_reads_decompose_at_most_once(lapack_calls):
             g.eigenvalues
     assert lapack_calls == Counter(svd=1)
 
-    h = _hermitian(6, 4)
+    h = hermitian_gaussian(4, 6)
     for _ in range(3):
         assert h.self_adjoint
         h.eigenvalues
@@ -126,7 +115,7 @@ def test_repeated_reads_decompose_at_most_once(lapack_calls):
 
 
 def test_concurrent_first_reads_agree():
-    ref = _hermitian(24, 12)
+    ref = hermitian_gaussian(12, 24)
     expected_w, expected_s = ref.eigenvalues, ref.singular_values
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -158,8 +147,19 @@ def test_concurrent_first_reads_agree():
 def test_composite_check_decomposes_only_what_it_reads(lapack_calls):
     # 13 operators per trial; mu(A) needs one svd, the three hermitian
     # inputs one eigh each, and exact hermiticity needs no svd
-    run_check("sum-psi-composite", 8, 42, 0)
+    name = "sum-psi-composite"
+    run_check(name, 8, 42, 0, SuiteConfig(suites=(name,)).tolerance(name))
     assert lapack_calls == Counter(svd=1, eigh=3)
+
+
+def test_decomposition_outside_the_float_range_refuses():
+    # finite entries whose singular values and eigenvalues overflow to inf;
+    # the matrix is exactly hermitian, so eigh runs without the svd
+    a = np.full((2, 2), 1e308)
+    with pytest.raises(np.linalg.LinAlgError, match="singular values of the matrix overflow"):
+        MatrixOperator(a).singular_values
+    with pytest.raises(np.linalg.LinAlgError, match="eigenvalues of the matrix overflow"):
+        MatrixOperator(a).eigenvalues
 
 
 def test_invalid_entries_still_raise_at_construction(lapack_calls):
@@ -194,8 +194,8 @@ def test_hermiticity_decision_at_the_tolerance():
 def test_exactly_hermitian_needs_no_svd(lapack_calls):
     zero = MatrixOperator(np.zeros((3, 3)))
     assert zero.self_adjoint
-    assert _hermitian(6, 7).self_adjoint
-    assert (_hermitian(6, 8) + _hermitian(6, 9)).self_adjoint
+    assert hermitian_gaussian(7, 6).self_adjoint
+    assert (hermitian_gaussian(8, 6) + hermitian_gaussian(9, 6)).self_adjoint
     assert lapack_calls == Counter()
     assert np.array_equal(zero.eigenvalues, np.zeros(3))
     assert _eager_hermiticity(np.zeros((3, 3)))
@@ -216,7 +216,7 @@ def test_hermiticity_decision_matches_eager_rule():
 # ---- spectral data vs numpy oracles ----
 
 def test_singular_values_match_svd_oracle():
-    a = _ginibre(12, 3)
+    a = ginibre(3, 12)
     oracle = np.linalg.svd(a.entries, compute_uv=False)
     assert np.array_equal(a.singular_values, oracle)
     assert np.all(np.diff(a.singular_values) <= 0.0)
@@ -225,25 +225,25 @@ def test_singular_values_match_svd_oracle():
 
 def test_eigenvalues_match_eigh_oracle():
     # eigvalsh takes a different LAPACK path than eigh, so allow ulp noise
-    a = _hermitian(10, 4)
+    a = hermitian_gaussian(4, 10)
     oracle = np.linalg.eigvalsh(a.entries)[::-1]
     assert np.allclose(a.eigenvalues, oracle, rtol=0.0, atol=1e-13)
     assert np.all(np.diff(a.eigenvalues) <= 0.0)
 
 
 def test_tau_is_normalized_trace():
-    a = _hermitian(6, 9)
+    a = hermitian_gaussian(9, 6)
     assert a.tau == pytest.approx(float(np.trace(a.entries).real) / 6, abs=1e-15)
 
 
 def test_mu_and_lambda_functions_share_cached_floats():
-    a = _hermitian(8, 2)
+    a = hermitian_gaussian(2, 8)
     assert np.array_equal(mu_matrix(a).values, a.singular_values)
     assert np.array_equal(lambda_matrix(a).values, a.eigenvalues)
 
 
 def test_signed_parts_of_lambda_are_the_parts_read_off_the_eigenvalues():
-    ops = [_hermitian(n, seed) for n, seed in ((1, 0), (2, 1), (8, 2), (33, 3), (64, 4))]
+    ops = [hermitian_gaussian(seed, n) for n, seed in ((1, 0), (2, 1), (8, 2), (33, 3), (64, 4))]
     ops += [MatrixOperator(np.diag(d).astype(complex))
             for d in ([0.0, -0.0, 1.0], [-0.0, -0.0], [2.0, -0.0, 0.0, -3.0], [-1.0, -1.0])]
     for a in ops:
@@ -253,7 +253,7 @@ def test_signed_parts_of_lambda_are_the_parts_read_off_the_eigenvalues():
 
 
 def test_mu_of_hermitian_is_sorted_abs_eigenvalues():
-    a = _hermitian(8, 13)
+    a = hermitian_gaussian(13, 8)
     assert np.allclose(
         mu_matrix(a).values,
         np.sort(np.abs(a.eigenvalues))[::-1],
@@ -265,7 +265,7 @@ def test_mu_of_hermitian_is_sorted_abs_eigenvalues():
 # ---- functional calculus ----
 
 def test_parts_decompose_and_are_positive():
-    a = _hermitian(6, 21)
+    a = hermitian_gaussian(21, 6)
     p = pos_part(a)
     m = neg_part(a)
     assert np.allclose((p - m).entries, a.entries, atol=1e-13)
@@ -276,7 +276,7 @@ def test_parts_decompose_and_are_positive():
 
 
 def test_functional_calculus_identity():
-    a = _hermitian(5, 1)
+    a = hermitian_gaussian(1, 5)
     b = functional_calculus(a, lambda w: w)
     assert np.allclose(b.entries, a.entries, atol=1e-13)
 
@@ -286,8 +286,8 @@ def test_functional_calculus_identity():
 def test_product_exponential_inversion_flip():
     # mu(u, e^T e^S) * mu-tilde(1-u, e^-S e^-T) = 1 at cell midpoints
     n = 8
-    t_op = _hermitian(n, 101)
-    s_op = _hermitian(n, 102)
+    t_op = hermitian_gaussian(101, n)
+    s_op = hermitian_gaussian(102, n)
     prod = op_exp(t_op).matmul(op_exp(s_op))
     inv = op_exp(-1.0 * s_op).matmul(op_exp(-1.0 * t_op))
     mu_p = mu_matrix(prod)
@@ -297,77 +297,29 @@ def test_product_exponential_inversion_flip():
         assert mu_p(u) * mu_i(1.0 - u) == pytest.approx(1.0, rel=1e-10)
 
 
-# ---- determinants ----
+# ---- seeded samplers ----
 
-def test_fk_det_matches_slogdet_oracle():
-    for seed in range(8):
-        a = _ginibre(10, seed)
-        sign, logabs = np.linalg.slogdet(a.entries)
-        assert abs(sign) == pytest.approx(1.0, rel=1e-12)
-        assert fk_det(a) == pytest.approx(math.exp(logabs / 10), rel=1e-11)
-
-
-def test_fk_det_identity_and_scaling():
-    assert fk_det(identity(7)) == 1.0
-    a = 3.0 * identity(4)
-    assert fk_det(a) == pytest.approx(3.0, rel=1e-14)
+def _recipe(seed: int, n: int, scale: float) -> np.ndarray:
+    """The Gaussian draw written out: two standard normal blocks, then the scale."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g * (scale / math.sqrt(2.0 * n))
 
 
-def test_fk_det_singular_is_zero():
-    a = MatrixOperator(np.diag([2.0, 1.0, 0.0]).astype(complex))
-    assert fk_det(a) == 0.0
-
-
-def test_fk_det_eps_validates_and_decreases_to_det():
-    a = _ginibre(6, 77)
-    with pytest.raises(ValueError):
-        fk_det_eps(a, 0.0)
-    with pytest.raises(ValueError):
-        fk_det_eps(a, -1e-9)
-    vals = [fk_det_eps(a, 2.0 ** -k) for k in range(4, 44, 4)]
-    assert all(x >= y for x, y in zip(vals, vals[1:]))
-    assert vals[-1] == pytest.approx(fk_det(a), rel=1e-9)
-
-
-def test_fk_det_eps_on_singular_matrix_decays():
-    spectrum = (2.0, 1.0) + (0.0,) * 6
-    a = sample(EnsembleSpec(kind="diagonal-with-prescribed-spectrum", n=8, spectrum=spectrum))
-    assert fk_det(a) == 0.0
-    # three quarters of the spectrum vanishes, so det_eps ~ eps^(3/4)
-    assert fk_det_eps(a, 2.0 ** -40) == pytest.approx((2.0 * 1.0 * (2.0 ** -40) ** 6) ** 0.125, rel=1e-12)
-
-
-# ---- ensembles ----
-
-def test_ensemble_spec_validation():
-    with pytest.raises(ValueError):
-        EnsembleSpec(kind="bogus", n=4)
-    with pytest.raises(ValueError):
-        EnsembleSpec(kind="iid-complex-gaussian", n=0)
-    with pytest.raises(ValueError):
-        EnsembleSpec(kind="diagonal-with-prescribed-spectrum", n=4)
-    with pytest.raises(ValueError):
-        EnsembleSpec(kind="diagonal-with-prescribed-spectrum", n=4, spectrum=(1.0, 2.0))
-    with pytest.raises(ValueError, match="unknown ensemble kind"):
-        EnsembleSpec(kind="haar-unitary-conjugate", n=4, spectrum=(1.0, 2.0, 3.0, 4.0))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=64))
+def test_samplers_match_the_written_out_recipe_bytewise(seed, n):
+    assert ginibre(seed, n).entries.tobytes() == _recipe(seed, n, 1.0).tobytes()
+    g = _recipe(seed, n, math.sqrt(2.0))
+    h = (g + g.conj().T) / 2.0
+    assert hermitian_gaussian(seed, n).entries.tobytes() == h.tobytes()
 
 
 def test_sampling_is_deterministic():
-    for kind in ENSEMBLE_KINDS:
-        spectrum = (3.0, 1.0, -1.0, -2.0) if kind == "diagonal-with-prescribed-spectrum" else None
-        spec = EnsembleSpec(kind=kind, n=4, seed=12, spectrum=spectrum)
-        a = sample(spec)
-        b = sample(spec)
-        assert np.array_equal(a.entries, b.entries)
-        c = sample(EnsembleSpec(kind=kind, n=4, seed=13, spectrum=spectrum))
-        if kind != "diagonal-with-prescribed-spectrum":
-            assert not np.array_equal(a.entries, c.entries)
-
-
-def test_diagonal_ensemble_realizes_spectrum():
-    spec = EnsembleSpec(kind="diagonal-with-prescribed-spectrum", n=4, spectrum=(3.0, 1.0, -1.0, -2.0))
-    a = sample(spec)
-    assert np.array_equal(a.eigenvalues, [3.0, 1.0, -1.0, -2.0])
+    for sampler in (ginibre, hermitian_gaussian):
+        a = sampler(12, 4)
+        assert np.array_equal(a.entries, sampler(12, 4).entries)
+        assert not np.array_equal(a.entries, sampler(13, 4).entries)
 
 
 def test_haar_unitary_is_unitary():
@@ -378,7 +330,7 @@ def test_haar_unitary_is_unitary():
 # ---- persistence ----
 
 def test_save_load_roundtrip_is_exact(tmp_path):
-    a = _ginibre(7, 91)
+    a = ginibre(91, 7)
     path = str(tmp_path / "m.mat")
     save_matrix(a, path)
     b = load_matrix(path)
@@ -518,8 +470,8 @@ def test_mu_sum_head_integral_domination():
     # int_0^t mu(T+S) <= int_0^t (mu T + mu S) for positive T, S
     n = 8
     for seed in range(5):
-        t_op = _hermitian(n, 300 + seed)
-        s_op = _hermitian(n, 400 + seed)
+        t_op = hermitian_gaussian(300 + seed, n)
+        s_op = hermitian_gaussian(400 + seed, n)
         t_pos, s_pos = pos_part(t_op), pos_part(s_op)
         mu_sum = mu_matrix(t_pos + s_pos)
         parts = mu_matrix(t_pos) + mu_matrix(s_pos)

@@ -7,23 +7,20 @@ import pytest
 
 from specdet import traces
 from specdet.dets import eps_limit_comparison
-from specdet.matmodel import (
-    EnsembleSpec,
-    MatrixOperator,
-    haar_unitary,
-    sample,
-)
+from specdet.matmodel import MatrixOperator, ginibre, haar_unitary, hermitian_gaussian
 from specdet.spaces import (
+    DivergenceError,
     PowerTail,
     QuadratureError,
     SpectralProfile,
     parse_profile_spec,
     parse_space,
     power_profile,
+    profile_integral,
     psi_prime_profile,
     scale_profile,
 )
-from specdet.stepfn import GridFn, MonotoneStepFn
+from specdet.stepfn import GridFn, MonotoneStepFn, integrate
 from specdet.traces import (
     NonConvergentError,
     TraceFunctional,
@@ -166,35 +163,77 @@ def test_integral_trace_on_profile():
     assert eval_functional(integral_trace(0.5), power_profile(0.75)) == 2.0
 
 
+# The seven profile lines of the det-mix benchmark.
+_DET_MIX_PROFILES = (
+    "name=psi-prime",
+    "name=exp-neg-psi-prime-flip scale=1",
+    "name=exp-neg-psi-prime-flip scale=2",
+    "name=projection kernel=0.5",
+    "name=projection kernel=0.25",
+    "kind=power a=0.75",
+    "kind=power a=1 b=-2",
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except (DivergenceError, QuadratureError) as exc:  # the same refusal, or none
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_integral_trace_is_c_times_the_head_integral_at_one():
+    profiles = []
+    for spec in _DET_MIX_PROFILES:
+        p = parse_profile_spec(spec)
+        profiles += [q for q in (p, p.log_plus, p.log_minus) if q is not None]
+    rng = np.random.default_rng(2024)
+    grids = [MonotoneStepFn(np.sort(rng.random(n) * scale)[::-1])
+             for n in (1, 2, 7, 64, 257) for scale in (1e-3, 1.0, 3e5)]
+    grids.append(GridFn(np.zeros(5)))
+    for c in (1.0, 2.5, 0.0, 1e-7):
+        phi = integral_trace(c)
+        for p in profiles:
+            assert _outcome(eval_functional, phi, p) == _outcome(
+                lambda q: c * profile_integral(q, 0.0, 1.0), p), (c, p.name)
+        for g in grids:
+            assert eval_functional(phi, g).hex() == (c * integrate(g, 0.0, 1.0)).hex()
+
+
+def test_integral_trace_of_a_non_integrable_profile_refuses():
+    with pytest.raises(DivergenceError, match="not integrable"):
+        eval_functional(integral_trace(1.0), power_profile(1.5))
+
+
 # ---- integral functional on operators ----
 
 def test_integral_trace_recovers_tau():
     phi = integral_trace(1.0)
     worst = 0.0
     for seed in range(40):
-        a = sample(EnsembleSpec(kind="hermitian-gaussian", n=24, seed=seed))
+        a = hermitian_gaussian(seed, 24)
         worst = max(worst, abs(eval_on_operator(phi, a) - a.tau))
     assert worst <= 1e-12
 
 
 def test_integral_trace_unitary_conjugation_invariance():
     phi = integral_trace(1.0)
-    a = sample(EnsembleSpec(kind="hermitian-gaussian", n=32, seed=7))
+    a = hermitian_gaussian(7, 32)
     u = haar_unitary(32, np.random.default_rng(8))
     b = MatrixOperator(u @ a.entries @ u.conj().T)
     assert abs(eval_on_operator(phi, b) - eval_on_operator(phi, a)) <= 1e-10
 
 
 def test_symmetric_spectrum_traces_to_zero():
-    spec = EnsembleSpec(kind="diagonal-with-prescribed-spectrum", n=4, spectrum=(2.0, 1.0, -1.0, -2.0))
-    assert eval_on_operator(integral_trace(1.0), sample(spec)) == 0.0
+    a = MatrixOperator(np.diag([2.0, 1.0, -1.0, -2.0]))
+    assert eval_on_operator(integral_trace(1.0), a) == 0.0
 
 
 def test_eval_on_operator_rejections():
-    g = sample(EnsembleSpec(kind="iid-complex-gaussian", n=4, seed=0))
+    g = ginibre(0, 4)
     with pytest.raises(ValueError):
         eval_on_operator(integral_trace(1.0), g)  # not self-adjoint
-    h = sample(EnsembleSpec(kind="hermitian-gaussian", n=4, seed=0))
+    h = hermitian_gaussian(0, 4)
     with pytest.raises(ValueError):
         eval_on_operator(singular_trace(), h)
     with pytest.raises(TypeError):
@@ -210,8 +249,7 @@ def _per_part_reference(phi, a):
 
 
 def test_eval_on_operator_equals_the_per_part_split_bit_for_bit():
-    ops = [sample(EnsembleSpec(kind="hermitian-gaussian", n=2 + (126 * i) // 199, seed=i))
-           for i in range(200)]
+    ops = [hermitian_gaussian(i, 2 + (126 * i) // 199) for i in range(200)]
     ops += [MatrixOperator(np.diag(d).astype(complex))
             for d in ([0.0, -0.0, 1.0], [-0.0, -0.0], [2.0, -0.0, 0.0, -3.0])]
     for c in (1.0, 2.5, 0.0):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import specdet
 from specdet import stepfn, verify
-from specdet.matmodel import EnsembleSpec, MatrixOperator, mu_matrix, op_exp, sample
+from specdet.matmodel import MatrixOperator, mu_matrix, op_exp
 from specdet.stepfn import GridFn, integrate, psi_eval
 from specdet.verify import (
     DEFAULT_TOLERANCES,
@@ -73,9 +73,13 @@ def test_tolerance_resolution():
     assert cfg3.tolerance("majorization") == 1e-4
 
 
+def _tol(name):
+    return SuiteConfig(suites=(name,)).tolerance(name)
+
+
 def test_run_check_unknown_name():
-    with pytest.raises(ValueError):
-        run_check("bogus", 8, 0, 0)
+    with pytest.raises(ValueError, match="unknown check"):
+        run_check("bogus", 8, 0, 0, 1e-8)
 
 
 # ---- frozen hand cases for the quantities the checks compare ----
@@ -134,7 +138,7 @@ def test_product_log_pointwise_hand_case():
 
 def test_rows_have_consistent_margin():
     for name in SUITE_NAMES:
-        rows = run_check(name, 8, 17, 0)
+        rows = run_check(name, 8, 17, 0, _tol(name))
         assert rows, name
         for r in rows:
             assert r.check_name == name
@@ -155,7 +159,7 @@ def test_all_checks_pass_at_small_scale():
 
 
 def test_composite_check_carries_identity_row():
-    rows = run_check("sum-psi-composite", 8, 23, 1)
+    rows = run_check("sum-psi-composite", 8, 23, 1, _tol("sum-psi-composite"))
     identity_rows = [r for r in rows if r.t == 0.0 and r.bound == 0.0]
     assert len(identity_rows) == 1
     # decompositions built from different groupings agree to rounding
@@ -163,7 +167,7 @@ def test_composite_check_carries_identity_row():
 
 
 def test_split_check_zero_rows_below_threshold():
-    rows = run_check("split-psi-vanishing", 8, 29, 3)
+    rows = run_check("split-psi-vanishing", 8, 29, 3, _tol("split-psi-vanishing"))
     below = [r for r in rows if r.bound == 0.0]
     sup_rows = [r for r in rows if r.bound != 0.0]
     assert len(sup_rows) == 1
