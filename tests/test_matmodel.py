@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from specdet import matmodel
 from specdet.cli import main
+from specdet.dets import det_phi, eps_limit_comparison
 from specdet.matmodel import (
     MatrixOperator,
     functional_calculus,
@@ -27,7 +28,8 @@ from specdet.matmodel import (
     pos_part,
     save_matrix,
 )
-from specdet.stepfn import integrate, left_continuous_version, signed_parts
+from specdet.stepfn import GridFn, integrate, left_continuous_version, signed_parts
+from specdet.traces import integral_trace
 from specdet.verify import SuiteConfig, run_check
 from stepfn_reference import mu_neg_part_reference, mu_pos_part_reference
 
@@ -295,6 +297,45 @@ def test_product_exponential_inversion_flip():
     for k in range(n):
         u = (k + 0.5) / n
         assert mu_p(u) * mu_i(1.0 - u) == pytest.approx(1.0, rel=1e-10)
+
+
+# ---- the Fuglede–Kadison determinant: det_phi under tau ----
+
+TAU = integral_trace(1.0)
+
+
+def _fk_det_eps(a: MatrixOperator, eps: float) -> float:
+    return det_phi(GridFn(a.singular_values + eps), TAU)
+
+
+def test_fk_det_eps_validates_and_decreases_to_det():
+    a = ginibre(77, 6)
+    cmp = eps_limit_comparison(a, TAU)
+    # the comparison shifts only by positive eps, and its values are the
+    # eps-shifted FK determinants of the grid formula
+    assert all(e > 0.0 for e in cmp.epsilons)
+    assert all(e > f for e, f in zip(cmp.epsilons, cmp.epsilons[1:]))
+    for e, v in zip(cmp.epsilons, cmp.values):
+        assert v == pytest.approx(_fk_det_eps(a, e), rel=1e-13)
+    vals = [_fk_det_eps(a, 2.0 ** -k) for k in range(4, 44, 4)]
+    assert all(x >= y for x, y in zip(vals, vals[1:]))
+    assert vals[-1] == pytest.approx(det_phi(a, TAU), rel=1e-9)
+
+
+def test_fk_det_eps_on_singular_matrix_decays():
+    a = MatrixOperator(np.diag((2.0, 1.0) + (0.0,) * 6))
+    assert det_phi(a, TAU) == 0.0
+    # three quarters of the spectrum vanishes, so det_eps ~ eps^(3/4)
+    assert _fk_det_eps(a, 2.0 ** -40) == pytest.approx((2.0 * 1.0 * (2.0 ** -40) ** 6) ** 0.125, rel=1e-12)
+
+
+def test_diagonal_ensemble_realizes_spectrum():
+    # diagonal inputs are built directly; their eigenvalues are the spectrum
+    a = MatrixOperator(np.diag([3.0, 1.0, -1.0, -2.0]))
+    assert np.array_equal(a.eigenvalues, [3.0, 1.0, -1.0, -2.0])
+    b = MatrixOperator(np.diag([-2.0, 1.0, 3.0, -1.0]))
+    assert np.array_equal(b.eigenvalues, [3.0, 1.0, -1.0, -2.0])
+    assert np.array_equal(b.singular_values, [3.0, 2.0, 1.0, 1.0])
 
 
 # ---- seeded samplers ----
