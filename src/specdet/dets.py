@@ -16,16 +16,16 @@ On a profile x the shifted sequence builds, for each of its 27 epsilons, the
 audited profiles log+(x + eps) and log-(x + eps) (for a superpower x, the
 bounded rest log1p(eps / x) beside the registered log+ x).  They read x (or
 log+ x) at the same points for every eps, the audit grid and the quadrature
-nodes of the same intervals, so one comparison reads x through one memo,
-made when the call starts and dropped when it returns.
+nodes of the same intervals, so one comparison reads x through one dict per
+call, keyed by the point, made when the call starts and dropped when it
+returns.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -182,32 +182,52 @@ class EpsComparison:
     agree: Optional[bool] = None
 
 
-def _eps_term_profile(x: SpectralProfile, f: Callable[[float], float],
-                      phi: TraceFunctional, eps: float) -> float:
+def _eps_term_profile(x: SpectralProfile, read: Callable[[float], float],
+                      seen: Dict[float, float], phi: TraceFunctional, eps: float) -> float:
     """exp(phi(log+(x + eps)) - phi(log-(x + eps))) for a profile x.
 
-    f is the evaluator the shifted profiles read: that of x, or for a
-    superpower x that of its registered log+.
+    read is the evaluator the shifted profiles read: that of x, or for a
+    superpower x that of its registered log+.  seen maps a point to the value
+    read returned there; each shifted evaluator looks the point up inline and
+    calls read only on a miss.  Only a value is stored, so a point at which
+    read raises raises again at every read.
     """
     if x.tail_at_0 == SUPERPOWER:
         # x >= 1, so log(x + eps) = log+ x + log1p(eps / x): phi takes the
         # registered log+ exactly, plus the bounded rest, rearranged
-        rest = SpectralProfile(
-            name=f"log1p({eps:g}/{x.name})",
-            evaluator=lambda s, _f=f, _e=eps: math.log1p(_e * math.exp(-_f(1.0 - s))),
-            tail_at_0=BOUNDED,
-        )
-        return math.exp(eval_functional(phi, x.log_plus) + eval_functional(phi, rest))
-    lp = SpectralProfile(
-        name=f"log+({x.name}+{eps:g})",
-        evaluator=lambda s, _f=f, _e=eps: math.log(y) if (y := _f(s) + _e) > 1.0 else 0.0,
-        tail_at_0=BOUNDED,
-    )
-    lm = SpectralProfile(
-        name=f"log-({x.name}+{eps:g})",
-        evaluator=lambda s, _f=f, _e=eps: 0.0 if (y := _f(1.0 - s) + _e) >= 1.0 else -math.log(y),
-        tail_at_0=BOUNDED,
-    )
+        def rest(s, log1p=math.log1p, exp=math.exp):
+            t = 1.0 - s
+            try:
+                v = seen[t]
+            except KeyError:
+                v = seen[t] = read(t)
+            return log1p(eps * exp(-v))
+
+        rest_p = SpectralProfile(name=f"log1p({eps:g}/{x.name})", evaluator=rest,
+                                 tail_at_0=BOUNDED)
+        return math.exp(eval_functional(phi, x.log_plus) + eval_functional(phi, rest_p))
+
+    def log_plus(s, log=math.log):
+        try:
+            v = seen[s]
+        except KeyError:
+            v = seen[s] = read(s)
+        y = v + eps
+        return log(y) if y > 1.0 else 0.0
+
+    def log_minus(s, log=math.log):
+        t = 1.0 - s
+        try:
+            v = seen[t]
+        except KeyError:
+            v = seen[t] = read(t)
+        y = v + eps
+        return 0.0 if y >= 1.0 else -log(y)
+
+    lp = SpectralProfile(name=f"log+({x.name}+{eps:g})", evaluator=log_plus,
+                         tail_at_0=BOUNDED)
+    lm = SpectralProfile(name=f"log-({x.name}+{eps:g})", evaluator=log_minus,
+                         tail_at_0=BOUNDED)
     return math.exp(eval_functional(phi, lp) - eval_functional(phi, lm))
 
 
@@ -234,9 +254,9 @@ def eps_limit_comparison(x, phi: TraceFunctional,
                 )
             base = x.log_plus
         # evaluators are pure, so a memo hit is the float a call would
-        # return; lru_cache stores no exception, so a raise repeats as before
-        f = functools.lru_cache(maxsize=None)(base.evaluator)
-        values = [_eps_term_profile(x, f, phi, e) for e in epsilons]
+        # return; the memo is this call's alone
+        seen: Dict[float, float] = {}
+        values = [_eps_term_profile(x, base.evaluator, seen, phi, e) for e in epsilons]
     else:
         # det_phi_with_branch refused every other type, so x is a GridFn;
         # mu + e is positive and nonincreasing, so the branch-1 formula

@@ -354,6 +354,9 @@ def power_profile(a: float, b: float = 0.0, scale: float = 1.0) -> SpectralProfi
     anti = None
     if b == 0.0 and a < 1.0:
         anti = lambda t, _a=a, _s=scale: _s * t ** (1.0 - _a) / (1.0 - _a)
+    elif a == 1.0 and b < -1.0:
+        # d/dt (m - log t)^(b+1) = -(b+1) t^-1 (m - log t)^b, and it vanishes at 0
+        anti = lambda t, _b=b, _s=scale, _m=m: _s * (_m - math.log(t)) ** (_b + 1.0) / (-(_b + 1.0))
     return SpectralProfile(
         name=f"power(a={a:g},b={b:g},scale={scale:g})",
         evaluator=ev,
@@ -477,7 +480,8 @@ def parse_profile_spec(line: str) -> SpectralProfile:
     exponent coefficient), projection (kernel is the kernel mass), power (a,
     b, scale).  kind=power is a shorthand for the power builtin.  An omitted
     key takes its _BUILTINS default.  A key that is unknown, repeated, or not
-    read by the chosen builtin is an error.
+    read by the chosen builtin is an error, and so is a value that is not a
+    finite number.
     """
     fields = {}
     for token in line.split():
@@ -504,6 +508,12 @@ def parse_profile_spec(line: str) -> SpectralProfile:
         if key not in defaults:
             raise ValueError(f"profile {builtin} does not take {key!r}; it takes {', '.join(defaults)}")
     parsed = {key: float(value) for key, value in fields.items()}
+    for key, value in parsed.items():
+        # nan fails no range check written as a comparison like `a < 0.0`, and
+        # an infinite exponent can build a profile that is identically 0 yet
+        # declares a power tail
+        if not math.isfinite(value):
+            raise ValueError(f"profile {builtin} key {key!r} must be finite, got {fields[key]!r}")
     return build(**{**defaults, **parsed})
 
 

@@ -388,6 +388,18 @@ def test_det_profile_overflowing_on_the_audit_grid_exits_2(capsys, line, name):
     assert err == f"error: profile {name!r} must be finite on the audit grid\n"
 
 
+@pytest.mark.parametrize("eps", [[], ["--eps-compare"]])
+@pytest.mark.parametrize("line, message", [
+    # b=-inf would build an identically 0 profile that still declares a power tail
+    ("kind=power a=0.5 b=-inf", "profile power key 'b' must be finite, got '-inf'"),
+    ("name=exp-neg-psi-prime-flip scale=nan",
+     "profile exp-neg-psi-prime-flip key 'scale' must be finite, got 'nan'"),
+])
+def test_det_non_finite_profile_key_exits_2(capsys, line, message, eps):
+    code, out, err = _run(capsys, ["det", "--input", line] + eps)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 _OVERFLOW = "error: the determinant overflows the float range\n"
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from specdet import dets, spaces
 from specdet.dets import (
     DetDomainError,
     _certified,
@@ -342,6 +343,37 @@ def test_eps_sequence_reads_its_input_once_per_point(trace, scale):
     # the memo lives for one call only: a second call reads every point again
     eps_limit_comparison(y, phi, space)
     assert calls == {t: 2 for t in once}
+
+
+class _Refused(Exception):
+    pass
+
+
+@pytest.mark.parametrize("scale", [1.0, -1.0])
+def test_eps_memo_stores_no_raise(scale):
+    # the eps terms of one comparison share one memo: a point at which the
+    # input raises raises again at every read and is never stored, while every
+    # point read before it is read once
+    x = exp_flip_profile(psi_prime_profile(), scale)
+    # the first shifted audit reads the input at s, or for a superpower x its
+    # log+ at 1 - s
+    base = x if scale > 0.0 else x.log_plus
+    s = spaces._PROFILE_GRID[5]
+    bad = s if scale > 0.0 else 1.0 - s
+    calls = collections.Counter()
+
+    def read(t):
+        calls[t] += 1
+        if t == bad:
+            raise _Refused(t)
+        return base.evaluator(t)
+
+    seen = {}
+    for k in (4, 5, 6):
+        with pytest.raises(_Refused):
+            dets._eps_term_profile(x, read, seen, integral_trace(1.0), 2.0 ** -k)
+    assert calls[bad] == 3 and bad not in seen
+    assert len(seen) == 5 and all(calls[t] == 1 for t in seen)
 
 
 # ---- separating witness ----

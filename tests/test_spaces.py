@@ -465,10 +465,28 @@ def test_quadrature_agrees_with_antiderivative_or_refuses(p):
 
 
 def test_quadrature_warning_is_a_refusal():
-    # power(1, -2) is psi' without its antiderivative
+    # power(1, -2) is psi'; without its antiderivative quad must integrate it
+    bare = replace(power_profile(1.0, -2.0), antiderivative=None)
     with pytest.raises(QuadratureError, match=r"on \(0\.0, 9\.094947017729282e-13\) is unreliable: "
                        r"The maximum number of subdivisions \(200\) has been achieved\."):
-        profile_integral(power_profile(1.0, -2.0), 0.0, 2.0 ** -40)
+        profile_integral(bare, 0.0, 2.0 ** -40)
+
+
+@pytest.mark.parametrize("b, scale", [(-2.0, 1.0), (-3.0, 1.0), (-2.5, 3.0), (-1.5, 0.2)])
+def test_power_at_a_one_integrates_in_closed_form(b, scale):
+    # int_0^t s^-1 (m - log s)^b ds = (m - log t)^(b+1) / -(b+1), m = max(1, -b)
+    p = power_profile(1.0, b, scale)
+    assert p.antiderivative is not None
+    m = max(1.0, -b)
+    assert profile_integral(p, 0.0, 1.0) == pytest.approx(scale * m ** (b + 1.0) / -(b + 1.0), rel=1e-15)
+    bare = replace(p, antiderivative=None)
+    for lo, hi in [(0.25, 0.75), (2.0 ** -30, 2.0 ** -10), (1e-6, 1.0)]:
+        assert profile_integral(p, lo, hi) == pytest.approx(profile_integral(bare, lo, hi), rel=1e-9)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, -1.0), (1.0, -0.5), (1.0, 2.0), (0.999, -2.0), (0.5, -2.0)])
+def test_power_registers_no_antiderivative_without_a_closed_form(a, b):
+    assert power_profile(a, b).antiderivative is None
 
 
 def test_profile_integral_bounds_validation():
@@ -630,6 +648,19 @@ def test_builtin_line_without_keys_equals_its_defaults_written_out(builtin):
 ])
 def test_parse_profile_spec_rejects_unknown_unused_and_repeated_keys(line):
     with pytest.raises(ValueError):
+        parse_profile_spec(line)
+
+
+@pytest.mark.parametrize("line, key", [
+    ("kind=power a=0.5 b=-inf", "b"),                # identically 0, yet a power tail
+    ("kind=power a=nan", "a"),
+    ("kind=power a=0.5 scale=inf", "scale"),
+    ("name=psi-prime scale=-Infinity", "scale"),
+    ("name=exp-neg-psi-prime-flip scale=nan", "scale"),
+    ("name=projection kernel=NaN", "kernel"),
+])
+def test_parse_profile_spec_rejects_non_finite_values(line, key):
+    with pytest.raises(ValueError, match=rf"key '{key}' must be finite"):
         parse_profile_spec(line)
 
 

@@ -1,5 +1,6 @@
 """Trace functionals: the integral family and the dyadic singular family."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -292,12 +293,20 @@ def test_singular_trace_nonconvergent_fixture():
     assert all(math.isfinite(r) for r in ratios)
 
 
+def test_power_one_minus_two_takes_psi_prime_values():
+    # t^-1 (2 - log t)^-2 is psi'; its closed-form head makes both traces exact
+    p = power_profile(1.0, -2.0)
+    assert eval_functional(integral_trace(1.0), p) == 0.5
+    assert abs(eval_functional(singular_trace(), p) - 1.0) <= 1e-12
+
+
 def test_singular_trace_refuses_an_inaccurate_head_integral():
     # quad warns at the first window point, 2^-36; without the check the
     # window's ratios come out 4% to 4.5% below the exact 1 and the scheme
     # refuses with NonConvergentError instead
+    bare = dataclasses.replace(power_profile(1.0, -2.0), antiderivative=None)
     with pytest.raises(QuadratureError, match=r"on \(0\.0, 1\.4551915228366852e-11\)"):
-        eval_functional(singular_trace(), power_profile(1, -2))
+        eval_functional(singular_trace(), bare)
 
 
 def test_singular_trace_statement_carries_spread():
