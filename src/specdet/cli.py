@@ -6,7 +6,9 @@ profile spec line, `example` reproduces the named closed-form scenarios and
 compares against their expected constants.  Exit codes: 0 success, 1 honest
 mathematical failure (violated bound, non-convergent limit, undecidable
 membership, domain refusal, a LAPACK decomposition that fails, a
-determinant past the float range), 2 usage errors.
+determinant or an eps-shifted value past the float range), 2 usage errors.
+`main` is the one place that maps a failure to its exit code; each refusal
+carries its own message, written where it is raised.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .verify import (
     result_to_json,
     rows_to_csv,
     run_suite,
-    thread_count,
 )
 
 _MATH_ERRORS = (
@@ -65,27 +66,16 @@ _MATH_ERRORS = (
 EXAMPLE_NAMES = ("ex-3-4-invertible", "ex-3-4-projection", "prop-3-2")
 
 
-def _math_failure(exc: Exception) -> int:
-    """Print the one error line of a mathematical failure; the exit code is 1."""
-    if isinstance(exc, OverflowError):
-        # the audit refuses overflowing profiles, so this is a determinant's exp
-        exc = "the determinant overflows the float range"
-    print(f"error: {exc}", file=sys.stderr)
-    return 1
-
-
-def _write_output(payload: str, path: Optional[str]) -> bool:
-    """Write the report; on an OS error print one error line and return False."""
+def _write_output(payload: str, path: Optional[str]) -> None:
+    """Write the report to path, or to stdout; a failed write raises an OSError naming path."""
     if not path:
         sys.stdout.write(payload)
-        return True
+        return
     try:
         with open(path, "w") as fh:
             fh.write(payload)
     except OSError as exc:
-        print(f"error: cannot write {path!r}: {exc.strerror or exc}", file=sys.stderr)
-        return False
-    return True
+        raise OSError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _parse_tols(pairs: Optional[List[str]]) -> Dict[str, float]:
@@ -104,24 +94,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         suites = SUITE_NAMES
     else:
         suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-    try:
-        tols = _parse_tols(args.tol)
-        config = SuiteConfig(
-            suites=suites, n=args.n, trials=args.trials, seed=args.seed,
-            tol_overrides=tols,
-        )
-        thread_count()  # a malformed SPECDET_THREADS is a usage error
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        result = run_suite(config)
-    except LinAlgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = SuiteConfig(
+        suites=suites, n=args.n, trials=args.trials, seed=args.seed,
+        tol_overrides=_parse_tols(args.tol),
+    )
+    result = run_suite(config)
     payload = rows_to_csv(result.rows) if args.format == "csv" else result_to_json(result)
-    if not _write_output(payload, args.out):
-        return 2
+    _write_output(payload, args.out)
     for name in suites:
         rep = result.reports[name]
         status = "PASS" if rep.passed else "FAIL"
@@ -145,38 +124,30 @@ def _load_det_input(text: str):
 
 
 def cmd_det(args: argparse.Namespace) -> int:
-    try:
-        x, desc = _load_det_input(args.input)
-        phi = parse_trace(args.trace)
-        space = parse_space(args.space)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.eps_compare:
-            cmp = eps_limit_comparison(x, phi, space)
-            value, branch = cmp.det_value, cmp.branch
-        else:
-            value, branch = det_phi_with_branch(x, phi, space)
-        report = {
-            "input": desc,
-            "trace": phi.name,
-            "space": space.name,
-            "branch": branch,
-            "value": value,
+    x, desc = _load_det_input(args.input)
+    phi = parse_trace(args.trace)
+    space = parse_space(args.space)
+    if args.eps_compare:
+        cmp = eps_limit_comparison(x, phi, space)
+        value, branch = cmp.det_value, cmp.branch
+    else:
+        value, branch = det_phi_with_branch(x, phi, space)
+    report = {
+        "input": desc,
+        "trace": phi.name,
+        "space": space.name,
+        "branch": branch,
+        "value": value,
+    }
+    if args.eps_compare:
+        report["eps"] = {
+            "epsilons": cmp.epsilons,
+            "values": cmp.values,
+            "limit": cmp.limit,
+            "converged": cmp.converged,
+            "agrees_with_exact": cmp.agree,
         }
-        if args.eps_compare:
-            report["eps"] = {
-                "epsilons": cmp.epsilons,
-                "values": cmp.values,
-                "limit": cmp.limit,
-                "converged": cmp.converged,
-                "agrees_with_exact": cmp.agree,
-            }
-    except _MATH_ERRORS as exc:
-        return _math_failure(exc)
-    if not _write_output(json.dumps(report, indent=2) + "\n", args.out):
-        return 2
+    _write_output(json.dumps(report, indent=2) + "\n", args.out)
     return 0
 
 
@@ -231,12 +202,8 @@ def _example_scenario(name: str) -> dict:
 
 
 def cmd_example(args: argparse.Namespace) -> int:
-    try:
-        report = _example_scenario(args.name)
-    except _MATH_ERRORS as exc:
-        return _math_failure(exc)
-    if not _write_output(json.dumps(report, indent=2) + "\n", args.out):
-        return 2
+    report = _example_scenario(args.name)
+    _write_output(json.dumps(report, indent=2) + "\n", args.out)
     return 0 if report["pass"] else 1
 
 
@@ -288,7 +255,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0
-    return args.func(args)
+    # _MATH_ERRORS first: most of its classes subclass ValueError
+    try:
+        return args.func(args)
+    except _MATH_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

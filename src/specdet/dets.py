@@ -10,7 +10,9 @@ the shifted sequence next to the exact value so discontinuities of the
 epsilon limit are visible instead of averaged away.  A branch-1 value
 outside the float range refuses: exp overflowing raises OverflowError, and
 exp of a finite exponent returning 0.0 raises FloatingPointError, since a
-silent zero would read like branch 3.
+silent zero would read like branch 3.  An eps-shifted value that overflows
+raises an OverflowError naming its eps; one that underflows is 0.0, since a
+shifted value is no determinant.
 
 On a profile x the shifted sequence builds, for each of its 27 epsilons, the
 audited profiles log+(x + eps) and log-(x + eps) (for a superpower x, the
@@ -29,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .stepfn import GridFn, decreasing_rearrangement
+from .stepfn import GridFn
 from .spaces import (
     BOUNDED,
     SUPERPOWER,
@@ -87,17 +89,31 @@ def _exp_det(log_det: float) -> float:
     it; a zero from a finite exponent refuses too, since branch 1 never has
     the value 0 and a silent zero would read like the kernel branch.
     """
-    val = math.exp(log_det)
+    try:
+        val = math.exp(log_det)
+    except OverflowError:
+        raise OverflowError("the determinant overflows the float range") from None
     if val == 0.0 and math.isfinite(log_det):
         raise FloatingPointError("the determinant underflows the float range")
     return val
 
 
+def _exp_eps(log_value: float, eps: float) -> float:
+    """exp of the log of an eps-shifted value; below the float range it is 0.0."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise OverflowError(
+            f"the value shifted by eps = {eps:g} overflows the float range"
+        ) from None
+
+
 def _det_grid(mu: GridFn, phi: TraceFunctional) -> Tuple[float, int]:
-    v = decreasing_rearrangement(mu).values
-    if v[-1] == 0.0:
+    # eval_functional rearranges its argument, so neither the kernel test
+    # nor the log needs mu sorted
+    if mu.values.min() == 0.0:
         return 0.0, 3
-    return _exp_det(eval_functional(phi, GridFn(np.log(v)))), 1
+    return _exp_det(eval_functional(phi, GridFn(np.log(mu.values)))), 1
 
 
 def det_phi_with_branch(x, phi: TraceFunctional,
@@ -205,7 +221,7 @@ def _eps_term_profile(x: SpectralProfile, read: Callable[[float], float],
 
         rest_p = SpectralProfile(name=f"log1p({eps:g}/{x.name})", evaluator=rest,
                                  tail_at_0=BOUNDED)
-        return math.exp(eval_functional(phi, x.log_plus) + eval_functional(phi, rest_p))
+        return _exp_eps(eval_functional(phi, x.log_plus) + eval_functional(phi, rest_p), eps)
 
     def log_plus(s, log=math.log):
         try:
@@ -228,7 +244,7 @@ def _eps_term_profile(x: SpectralProfile, read: Callable[[float], float],
                          tail_at_0=BOUNDED)
     lm = SpectralProfile(name=f"log-({x.name}+{eps:g})", evaluator=log_minus,
                          tail_at_0=BOUNDED)
-    return math.exp(eval_functional(phi, lp) - eval_functional(phi, lm))
+    return _exp_eps(eval_functional(phi, lp) - eval_functional(phi, lm), eps)
 
 
 def eps_limit_comparison(x, phi: TraceFunctional,
@@ -259,10 +275,9 @@ def eps_limit_comparison(x, phi: TraceFunctional,
         values = [_eps_term_profile(x, base.evaluator, seen, phi, e) for e in epsilons]
     else:
         # det_phi_with_branch refused every other type, so x is a GridFn;
-        # mu + e is positive and nonincreasing, so the branch-1 formula
-        # applies; a shifted value is no determinant and may underflow to 0.0
-        mu = decreasing_rearrangement(x).values
-        values = [math.exp(eval_functional(phi, GridFn(np.log(mu + e)))) for e in epsilons]
+        # x + e is positive, so the branch-1 formula applies to it
+        values = [_exp_eps(eval_functional(phi, GridFn(np.log(x.values + e))), e)
+                  for e in epsilons]
     tail = values[-_EPS_WINDOW:]
     spread = max(tail) - min(tail)
     converged = spread <= _EPS_AGREE_TOL * max(1.0, abs(tail[-1]))

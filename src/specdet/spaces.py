@@ -208,16 +208,17 @@ class PowerTail:
     """Behaviour C * t^(-a) * log(.)^b as t -> 0+.
 
     a >= 0: a nonincreasing nonnegative profile cannot vanish at 0 like t^|a|.
+    Both exponents are finite: an infinite one is no tail class.
     """
 
     a: float
     b: float = 0.0
 
     def __post_init__(self):
-        if not self.a >= 0.0:
-            raise ValueError(f"tail exponent a must be nonnegative, got {self.a!r}")
-        if math.isnan(self.b):
-            raise ValueError("tail exponent b must be a number, got nan")
+        if not 0.0 <= self.a < math.inf:
+            raise ValueError(f"tail exponent a must be finite and nonnegative, got {self.a!r}")
+        if not math.isfinite(self.b):
+            raise ValueError(f"tail exponent b must be finite, got {self.b!r}")
 
 
 BOUNDED = "bounded"
@@ -509,9 +510,8 @@ def parse_profile_spec(line: str) -> SpectralProfile:
             raise ValueError(f"profile {builtin} does not take {key!r}; it takes {', '.join(defaults)}")
     parsed = {key: float(value) for key, value in fields.items()}
     for key, value in parsed.items():
-        # nan fails no range check written as a comparison like `a < 0.0`, and
-        # an infinite exponent can build a profile that is identically 0 yet
-        # declares a power tail
+        # nan fails no range check written as a comparison like `a < 0.0`;
+        # checked before any constructor runs, so the message names the key
         if not math.isfinite(value):
             raise ValueError(f"profile {builtin} key {key!r} must be finite, got {fields[key]!r}")
     return build(**{**defaults, **parsed})

@@ -11,8 +11,9 @@ import pytest
 
 import specdet
 from specdet import matmodel, spaces
-from specdet.cli import _build_parser, main
+from specdet.cli import _MATH_ERRORS, _build_parser, main
 from specdet.matmodel import MatrixOperator, identity, save_matrix
+from specdet.traces import NonConvergentError
 from specdet.verify import SUITE_NAMES
 
 
@@ -448,6 +449,20 @@ def test_det_matrix_whose_singular_values_overflow_exits_1(capsys, tmp_path, eps
     assert err == "error: the singular values of the matrix overflow the float range\n"
 
 
+def test_det_eps_overflow_names_the_shifted_value(capsys, tmp_path):
+    # 3^643 ~ 6.4e306 is a float; the shifted 3.0625^643 ~ 3.5e312 is not
+    path = tmp_path / "three.mat"
+    save_matrix(identity(3) * 3.0, str(path))
+    argv = ["det", "--input", str(path), "--trace", "integral:643"]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == pytest.approx(3.0 ** 643, rel=1e-12)
+    code, out, err = _run(capsys, argv + ["--eps-compare"])
+    assert (code, out) == (1, "")
+    assert err == "error: the value shifted by eps = 0.0625 overflows the float range\n"
+    assert "the determinant" not in err
+
+
 def test_det_inverted_flip_over_l1(capsys):
     # exp(+psi') stays inside the log-closed L1 hull: det = exp(psi(1)) = e^(1/2)
     code, out, err = _run(capsys, ["det", "--input", "name=exp-neg-psi-prime-flip scale=-1"])
@@ -527,6 +542,48 @@ def test_det_refusal_census(capsys, monkeypatch):
                                                "--space", space] + eps)
                     got.append((code, raised[0] if raised else None))
         assert got == expected, line
+
+
+# ---- the failure boundary in main ----
+
+# each command with the cli name of the computation it calls
+_COMPUTATIONS = {
+    "verify": (["verify", "--suite", "majorization", "--n", "8", "--trials", "1"], "run_suite"),
+    "det": (["det", "--input", "name=exp-neg-psi-prime-flip"], "det_phi_with_branch"),
+    "example": (["example", "--name", "prop-3-2"], "_example_scenario"),
+}
+
+
+def _refusal(cls):
+    return cls("refused here", [0.0]) if cls is NonConvergentError else cls("refused here")
+
+
+@pytest.mark.parametrize("cls, code", [(c, 1) for c in _MATH_ERRORS]
+                         + [(ValueError, 2), (OSError, 2)],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+@pytest.mark.parametrize("command", list(_COMPUTATIONS))
+def test_main_maps_each_failure_class_to_its_exit_code(capsys, monkeypatch, command, cls, code):
+    from specdet import cli
+
+    argv, name = _COMPUTATIONS[command]
+
+    def computation(*args, **kwargs):
+        raise _refusal(cls)
+
+    monkeypatch.setattr(cli, name, computation)
+    got, out, err = _run(capsys, argv)
+    assert (got, out, err) == (code, "", "error: refused here\n")
+
+
+def test_main_leaves_a_program_bug_loud(capsys, monkeypatch):
+    from specdet import cli
+
+    def computation(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "_example_scenario", computation)
+    with pytest.raises(KeyError):
+        main(["example", "--name", "prop-3-2"])
 
 
 def test_det_membership_refusal_exits_1(capsys):

@@ -212,6 +212,79 @@ def test_flip_and_inverse_flip_dets_multiply_to_one():
     assert det_phi(a, phi, space) * det_phi(inv, phi, space) == pytest.approx(1.0, rel=1e-12)
 
 
+# ---- multiplicativity on comonotone pairs ----
+
+_TRACES = ("integral:1", "integral:2.5", "singular:psi-log")
+_FIVE_SPACES = ("L1", "L2", "Linf", "Llog", "marcinkiewicz")
+# the dyadic truncation bound of the singular trace per unit of sup|f|
+_SINGULAR_TRUNCATION = 2.0 ** -40 * (2.0 + 40.0 * math.log(2.0))
+
+
+def _det_or_refusal(x, phi, space=None):
+    try:
+        return det_phi_with_branch(x, phi, space)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("trace", _TRACES)
+def test_det_is_multiplicative_on_flip_pairs(trace):
+    # flip(c1) flip(c2) = flip(c1 + c2) for c1, c2 of one sign, and the two
+    # factors are comonotone: det(flip(c1 + c2)) = det(flip c1) det(flip c2)
+    phi = parse_trace(trace)
+    branches = set()
+    for base in (psi_prime_profile(), power_profile(0.75)):
+        for c1, c2 in ((0.5, 1.0), (0.25, 2.0), (-0.5, -1.0), (-0.25, -0.75)):
+            for name in _FIVE_SPACES:
+                space = parse_space(name)
+                got = [_det_or_refusal(exp_flip_profile(base, c), phi, space)
+                       for c in (c1 + c2, c1, c2)]
+                case = (base.name, c1, c2, name)
+                if isinstance(got[0], type):
+                    assert got[1] is got[0] and got[2] is got[0], case
+                    continue
+                (det_sum, br_sum), (det1, br1), (det2, br2) = got
+                branches.update((br_sum, br1, br2))
+                assert br_sum == max(br1, br2), case
+                assert det_sum == pytest.approx(det1 * det2, rel=1e-12, abs=0.0), case
+    assert {1, 2} <= branches
+
+
+def _decreasing_grid(rng, n, zero_cell):
+    v = np.sort(np.exp(rng.uniform(-3.0, 3.0, n)))[::-1]
+    if zero_cell:
+        v[-1] = 0.0
+    return GridFn(v)
+
+
+@pytest.mark.parametrize("trace", _TRACES)
+def test_det_is_multiplicative_on_decreasing_grid_pairs(trace):
+    # nonnegative nonincreasing f and g are comonotone: det(fg) = det(f) det(g),
+    # also on the common refinement of unequal grids and with a zero cell
+    phi = parse_trace(trace)
+    rng = np.random.default_rng(7)
+    branches = set()
+    for n1, n2, z1, z2 in ((5, 8, False, False), (12, 12, False, False), (7, 3, False, False),
+                           (1, 4, False, False), (6, 4, True, False), (5, 10, False, True),
+                           (4, 4, True, True)):
+        for _ in range(5):
+            f, g = _decreasing_grid(rng, n1, z1), _decreasing_grid(rng, n2, z2)
+            (det_fg, br_fg), (det_f, br_f), (det_g, br_g) = (
+                det_phi_with_branch(h, phi) for h in (f * g, f, g))
+            branches.update((br_fg, br_f, br_g))
+            assert br_fg == max(br_f, br_g)
+            if br_fg == 3:
+                assert det_fg == det_f * det_g == 0.0
+                continue
+            if phi.kind == "integral":
+                rel = 1e-12
+            else:
+                sup_log = max(np.abs(np.log(h.values)).max() for h in (f, g, f * g))
+                rel = 3.0 * sup_log * _SINGULAR_TRUNCATION
+            assert det_fg == pytest.approx(det_f * det_g, rel=rel, abs=0.0), (n1, n2)
+    assert branches == {1, 3}
+
+
 # ---- eps-shifted comparison ----
 
 def test_eps_comparison_invertible_matrix_agrees():
@@ -273,6 +346,21 @@ def test_eps_values_below_the_float_range_read_zero():
     cmp = eps_limit_comparison(a, integral_trace(1000.0))
     assert (cmp.det_value, cmp.branch) == (0.0, 3)
     assert cmp.values[-1] == 0.0
+
+
+@pytest.mark.parametrize("x, c", [
+    (identity(3) * 3.0, 643.0),  # the grid path
+    (constant_profile(3.0), 643.0),  # the log+ / log- path of a profile
+    (exp_flip_profile(psi_prime_profile(), -1.0), 1400.0),  # the superpower path
+])
+def test_eps_value_above_the_float_range_names_its_eps(x, c):
+    # 3^643 ~ 6.4e306 and e^700 are floats, 3.0625^643 ~ 3.5e312 is not: the
+    # refusal names the shifted value, not the determinant
+    phi, space = integral_trace(c), space_lp(1.0)
+    assert det_phi_with_branch(x, phi, space)[1] == 1
+    with pytest.raises(OverflowError,
+                       match=r"^the value shifted by eps = 0\.0625 overflows the float range$"):
+        eps_limit_comparison(x, phi, space)
 
 
 # The seven profile lines of the det-mix benchmark plus the superpower flip.

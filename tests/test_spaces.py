@@ -188,11 +188,19 @@ def test_power_profile_validation():
         power_profile(0.5, 0.0, scale=0.0)
 
 
-@pytest.mark.parametrize("a, b", [(-1.0, 0.0), (-1e-300, 0.0), (math.nan, 0.0), (0.5, math.nan)])
+@pytest.mark.parametrize("a, b", [(-1.0, 0.0), (-1e-300, 0.0), (math.nan, 0.0), (0.5, math.nan),
+                                  (math.inf, 0.0), (0.5, math.inf), (0.5, -math.inf)])
 def test_power_tail_rejects_a_vanishing_or_nan_exponent(a, b):
-    # t^|a| vanishes at 0, which no nonincreasing nonnegative profile does
+    # t^|a| vanishes at 0, which no nonincreasing nonnegative profile does;
+    # an infinite exponent is no tail class
     with pytest.raises(ValueError, match="tail exponent"):
         PowerTail(a, b)
+
+
+def test_power_profile_rejects_an_infinite_exponent():
+    # identically 0 on (0, 1), so it must not declare the tail PowerTail(0.5, -inf)
+    with pytest.raises(ValueError, match="^tail exponent b must be finite, got -inf$"):
+        power_profile(0.5, -math.inf)
 
 
 def test_power_tail_accepts_the_boundary_exponents():
