@@ -82,30 +82,38 @@ class UnsupportedProfileError(ValueError):
     """The profile lacks the registered data needed for an exact answer."""
 
 
+def _exp(log_value: float, what: str) -> float:
+    """exp(log_value), refusing a NaN exponent and any value past the float range.
+
+    The exponent may itself be infinite when a trace overflowed: +inf refuses
+    as an overflow, -inf gives 0.0 like a finite exponent below the range.
+    """
+    if math.isnan(log_value):
+        raise FloatingPointError(f"the log of {what} is not a number")
+    try:
+        val = math.exp(log_value)
+    except OverflowError:
+        val = math.inf
+    if val == math.inf:
+        raise OverflowError(f"{what} overflows the float range")
+    return val
+
+
 def _exp_det(log_det: float) -> float:
     """exp of a branch-1 log-determinant.
 
-    math.exp raises OverflowError past the float range but returns 0.0 below
-    it; a zero from a finite exponent refuses too, since branch 1 never has
-    the value 0 and a silent zero would read like the kernel branch.
+    A zero refuses too, since branch 1 never has the value 0 and a silent
+    zero would read like the kernel branch.
     """
-    try:
-        val = math.exp(log_det)
-    except OverflowError:
-        raise OverflowError("the determinant overflows the float range") from None
-    if val == 0.0 and math.isfinite(log_det):
+    val = _exp(log_det, "the determinant")
+    if val == 0.0:
         raise FloatingPointError("the determinant underflows the float range")
     return val
 
 
 def _exp_eps(log_value: float, eps: float) -> float:
     """exp of the log of an eps-shifted value; below the float range it is 0.0."""
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise OverflowError(
-            f"the value shifted by eps = {eps:g} overflows the float range"
-        ) from None
+    return _exp(log_value, f"the value shifted by eps = {eps:g}")
 
 
 def _det_grid(mu: GridFn, phi: TraceFunctional) -> Tuple[float, int]:

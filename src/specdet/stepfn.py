@@ -8,6 +8,10 @@ the verification checks assert cancellations at the 1e-10 level instead of
 chasing quadrature error.  Each grid computes its full-cell terms
 ``values[k] * ((k+1)/n - k/n)`` once, on its first integral, and every later
 query reuses them.
+
+Grids are right-continuous, like the singular value function mu(t; T):
+at an interior node a query returns the value of the cell to its right.
+``values_at(ts, left=True)`` gives the left limit there instead.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ __all__ = [
     "MonotoneStepFn",
     "decreasing_rearrangement",
     "signed_parts",
-    "left_continuous_version",
     "integrate",
     "psi_eval",
     "dilate2",
@@ -33,23 +36,23 @@ _MAX_CELLS = 1 << 20
 
 # Boundary snap tolerance in units of one cell width.  Evaluation points that
 # land within this distance of an interior grid node are treated as sitting on
-# the node, so the one-sided convention applies there.
+# the node, so the one-sided limit is taken there.
 _SNAP = 1e-9
 
 
 class GridFn:
     """Real step function on (0, 1) over ``n_cells`` equal cells.
 
-    The value on the open cell ``((k-1)/n, k/n)`` is ``values[k-1]``.  At an
-    interior node ``k/n`` the convention flag decides which one-sided limit
-    evaluation returns: ``"right"`` gives the next cell's value, ``"left"``
-    the previous one.  Instances are immutable; arithmetic returns new
-    functions on the least common refinement of the operand grids.
+    The value on the open cell ``((k-1)/n, k/n)`` is ``values[k-1]``.  The
+    function is right-continuous: at an interior node ``k/n`` it takes the
+    next cell's value, ``values[k]``, and ``values_at(ts, left=True)`` reads
+    the left limit ``values[k-1]``.  Instances are immutable; arithmetic
+    returns new functions on the least common refinement of the operand grids.
     """
 
-    __slots__ = ("_values", "_convention", "_terms")
+    __slots__ = ("_values", "_terms")
 
-    def __init__(self, values, convention: str = "right"):
+    def __init__(self, values):
         arr = np.array(values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("values must be a nonempty one dimensional array")
@@ -57,11 +60,8 @@ class GridFn:
             raise ValueError(f"grid of {arr.size} cells exceeds the {_MAX_CELLS} cell cap")
         if not np.all(np.isfinite(arr)):
             raise ValueError("cell values must be finite")
-        if convention not in ("right", "left"):
-            raise ValueError("convention must be 'right' or 'left'")
         arr.setflags(write=False)
         self._values = arr
-        self._convention = convention
         self._terms = None
 
     @property
@@ -72,18 +72,14 @@ class GridFn:
     def n_cells(self) -> int:
         return self._values.size
 
-    @property
-    def convention(self) -> str:
-        return self._convention
-
     def __call__(self, t: float) -> float:
         return float(self.values_at((t,))[0])
 
-    def values_at(self, ts) -> np.ndarray:
+    def values_at(self, ts, left: bool = False) -> np.ndarray:
         """The value at each point of ts.
 
         A point within _SNAP cell widths of an interior node sits on the
-        node, where the convention picks the side.
+        node, where the value is the right limit, or the left one if left.
         """
         x = np.asarray(ts, dtype=float)
         inside = (x > 0.0) & (x < 1.0)
@@ -94,7 +90,7 @@ class GridFn:
         k = np.rint(x)
         idx = np.minimum(np.floor(x), n - 1)
         snapped = (np.abs(x - k) <= _SNAP) & (k >= 1) & (k <= n - 1)
-        idx[snapped] = k[snapped] if self._convention == "right" else k[snapped] - 1
+        idx[snapped] = k[snapped] - 1 if left else k[snapped]
         return self._values[idx.astype(np.intp)]
 
     def _cell_terms(self) -> list:
@@ -121,10 +117,9 @@ class GridFn:
             m = math.lcm(self.n_cells, other.n_cells)
             if m > _MAX_CELLS:
                 raise ValueError("common refinement exceeds the cell cap")
-            conv = self._convention if self._convention == other._convention else "right"
-            return GridFn(op(self.resampled(m), other.resampled(m)), conv)
+            return GridFn(op(self.resampled(m), other.resampled(m)))
         if isinstance(other, (int, float)):
-            return GridFn(op(self._values, float(other)), self._convention)
+            return GridFn(op(self._values, float(other)))
         return NotImplemented
 
     def __add__(self, other):
@@ -137,8 +132,9 @@ class GridFn:
         return self._binary(other, np.subtract)
 
     def __rsub__(self, other):
-        neg = GridFn(-self._values, self._convention)
-        return neg._binary(other, np.add) if not isinstance(other, GridFn) else NotImplemented
+        if isinstance(other, GridFn):
+            return NotImplemented
+        return GridFn(-self._values)._binary(other, np.add)
 
     def __mul__(self, other):
         return self._binary(other, np.multiply)
@@ -147,25 +143,23 @@ class GridFn:
         return self._binary(other, np.multiply)
 
     def __neg__(self):
-        return GridFn(-self._values, self._convention)
+        return GridFn(-self._values)
 
     def __repr__(self):
-        return f"{type(self).__name__}(n_cells={self.n_cells}, convention={self._convention!r})"
+        return f"{type(self).__name__}(n_cells={self.n_cells})"
 
 
 class MonotoneStepFn(GridFn):
     """Nonincreasing step function; the shape of singular value functions.
 
     Construction validates monotonicity exactly (the producers sort, so no
-    tolerance is needed).  The evaluation convention defaults to right
-    continuity, matching the definitions of the singular value and eigenvalue
-    functions; ``left_continuous_version`` flips the flag.
+    tolerance is needed).
     """
 
     __slots__ = ()
 
-    def __init__(self, values, convention: str = "right"):
-        super().__init__(values, convention)
+    def __init__(self, values):
+        super().__init__(values)
         v = self.values
         if v.size > 1 and not np.all(np.diff(v) <= 0.0):
             raise ValueError("values must be nonincreasing")
@@ -187,11 +181,6 @@ def signed_parts(f: GridFn) -> tuple[MonotoneStepFn, MonotoneStepFn]:
     pos = decreasing_rearrangement(GridFn(np.clip(v, 0.0, None)))
     neg = decreasing_rearrangement(GridFn(np.clip(-v, 0.0, None)))
     return pos, neg
-
-
-def left_continuous_version(f: GridFn) -> GridFn:
-    """Same cell values, left-continuous evaluation at interior nodes."""
-    return type(f)(f.values, convention="left")
 
 
 def integrate(f: GridFn, a: float, b: float) -> float:
@@ -243,4 +232,4 @@ def dilate2(f: GridFn) -> GridFn:
     """Dilation (D2 f)(t) = f(t/2), exactly representable on the same grid."""
     n = f.n_cells
     vals = np.repeat(f.values, 2)[:n]
-    return type(f)(vals, f.convention)
+    return type(f)(vals)

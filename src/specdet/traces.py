@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .stepfn import GridFn, integrate, signed_parts
 from .matmodel import MatrixOperator, lambda_matrix
-from .spaces import PsiFn, SpectralProfile, profile_integral, psi_log
+from .spaces import PsiFn, SpectralProfile, _audit_psi, profile_integral, psi_log
 
 __all__ = [
     "TraceFunctional",
@@ -54,7 +54,7 @@ class NonConvergentError(ArithmeticError):
 
 @dataclass(frozen=True)
 class TraceFunctional:
-    """kind 'integral' (weight c >= 0) or 'singular' (Marcinkiewicz limit for psi)."""
+    """kind 'integral' (weight c >= 0) or 'singular' (Marcinkiewicz limit for an audited psi)."""
 
     kind: str
     c: float = 1.0
@@ -65,8 +65,10 @@ class TraceFunctional:
             raise ValueError(f"unknown trace kind {self.kind!r}")
         if self.kind == "integral" and not (self.c >= 0.0 and math.isfinite(self.c)):
             raise ValueError("integral trace weight must be finite and nonnegative")
-        if self.kind == "singular" and self.psi is None:
-            raise ValueError("singular trace needs a psi function")
+        if self.kind == "singular":
+            if self.psi is None:
+                raise ValueError("singular trace needs a psi function")
+            _audit_psi(self.psi)
 
     @property
     def name(self) -> str:

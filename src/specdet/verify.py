@@ -26,7 +26,6 @@ from .stepfn import (
     GridFn,
     dilate2,
     integrate,
-    left_continuous_version,
     psi_eval,
     signed_parts,
 )
@@ -214,18 +213,17 @@ def _check_product_log_pointwise(n, t_op, s_op):
     """Two-sided pointwise bound on log mu(u, e^T e^S) for every u in (0,1).
 
     Upper: mu(u/2,T) + mu(u/2,S); lower: -mu~((1-u)/2,T) - mu~((1-u)/2,S),
-    with the left-continuous versions on the lower side.  Both are emitted as
-    rows with margin = bound - quantity, the lower side negated.
+    where mu~ is the left limit of mu.  Both are emitted as rows with
+    margin = bound - quantity, the lower side negated.
     """
     prod = op_exp(t_op).matmul(op_exp(s_op))
     logmu = GridFn(np.log(prod.singular_values))
     mu_t, mu_s = mu_matrix(t_op), mu_matrix(s_op)
-    mu_t_left = left_continuous_version(mu_t)
-    mu_s_left = left_continuous_version(mu_s)
     us = np.array(_midpoint_ts(n, 1.0) + _boundary_ts(n, 1.0))
     q_hi = logmu.values_at(us)
     b_hi = mu_t.values_at(us / 2) + mu_s.values_at(us / 2)
-    b_lo = mu_t_left.values_at((1.0 - us) / 2) + mu_s_left.values_at((1.0 - us) / 2)
+    vs = (1.0 - us) / 2
+    b_lo = mu_t.values_at(vs, left=True) + mu_s.values_at(vs, left=True)
     # each u gives its upper row, then its lower row
     return (np.repeat(us, 2), np.column_stack((q_hi, -q_hi)).ravel(),
             np.column_stack((b_hi, b_lo)).ravel())

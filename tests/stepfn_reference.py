@@ -2,8 +2,8 @@
 
 ``integrate_reference`` is the per-cell loop that ``stepfn.integrate`` used
 before it cached its full-cell terms, and ``values_at_reference`` is the
-per-point snap rule that ``GridFn.values_at`` (and through it
-``GridFn.__call__``) applies to a whole array.
+per-point snap rule, on either side of a node, that ``GridFn.values_at``
+(and through it ``GridFn.__call__``) applies to a whole array.
 ``rows_reference`` builds check rows one scalar ``_ok`` at a time, the way
 the suites did before they computed margins over arrays.
 ``signed_eval_reference`` is the clip, rearrange and subtract formula that
@@ -41,7 +41,7 @@ def integrate_reference(f, a, b):
     return math.fsum(terms)
 
 
-def values_at_reference(f, ts):
+def values_at_reference(f, ts, left=False):
     out = []
     for t in ts:
         t = float(t)
@@ -51,7 +51,7 @@ def values_at_reference(f, ts):
         x = t * n
         k = round(x)
         if abs(x - k) <= _SNAP and 1 <= k <= n - 1:
-            idx = k if f.convention == "right" else k - 1
+            idx = k - 1 if left else k
         else:
             idx = min(int(math.floor(x)), n - 1)
         out.append(float(f.values[idx]))

@@ -405,11 +405,13 @@ _OVERFLOW = "error: the determinant overflows the float range\n"
 
 
 @pytest.mark.parametrize("eps", [[], ["--eps-compare"]])
-def test_det_overflowing_matrix_determinant_exits_1(capsys, tmp_path, eps):
-    # exp(1000 log 3) is past the float range
+@pytest.mark.parametrize("c", ["1000", "1.7e308"])
+def test_det_overflowing_matrix_determinant_exits_1(capsys, tmp_path, eps, c):
+    # exp(1000 log 3) is past the float range; 1.7e308 log 3 is itself inf,
+    # which once printed "value": Infinity
     path = tmp_path / "three.mat"
     save_matrix(identity(3) * 3.0, str(path))
-    code, out, err = _run(capsys, ["det", "--input", str(path), "--trace", "integral:1000"] + eps)
+    code, out, err = _run(capsys, ["det", "--input", str(path), "--trace", f"integral:{c}"] + eps)
     assert (code, out, err) == (1, "", _OVERFLOW)
 
 

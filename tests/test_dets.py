@@ -68,6 +68,27 @@ def test_det_below_the_float_range_refuses():
     assert det_phi_with_branch(x, integral_trace(700.0), space_lp(1.0)) == (math.exp(-700.0), 1)
 
 
+@pytest.mark.parametrize("values, error, message", [
+    ([1e300], OverflowError, "^the determinant overflows the float range$"),
+    ([1e-300], FloatingPointError, "^the determinant underflows the float range$"),
+    ([1e300, 1e-300], FloatingPointError, "^the log of the determinant is not a number$"),
+])
+def test_det_refuses_a_log_determinant_the_trace_overflows(values, error, message):
+    # 1e306 * log(1e300) is past the float range, so the trace gives +-inf or
+    # inf - inf = nan: neither is a determinant
+    with pytest.raises(error, match=message):
+        det_phi_with_branch(GridFn(values), integral_trace(1e306))
+
+
+def test_eps_value_with_a_non_finite_log():
+    assert dets._exp_eps(-math.inf, 0.0625) == 0.0
+    with pytest.raises(OverflowError, match=r"^the value shifted by eps = 0\.0625 overflows"):
+        dets._exp_eps(math.inf, 0.0625)
+    with pytest.raises(FloatingPointError,
+                       match=r"^the log of the value shifted by eps = 0\.0625 is not a number$"):
+        dets._exp_eps(math.nan, 0.0625)
+
+
 def test_det_matrix_against_slogdet_oracle():
     for n, seed in [(9, 50 + k) for k in range(6)] + [(10, k) for k in range(8)]:
         a = ginibre(seed, n)

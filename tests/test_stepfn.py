@@ -1,4 +1,4 @@
-"""Step function layer: grids, conventions, exact integrals, transforms."""
+"""Step function layer: grids, one-sided limits, exact integrals, transforms."""
 
 import math
 
@@ -12,7 +12,6 @@ from specdet.stepfn import (
     decreasing_rearrangement,
     dilate2,
     integrate,
-    left_continuous_version,
     psi_eval,
 )
 
@@ -28,8 +27,6 @@ def test_gridfn_rejects_bad_shapes():
         GridFn([1.0, math.nan])
     with pytest.raises(ValueError):
         GridFn([1.0, math.inf])
-    with pytest.raises(ValueError):
-        GridFn([1.0], convention="middle")
 
 
 def test_gridfn_values_are_read_only():
@@ -50,7 +47,7 @@ def test_monotone_rejects_increasing():
         MonotoneStepFn([1.0, 2.0])
 
 
-# ---- evaluation conventions ----
+# ---- evaluation and one-sided limits ----
 
 def test_call_interior_points():
     f = GridFn([3.0, 2.0, 1.0])
@@ -73,17 +70,10 @@ def test_right_convention_at_nodes():
 
 
 def test_left_convention_at_nodes():
-    g = left_continuous_version(GridFn([3.0, 2.0, 1.0]))
-    assert g.convention == "left"
-    assert g(1.0 / 3.0) == 3.0
-    assert g(2.0 / 3.0) == 2.0
+    g = GridFn([3.0, 2.0, 1.0])
+    assert g.values_at([1.0 / 3.0, 2.0 / 3.0], left=True).tolist() == [3.0, 2.0]
     # interior points are unaffected by the flag
-    assert g(0.5) == 2.0
-
-
-def test_left_continuous_version_preserves_type():
-    m = MonotoneStepFn([2.0, 1.0])
-    assert isinstance(left_continuous_version(m), MonotoneStepFn)
+    assert g.values_at([0.5], left=True).tolist() == [2.0]
 
 
 def test_node_snap_window():
@@ -120,13 +110,6 @@ def test_monotone_difference_is_plain_gridfn():
     d = a - b
     assert type(d) is GridFn
     assert np.array_equal(d.values, [0.0, 1.0])
-
-
-def test_mixed_convention_result_is_right():
-    f = GridFn([1.0], convention="left")
-    g = GridFn([2.0], convention="right")
-    assert (f + g).convention == "right"
-    assert (f + f).convention == "left"
 
 
 def test_refinement_cell_cap():

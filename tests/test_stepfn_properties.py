@@ -2,7 +2,7 @@
 
 ``integrate`` must return the bits of the per-cell reference loop and
 ``GridFn.values_at`` the values of per-point ``__call__``, on grids of 1 to
-512 cells under both conventions.  Points are drawn where the rules can
+512 cells, on both sides of a node.  Points are drawn where the rules can
 drift apart: on nodes, one ulp either side of a node, at midpoints and
 quarter points (k/(2n)), at the edges of the node snap window, and at random.
 A trace on a signed grid must return the bits (or the refusal) of the clip,
@@ -60,8 +60,7 @@ def _grids(draw, max_cells=512):
     n = draw(st.integers(1, max_cells))
     kind = draw(st.sampled_from(("normal", "integers", "zeros")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    convention = draw(st.sampled_from(("right", "left")))
-    return GridFn(_values(rng, n, kind), convention)
+    return GridFn(_values(rng, n, kind))
 
 
 @st.composite
@@ -108,9 +107,11 @@ def test_integrate_matches_reference_on_all_structured_pairs():
 @given(_grid_and_points())
 def test_values_at_matches_pointwise_calls(case):
     f, ts = case
-    batched = f.values_at(ts)
-    assert batched.dtype == np.float64 and batched.shape == (len(ts),)
-    assert [v.hex() for v in batched.tolist()] == [v.hex() for v in values_at_reference(f, ts)]
+    for left in (False, True):
+        batched = f.values_at(ts, left=left)
+        assert batched.dtype == np.float64 and batched.shape == (len(ts),)
+        expected = values_at_reference(f, ts, left=left)
+        assert [v.hex() for v in batched.tolist()] == [v.hex() for v in expected], left
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, math.nan])

@@ -12,6 +12,7 @@ from specdet.matmodel import MatrixOperator, ginibre, haar_unitary, hermitian_ga
 from specdet.spaces import (
     DivergenceError,
     PowerTail,
+    PsiFn,
     QuadratureError,
     SpectralProfile,
     parse_profile_spec,
@@ -91,6 +92,18 @@ def test_trace_functional_validation():
         integral_trace(math.inf)
     with pytest.raises(ValueError):
         TraceFunctional(kind="singular", psi=None)
+
+
+@pytest.mark.parametrize("psi, message", [
+    (PsiFn("neg", lambda t: -1.0), "must be finite and positive"),
+    (PsiFn("convex", lambda t: t * t), "must be concave"),
+])
+def test_singular_trace_audits_its_psi(psi, message):
+    # an unaudited negative psi made the "positive" trace of [1, 0.5] negative
+    with pytest.raises(ValueError, match=message):
+        singular_trace(psi)
+    with pytest.raises(ValueError, match=message):
+        TraceFunctional("singular", psi=psi)
 
 
 def test_trace_names():
