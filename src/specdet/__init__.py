@@ -1,90 +1,7 @@
 """Step-function calculus for singular values, symmetric function spaces,
-traces, and generalized determinants, with a seeded verification harness."""
+traces, and generalized determinants, with a seeded verification harness.
 
-from .stepfn import (
-    GridFn,
-    MonotoneStepFn,
-    decreasing_rearrangement,
-    dilate2,
-    integrate,
-    psi_eval,
-    signed_parts,
-)
-from .matmodel import (
-    MatrixOperator,
-    functional_calculus,
-    ginibre,
-    haar_unitary,
-    hermitian_gaussian,
-    identity,
-    lambda_matrix,
-    load_matrix,
-    mu_matrix,
-    neg_part,
-    op_exp,
-    pos_part,
-    save_matrix,
-)
-from .spaces import (
-    BOUNDED,
-    SUPERPOWER,
-    DivergenceError,
-    Membership,
-    MembershipUndecidableError,
-    PowerTail,
-    PsiFn,
-    QuadratureError,
-    SpectralProfile,
-    SymmetricSpace,
-    constant_profile,
-    elog_membership,
-    exp_flip_profile,
-    membership,
-    parse_profile_spec,
-    parse_space,
-    power_profile,
-    profile_integral,
-    projection_profile,
-    psi_log,
-    psi_prime_profile,
-    scale_profile,
-    space_linf,
-    space_llog,
-    space_lp,
-    space_marcinkiewicz,
-)
-from .traces import (
-    NonConvergentError,
-    TraceFunctional,
-    eval_functional,
-    eval_on_operator,
-    integral_trace,
-    parse_trace,
-    singular_trace,
-)
-from .dets import (
-    DetDomainError,
-    EpsComparison,
-    MultiplicativityReport,
-    UnsupportedProfileError,
-    WitnessReport,
-    det_multiplicativity_check,
-    det_phi,
-    det_phi_with_branch,
-    eps_limit_comparison,
-    separating_witness_scenario,
-)
-from .verify import (
-    DEFAULT_TOLERANCES,
-    SUITE_NAMES,
-    CheckReport,
-    CheckRow,
-    SuiteConfig,
-    SuiteResult,
-    result_to_json,
-    rows_to_csv,
-    run_check,
-    run_suite,
-)
+Each layer module (specdet.stepfn, ..., specdet.verify) declares its public
+names in its own __all__; importing specdet itself loads no layer."""
 
 __version__ = "0.1.0"

@@ -117,14 +117,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _load_det_input(text: str):
     if "=" in text:
-        return parse_profile_spec(text), text
+        return parse_profile_spec(text)
     if not os.path.exists(text):
         raise FileNotFoundError(f"matrix file {text!r} does not exist")
-    return load_matrix(text), text
+    return load_matrix(text)
 
 
 def cmd_det(args: argparse.Namespace) -> int:
-    x, desc = _load_det_input(args.input)
+    x = _load_det_input(args.input)
     phi = parse_trace(args.trace)
     space = parse_space(args.space)
     if args.eps_compare:
@@ -133,7 +133,7 @@ def cmd_det(args: argparse.Namespace) -> int:
     else:
         value, branch = det_phi_with_branch(x, phi, space)
     report = {
-        "input": desc,
+        "input": args.input,
         "trace": phi.name,
         "space": space.name,
         "branch": branch,

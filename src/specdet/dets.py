@@ -26,7 +26,7 @@ returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -199,11 +199,11 @@ class EpsComparison:
 
     det_value: float
     branch: int
-    epsilons: List[float] = field(default_factory=list)
-    values: List[float] = field(default_factory=list)
-    limit: Optional[float] = None
-    converged: bool = False
-    agree: Optional[bool] = None
+    epsilons: List[float]
+    values: List[float]
+    limit: Optional[float]
+    converged: bool
+    agree: Optional[bool]
 
 
 def _eps_term_profile(x: SpectralProfile, read: Callable[[float], float],

@@ -242,7 +242,7 @@ class SpectralProfile:
     log+ evaluator and log- evaluator, ready for trace evaluation.
     rescale, when registered, maps k > 0 to the closed form of k * profile
     (the profile's own constructor at the multiplied parameter); scale_profile
-    returns it in place of the generic scaled profile.
+    returns it and refuses a profile that registers none.
     """
 
     name: str
@@ -388,18 +388,9 @@ def scale_profile(p: SpectralProfile, c: float) -> SpectralProfile:
         raise ValueError("scaling constant must be positive")
     if c == 1.0:
         return p
-    if p.rescale is not None:
-        return p.rescale(c)
-    anti = None
-    if p.antiderivative is not None:
-        anti = lambda t, _f=p.antiderivative, _c=c: _c * _f(t)
-    return SpectralProfile(
-        name=f"{c:g}*{p.name}",
-        evaluator=lambda t, _f=p.evaluator, _c=c: _c * _f(t),
-        tail_at_0=p.tail_at_0,
-        kernel_mass=p.kernel_mass,
-        antiderivative=anti,
-    )
+    if p.rescale is None:
+        raise ValueError(f"profile {p.name!r} registers no rescale")
+    return p.rescale(c)
 
 
 def exp_flip_profile(base: SpectralProfile, c: float = 1.0,

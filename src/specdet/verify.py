@@ -49,7 +49,6 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "run_check",
     "run_suite",
-    "thread_count",
     "rows_to_csv",
     "result_to_json",
 ]
@@ -403,7 +402,7 @@ def run_check(name: str, n: int, master_seed: int, trial: int, tol: float) -> Li
     return _rows(name, seeds[0], trial, n, tol, ts, quantities, bounds)
 
 
-def thread_count() -> int:
+def _thread_count() -> int:
     """Worker threads from ``SPECDET_THREADS`` (default 1); ValueError unless an integer >= 1."""
     raw = os.environ.get("SPECDET_THREADS", "1")
     try:
@@ -425,7 +424,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
         rows = run_check(name, config.n, config.seed, trial, config.tolerance(name))
         return rows, (time.perf_counter() - start) * 1000.0
 
-    workers = min(thread_count(), max(1, len(jobs)))
+    workers = min(_thread_count(), max(1, len(jobs)))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_one, jobs))

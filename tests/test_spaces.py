@@ -451,7 +451,6 @@ _EXACT_PROFILES = [
     pytest.param(power_profile(0.5, 0.0, 3.0), id="power1"),
     pytest.param(psi_prime_profile(7.0), id="psi-prime"),
     pytest.param(projection_profile(0.25), id="projection"),
-    pytest.param(scale_profile(projection_profile(0.5), 3.0), id="scaled"),
 ]
 
 
@@ -586,12 +585,12 @@ def test_scale_profile_is_the_constructor_at_the_multiplied_parameter(p, direct,
     _assert_same_profile(scale_profile(p, k), direct(k))
 
 
-def test_scale_profile_generic_keeps_kernel():
+def test_scale_profile_refuses_a_profile_without_rescale():
     p = projection_profile(0.25)
-    q = scale_profile(p, 5.0)
-    assert q.kernel_mass == 0.25
-    assert q(0.5) == 5.0
-    assert q(0.9) == 0.0
+    assert p.rescale is None
+    assert scale_profile(p, 1.0) is p
+    with pytest.raises(ValueError, match=r"profile 'projection\(kernel=0\.25\)' registers no rescale"):
+        scale_profile(p, 5.0)
 
 
 def test_projection_profile():
