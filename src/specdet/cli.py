@@ -7,8 +7,10 @@ compares against their expected constants.  Exit codes: 0 success, 1 honest
 mathematical failure (violated bound, non-convergent limit, undecidable
 membership, domain refusal, a LAPACK decomposition that fails, a
 determinant or an eps-shifted value past the float range), 2 usage errors.
-`main` is the one place that maps a failure to its exit code; each refusal
-carries its own message, written where it is raised.
+`main` is the one place that maps a failure to its exit code: exit 1 is a
+spaces.Refusal, which every refusal class of the library subclasses, or
+LinAlgError, OverflowError or FloatingPointError.  Each refusal carries its
+own message, written where it is raised.
 """
 
 from __future__ import annotations
@@ -23,18 +25,10 @@ from typing import Dict, List, Optional
 
 from numpy.linalg import LinAlgError
 
-from .dets import (
-    DetDomainError,
-    UnsupportedProfileError,
-    det_phi_with_branch,
-    eps_limit_comparison,
-    separating_witness_scenario,
-)
+from .dets import det_phi_with_branch, eps_limit_comparison, separating_witness_scenario
 from .matmodel import load_matrix
 from .spaces import (
-    DivergenceError,
-    MembershipUndecidableError,
-    QuadratureError,
+    Refusal,
     parse_profile_spec,
     parse_space,
     power_profile,
@@ -42,7 +36,7 @@ from .spaces import (
     space_lp,
     space_marcinkiewicz,
 )
-from .traces import NonConvergentError, parse_trace, singular_trace
+from .traces import parse_trace, singular_trace
 from .verify import (
     SUITE_NAMES,
     SuiteConfig,
@@ -51,17 +45,7 @@ from .verify import (
     run_suite,
 )
 
-_MATH_ERRORS = (
-    DetDomainError,
-    MembershipUndecidableError,
-    NonConvergentError,
-    UnsupportedProfileError,
-    DivergenceError,
-    QuadratureError,
-    LinAlgError,
-    OverflowError,
-    FloatingPointError,
-)
+_MATH_ERRORS = (Refusal, LinAlgError, OverflowError, FloatingPointError)
 
 EXAMPLE_NAMES = ("ex-3-4-invertible", "ex-3-4-projection", "prop-3-2")
 
@@ -255,7 +239,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0
-    # _MATH_ERRORS first: most of its classes subclass ValueError
+    # _MATH_ERRORS first: most refusals subclass ValueError
     try:
         return args.func(args)
     except _MATH_ERRORS as exc:

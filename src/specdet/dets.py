@@ -37,6 +37,7 @@ from .spaces import (
     SUPERPOWER,
     Membership,
     MembershipUndecidableError,
+    Refusal,
     SpectralProfile,
     SymmetricSpace,
     _tail_rule,
@@ -74,11 +75,11 @@ _EPS_AGREE_TOL = 1e-6
 _PHI1 = integral_trace(1.0)
 
 
-class DetDomainError(ValueError):
+class DetDomainError(Refusal, ValueError):
     """The input is outside the determinant domain for the given space."""
 
 
-class UnsupportedProfileError(ValueError):
+class UnsupportedProfileError(Refusal, ValueError):
     """The profile lacks the registered data needed for an exact answer."""
 
 
@@ -269,14 +270,9 @@ def eps_limit_comparison(x, phi: TraceFunctional,
     det_value, branch = det_phi_with_branch(x, phi, space)
     epsilons = [2.0 ** (-k) for k in range(_EPS_K_MIN, _EPS_K_MAX + 1)]
     if isinstance(x, SpectralProfile):
-        base = x
-        if x.tail_at_0 == SUPERPOWER:
-            if x.log_plus is None:
-                raise UnsupportedProfileError(
-                    f"profile {x.name!r} grows too fast for direct shifted logs and "
-                    "has no registered log+"
-                )
-            base = x.log_plus
+        # det_phi_with_branch admitted x, so a superpower x has a registered
+        # log+: no log+ rule has a superpower cell
+        base = x.log_plus if x.tail_at_0 == SUPERPOWER else x
         # evaluators are pure, so a memo hit is the float a call would
         # return; the memo is this call's alone
         seen: Dict[float, float] = {}

@@ -31,6 +31,7 @@ from .stepfn import GridFn
 
 __all__ = [
     "Membership",
+    "Refusal",
     "DivergenceError",
     "MembershipUndecidableError",
     "QuadratureError",
@@ -82,15 +83,23 @@ class Membership(enum.Enum):
     UNDECIDABLE = "undecidable"
 
 
-class DivergenceError(ValueError):
+class Refusal(Exception):
+    """A computation declines to give a value it cannot certify.
+
+    The first base of every refusal class of the library; the command line
+    maps each Refusal to exit 1.
+    """
+
+
+class DivergenceError(Refusal, ValueError):
     """An integral required by a functional is infinite."""
 
 
-class MembershipUndecidableError(ValueError):
+class MembershipUndecidableError(Refusal, ValueError):
     """No registered rule decides the membership question; refusing to guess."""
 
 
-class QuadratureError(ValueError):
+class QuadratureError(Refusal, ValueError):
     """Adaptive quadrature warned that its value may be inaccurate."""
 
 
@@ -105,10 +114,22 @@ def _exp(x: float) -> float:
 
 @dataclass(frozen=True)
 class PsiFn:
-    """Concave increasing parameter function with psi(0+) = 0."""
+    """Concave increasing parameter function with psi(0+) = 0, audited when made."""
 
     name: str
     fn: Callable[[float], float]
+
+    def __post_init__(self):
+        vals = np.array([self.fn(t) for t in _PSI_GRID])
+        if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
+            raise ValueError(f"psi {self.name!r} must be finite and positive on (0, 1)")
+        if np.any(np.diff(vals) <= 0.0):
+            raise ValueError(f"psi {self.name!r} must be strictly increasing")
+        slopes = np.diff(vals) / np.diff(_PSI_GRID)
+        if np.any(np.diff(slopes) > 1e-12 * slopes[:-1]):
+            raise ValueError(f"psi {self.name!r} must be concave")
+        if self.fn(1e-300) > 0.05 * self.fn(0.5):
+            raise ValueError(f"psi {self.name!r} does not approach 0 at the origin")
 
     def __call__(self, t: float) -> float:
         return self.fn(t)
@@ -124,19 +145,6 @@ def psi_log() -> PsiFn:
     another PsiFn that merely carries the name does not inherit them.
     """
     return _PSI_LOG
-
-
-def _audit_psi(psi: PsiFn) -> None:
-    vals = np.array([psi(t) for t in _PSI_GRID])
-    if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-        raise ValueError(f"psi {psi.name!r} must be finite and positive on (0, 1)")
-    if np.any(np.diff(vals) <= 0.0):
-        raise ValueError(f"psi {psi.name!r} must be strictly increasing")
-    slopes = np.diff(vals) / np.diff(_PSI_GRID)
-    if np.any(np.diff(slopes) > 1e-12 * slopes[:-1]):
-        raise ValueError(f"psi {psi.name!r} must be concave")
-    if psi(1e-300) > 0.05 * psi(0.5):
-        raise ValueError(f"psi {psi.name!r} does not approach 0 at the origin")
 
 
 # ---- spaces ----
@@ -177,9 +185,7 @@ def space_llog() -> SymmetricSpace:
 
 
 def space_marcinkiewicz(psi: Optional[PsiFn] = None) -> SymmetricSpace:
-    psi = psi or psi_log()
-    _audit_psi(psi)
-    return SymmetricSpace("marcinkiewicz", psi=psi)
+    return SymmetricSpace("marcinkiewicz", psi=psi or psi_log())
 
 
 def parse_space(text: str) -> SymmetricSpace:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .stepfn import GridFn, integrate, signed_parts
 from .matmodel import MatrixOperator, lambda_matrix
-from .spaces import PsiFn, SpectralProfile, _audit_psi, profile_integral, psi_log
+from .spaces import PsiFn, Refusal, SpectralProfile, profile_integral, psi_log
 
 __all__ = [
     "TraceFunctional",
@@ -44,7 +44,7 @@ _K_MAX = 40
 _DELTA_CONV = 1e-6
 
 
-class NonConvergentError(ArithmeticError):
+class NonConvergentError(Refusal, ArithmeticError):
     """The dyadic extrapolation did not stabilize; carries the sampled tail."""
 
     def __init__(self, message: str, values: Sequence[float]):
@@ -54,7 +54,7 @@ class NonConvergentError(ArithmeticError):
 
 @dataclass(frozen=True)
 class TraceFunctional:
-    """kind 'integral' (weight c >= 0) or 'singular' (Marcinkiewicz limit for an audited psi)."""
+    """kind 'integral' (weight c >= 0) or 'singular' (Marcinkiewicz limit for a PsiFn)."""
 
     kind: str
     c: float = 1.0
@@ -65,10 +65,9 @@ class TraceFunctional:
             raise ValueError(f"unknown trace kind {self.kind!r}")
         if self.kind == "integral" and not (self.c >= 0.0 and math.isfinite(self.c)):
             raise ValueError("integral trace weight must be finite and nonnegative")
-        if self.kind == "singular":
-            if self.psi is None:
-                raise ValueError("singular trace needs a psi function")
-            _audit_psi(self.psi)
+        # a PsiFn audited itself when it was made
+        if self.kind == "singular" and not isinstance(self.psi, PsiFn):
+            raise ValueError("singular trace needs a psi function")
 
     @property
     def name(self) -> str:

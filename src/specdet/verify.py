@@ -212,17 +212,18 @@ def _check_product_log_pointwise(n, t_op, s_op):
     """Two-sided pointwise bound on log mu(u, e^T e^S) for every u in (0,1).
 
     Upper: mu(u/2,T) + mu(u/2,S); lower: -mu~((1-u)/2,T) - mu~((1-u)/2,S),
-    where mu~ is the left limit of mu.  Both are emitted as rows with
-    margin = bound - quantity, the lower side negated.
+    where mu~ is the left limit of mu.  Both read the dilations D2 mu of
+    stepfn.dilate2, (D2 mu)(u) = mu(u/2), at u and (left limit) at 1-u.  Both
+    are emitted as rows with margin = bound - quantity, the lower side negated.
     """
     prod = op_exp(t_op).matmul(op_exp(s_op))
     logmu = GridFn(np.log(prod.singular_values))
-    mu_t, mu_s = mu_matrix(t_op), mu_matrix(s_op)
+    d_t, d_s = dilate2(mu_matrix(t_op)), dilate2(mu_matrix(s_op))
     us = np.array(_midpoint_ts(n, 1.0) + _boundary_ts(n, 1.0))
     q_hi = logmu.values_at(us)
-    b_hi = mu_t.values_at(us / 2) + mu_s.values_at(us / 2)
-    vs = (1.0 - us) / 2
-    b_lo = mu_t.values_at(vs, left=True) + mu_s.values_at(vs, left=True)
+    b_hi = d_t.values_at(us) + d_s.values_at(us)
+    vs = 1.0 - us
+    b_lo = d_t.values_at(vs, left=True) + d_s.values_at(vs, left=True)
     # each u gives its upper row, then its lower row
     return (np.repeat(us, 2), np.column_stack((q_hi, -q_hi)).ravel(),
             np.column_stack((b_hi, b_lo)).ravel())

@@ -10,9 +10,16 @@ import numpy as np
 import pytest
 
 import specdet
-from specdet import matmodel, spaces
-from specdet.cli import _MATH_ERRORS, _build_parser, main
+from specdet import dets, matmodel, spaces, traces
+from specdet.cli import _build_parser, main
+from specdet.dets import DetDomainError, UnsupportedProfileError
 from specdet.matmodel import MatrixOperator, identity, save_matrix
+from specdet.spaces import (
+    DivergenceError,
+    MembershipUndecidableError,
+    QuadratureError,
+    Refusal,
+)
 from specdet.traces import NonConvergentError
 from specdet.verify import SUITE_NAMES
 
@@ -560,7 +567,22 @@ def _refusal(cls):
     return cls("refused here", [0.0]) if cls is NonConvergentError else cls("refused here")
 
 
-@pytest.mark.parametrize("cls, code", [(c, 1) for c in _MATH_ERRORS]
+# the classes that exit 1, listed one by one so that a class dropped from
+# cli._MATH_ERRORS fails here
+_EXIT_1 = (
+    DetDomainError,
+    MembershipUndecidableError,
+    NonConvergentError,
+    UnsupportedProfileError,
+    DivergenceError,
+    QuadratureError,
+    np.linalg.LinAlgError,
+    OverflowError,
+    FloatingPointError,
+)
+
+
+@pytest.mark.parametrize("cls, code", [(c, 1) for c in _EXIT_1]
                          + [(ValueError, 2), (OSError, 2)],
                          ids=lambda v: getattr(v, "__name__", str(v)))
 @pytest.mark.parametrize("command", list(_COMPUTATIONS))
@@ -575,6 +597,37 @@ def test_main_maps_each_failure_class_to_its_exit_code(capsys, monkeypatch, comm
     monkeypatch.setattr(cli, name, computation)
     got, out, err = _run(capsys, argv)
     assert (got, out, err) == (code, "", "error: refused here\n")
+
+
+# every exception class the library layers define
+_LIBRARY_EXCEPTIONS = [
+    obj for mod in (spaces, traces, dets) for obj in vars(mod).values()
+    if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == mod.__name__
+]
+
+
+def test_the_library_defines_the_six_refusals():
+    assert sorted(c.__name__ for c in _LIBRARY_EXCEPTIONS) == [
+        "DetDomainError", "DivergenceError", "MembershipUndecidableError",
+        "NonConvergentError", "QuadratureError", "Refusal", "UnsupportedProfileError",
+    ]
+    # each keeps its builtin base, so callers catching that still catch it
+    assert issubclass(NonConvergentError, ArithmeticError)
+    assert all(issubclass(c, ValueError) for c in _LIBRARY_EXCEPTIONS
+               if c not in (Refusal, NonConvergentError))
+
+
+@pytest.mark.parametrize("cls", _LIBRARY_EXCEPTIONS, ids=lambda c: c.__name__)
+def test_every_library_exception_is_a_refusal_that_exits_1(capsys, monkeypatch, cls):
+    from specdet import cli
+
+    assert issubclass(cls, Refusal)
+
+    def computation(*args, **kwargs):
+        raise _refusal(cls)
+
+    monkeypatch.setattr(cli, "det_phi_with_branch", computation)
+    assert _run(capsys, _COMPUTATIONS["det"][0]) == (1, "", "error: refused here\n")
 
 
 def test_main_leaves_a_program_bug_loud(capsys, monkeypatch):

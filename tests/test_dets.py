@@ -359,6 +359,22 @@ def test_eps_comparison_projection_integral_trace_refuses():
     assert cmp.values[-1] < 1e-3
 
 
+@pytest.mark.parametrize("kernel", [0.0, 0.5])
+@pytest.mark.parametrize("trace", ["integral:1", "singular:psi-log"])
+@pytest.mark.parametrize("space", ["L1", "L2", "Lp:0.5", "Linf", "Llog", "marcinkiewicz"])
+def test_eps_comparison_refuses_a_superpower_without_log_plus_at_entry(kernel, trace, space):
+    # no log+ rule has a superpower cell, so such a profile is refused at
+    # domain entry, before any shifted value reads its missing log+
+    x = SpectralProfile(
+        name="exp(1/t)",
+        evaluator=lambda t: math.exp(1.0 / t) if t < 1.0 - kernel else 0.0,
+        tail_at_0=SUPERPOWER,
+        kernel_mass=kernel,
+    )
+    with pytest.raises(MembershipUndecidableError, match="cannot certify log\\+ membership"):
+        eps_limit_comparison(x, parse_trace(trace), parse_space(space))
+
+
 def test_eps_values_below_the_float_range_read_zero():
     # the shifted values are no determinants: they may underflow to 0.0 and
     # the sequence still reports, while the exact value takes the kernel branch

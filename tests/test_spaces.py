@@ -43,6 +43,7 @@ from specdet.spaces import (
     space_marcinkiewicz,
 )
 from specdet.stepfn import GridFn
+from specdet.traces import singular_trace
 from spaces_reference import audit_profile_reference
 
 
@@ -246,10 +247,16 @@ def test_audit_evaluates_the_geomspace_grid():
                     tail_at_0=SUPERPOWER)
     assert seen == list(np.geomspace(1e-2, 1.0 - 1e-9, 64))
     seen.clear()
-    space_marcinkiewicz(PsiFn("rec", _recording(math.sqrt, seen)))
+    psi = PsiFn("rec", _recording(math.sqrt, seen))
     # 64 grid points, then the probes near the origin and at 1/2
     assert seen == list(np.geomspace(1e-15, 1.0 - 1e-6, 64)) + [1e-300, 0.5]
     assert all(type(t) is float for t in seen)
+    # a PsiFn is audited once, when it is made: the space and the trace
+    # built on it evaluate it no further
+    seen.clear()
+    space_marcinkiewicz(psi)
+    singular_trace(psi)
+    assert seen == []
 
 
 def test_audit_allows_overflow_only_for_superpower_tails():

@@ -92,18 +92,22 @@ def test_trace_functional_validation():
         integral_trace(math.inf)
     with pytest.raises(ValueError):
         TraceFunctional(kind="singular", psi=None)
+    # a bare callable has passed no audit
+    with pytest.raises(ValueError, match="needs a psi function"):
+        TraceFunctional(kind="singular", psi=math.sqrt)
 
 
-@pytest.mark.parametrize("psi, message", [
-    (PsiFn("neg", lambda t: -1.0), "must be finite and positive"),
-    (PsiFn("convex", lambda t: t * t), "must be concave"),
+@pytest.mark.parametrize("name, fn, message", [
+    ("neg", lambda t: -1.0, "must be finite and positive"),
+    ("convex", lambda t: t * t, "must be concave"),
 ])
-def test_singular_trace_audits_its_psi(psi, message):
-    # an unaudited negative psi made the "positive" trace of [1, 0.5] negative
+def test_singular_trace_audits_its_psi(name, fn, message):
+    # an unaudited negative psi made the "positive" trace of [1, 0.5] negative;
+    # the PsiFn refuses when it is made, before any trace can take it
     with pytest.raises(ValueError, match=message):
-        singular_trace(psi)
+        singular_trace(PsiFn(name, fn))
     with pytest.raises(ValueError, match=message):
-        TraceFunctional("singular", psi=psi)
+        TraceFunctional("singular", psi=PsiFn(name, fn))
 
 
 def test_trace_names():
