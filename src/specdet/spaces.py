@@ -12,16 +12,22 @@ Grid functions are bounded, and every nonzero symmetric space contains the
 bounded functions, so they are always members.
 
 A profile integral is exact through a registered antiderivative; otherwise
-adaptive quadrature computes it and a quadrature warning is a refusal.  scipy
-supplies that quadrature and is imported lazily, on the first call of quad, so
-a process whose profiles all have antiderivatives (and every matrix or verify
-run) never loads it.
+adaptive quadrature computes it and a quadrature warning is a refusal.  That
+quadrature is QUADPACK's qagse from scipy's compiled _quadpack extension,
+loaded by itself on the first call of quad, never through scipy.integrate; a
+process whose profiles all have antiderivatives (and every matrix or verify
+run) loads no scipy module at all.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -348,6 +354,8 @@ def power_profile(a: float, b: float = 0.0, scale: float = 1.0) -> SpectralProfi
         raise ValueError("a must be nonnegative (profiles are nonincreasing)")
     if scale <= 0.0:
         raise ValueError("scale must be positive")
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}")
     if a == 0.0 and b < 0.0:
         raise ValueError("a = 0 with b < 0 is increasing near 1")
     m = 1.0 if b == 0.0 or a == 0.0 else max(1.0, abs(b) / a)
@@ -378,6 +386,8 @@ def psi_prime_profile(scale: float = 1.0) -> SpectralProfile:
     scale = float(scale)
     if scale <= 0.0:
         raise ValueError("scale must be positive")
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}")
     return SpectralProfile(
         name=f"psi-prime(x{scale:g})" if scale != 1.0 else "psi-prime",
         evaluator=lambda t, _s=scale: _s / (t * (2.0 - math.log(t)) ** 2),
@@ -410,6 +420,8 @@ def exp_flip_profile(base: SpectralProfile, c: float = 1.0,
     |c|*base for c < 0.
     """
     c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c!r}")
     if base.kernel_mass > 0.0:
         raise ValueError("exp-flip base must be strictly positive (no kernel)")
     if c == 0.0:
@@ -516,13 +528,84 @@ def parse_profile_spec(line: str) -> SpectralProfile:
 
 # ---- integrals of profiles ----
 
-def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on the first call: importing scipy costs
-    more than the rest of the package together.  A module-level function, so
-    callers and instrumentation can rebind spaces.quad."""
-    from scipy.integrate import quad as scipy_quad
+# scipy.integrate.quad's text for each QUADPACK warning code (scipy 1.17), so
+# a refusal reads the same as when quad came from scipy.integrate
+_QUADPACK_WARNINGS = {
+    1: "The maximum number of subdivisions ({limit}) has been achieved.\n  "
+       "If increasing the limit yields no improvement it is advised to "
+       "analyze \n  the integrand in order to determine the difficulties.  "
+       "If the position of a \n  local difficulty can be determined "
+       "(singularity, discontinuity) one will \n  probably gain from "
+       "splitting up the interval and calling the integrator \n  on the "
+       "subranges.  Perhaps a special-purpose integrator should be used.",
+    2: "The occurrence of roundoff error is detected, which prevents \n  "
+       "the requested tolerance from being achieved.  "
+       "The error may be \n  underestimated.",
+    3: "Extremely bad integrand behavior occurs at some points of the\n  "
+       "integration interval.",
+    4: "The algorithm does not converge.  Roundoff error is detected\n  "
+       "in the extrapolation table.  It is assumed that the requested "
+       "tolerance\n  cannot be achieved, and that the returned result "
+       "(if full_output = 1) is \n  the best which can be obtained.",
+    5: "The integral is probably divergent, or slowly convergent.",
+    7: "Abnormal termination of the routine.  The estimates for result\n  "
+       "and error are less reliable.  It is assumed that the requested "
+       "accuracy\n  has not been achieved.",
+}
 
-    return scipy_quad(func, a, b, **kwargs)
+
+@functools.cache
+def _qagse():
+    """QUADPACK's qagse from scipy's _quadpack extension, loaded by file path.
+
+    Importing scipy.integrate runs its __init__, which loads the ODE solvers,
+    sparse, linalg, special and optimize; the extension alone loads only the
+    few scipy._lib modules of its callback support.  It is registered under
+    its own name, so a later import of scipy.integrate reuses it.
+    """
+    name = "scipy.integrate._quadpack"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ImportError("scipy is not installed", name="scipy")
+        directory = os.path.join(scipy.submodule_search_locations[0], "integrate")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "_quadpack" + suffix)
+            if os.path.isfile(path):
+                break
+        else:
+            raise ImportError(f"no QUADPACK extension _quadpack in {directory}", name=name)
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module._qagse
+
+
+def quad(func, a, b, *, epsabs, epsrel, limit, full_output=1):
+    """scipy.integrate.quad(func, a, b, ..., full_output=1) for finite a < b.
+
+    It calls _qagse(func, a, b, (), 1, epsabs, epsrel, limit) of scipy's
+    private _quadpack extension, the routine scipy.integrate.quad itself
+    calls for finite bounds without points or weight, so value and error
+    estimate are the same floats.  The private routine because importing
+    scipy.integrate costs more than the rest of the package together, and
+    the extension alone a small part of that.  Returns (value, abserr,
+    info), plus scipy's warning text as a fourth element when QUADPACK
+    warns; another error code raises ValueError, and an exception of func
+    propagates.  A module-level function, so callers and instrumentation
+    can rebind spaces.quad.
+    """
+    if full_output != 1:
+        raise ValueError("quad has scipy's full_output=1 form only")
+    out = _qagse()(func, a, b, (), 1, epsabs, epsrel, limit)
+    ier = out[-1]
+    if ier == 0:
+        return out[:-1]
+    if ier in _QUADPACK_WARNINGS:
+        return out[:-1] + (_QUADPACK_WARNINGS[ier].format(limit=limit),)
+    raise ValueError(f"QUADPACK qagse refused its input with error code {ier}")
 
 
 def profile_integral(p: SpectralProfile, lo: float, hi: float) -> float:
@@ -540,8 +623,8 @@ def profile_integral(p: SpectralProfile, lo: float, hi: float) -> float:
         return p.antiderivative(hi) - flo
     if lo == 0.0 and _tail_rule(_L1, p.tail_at_0)[0] is Membership.NOT_MEMBER:
         raise DivergenceError(f"profile {p.name!r} is not integrable near 0")
-    # full_output=1 keeps scipy from printing its warning; a fourth element,
-    # the warning message, means the value may be off by more than its estimate
+    # a fourth element, QUADPACK's warning text, means the value may be off by
+    # more than its estimate
     out = quad(p.evaluator, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200, full_output=1)
     if len(out) > 3:
         raise QuadratureError(

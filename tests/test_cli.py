@@ -713,9 +713,10 @@ def test_plain_det_after_eps_compare_has_no_eps_key(capsys):
     assert code == 0 and "eps" not in json.loads(out)
 
 
-# scipy is imported on the first quadrature only: verify, a matrix file and a
+# scipy is loaded on the first quadrature only: verify, a matrix file and a
 # profile with exact integrals (or one refused before any integral) never
-# need it; an integral of a profile without an antiderivative does
+# need it; an integral of a profile without an antiderivative loads
+# QUADPACK's extension, and scipy.integrate imported after it still works
 _SCIPY_FREE_START = """
 import json, sys
 from specdet.cli import main
@@ -754,5 +755,10 @@ def test_start_up_and_exact_runs_do_not_import_scipy(tmp_path):
     # power(0.5) registers no log split, so its det refuses (exit 1)
     assert report["codes"] == [0, 0, 1, 0]
     assert report["before"] == []
-    assert "scipy.integrate" in report["after"]
+    # the first quadrature loads QUADPACK's extension by itself, not the
+    # scipy.integrate package with its solvers and their dependencies
+    assert "scipy.integrate._quadpack" in report["after"]
+    heavy = ("scipy.integrate._quadpack_py", "scipy.integrate._ivp", "scipy.sparse", "scipy.linalg",
+             "scipy.special", "scipy.optimize")
+    assert [m for m in report["after"] for h in heavy if m == h or m.startswith(h + ".")] == []
     assert report["value"] == report["direct"]

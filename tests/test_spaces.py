@@ -5,7 +5,9 @@ numeric integrability oracle (growth of truncated integrals as the lower
 endpoint shrinks) before the symbolic answer is frozen.
 """
 
+import importlib.machinery
 import math
+import sys
 import types
 import warnings
 from dataclasses import replace
@@ -202,6 +204,25 @@ def test_power_profile_rejects_an_infinite_exponent():
     # identically 0 on (0, 1), so it must not declare the tail PowerTail(0.5, -inf)
     with pytest.raises(ValueError, match="^tail exponent b must be finite, got -inf$"):
         power_profile(0.5, -math.inf)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: power_profile(0.5, scale=math.inf), "scale must be finite, got inf", id="power-inf"),
+    pytest.param(lambda: power_profile(0.5, scale=math.nan), "scale must be finite, got nan", id="power-nan"),
+    pytest.param(lambda: psi_prime_profile(math.nan), "scale must be finite, got nan", id="psi-prime-nan"),
+    pytest.param(lambda: psi_prime_profile(math.inf), "scale must be finite, got inf", id="psi-prime-inf"),
+    pytest.param(lambda: exp_flip_profile(psi_prime_profile(), math.nan), "c must be finite, got nan",
+                 id="flip-nan"),
+    pytest.param(lambda: exp_flip_profile(psi_prime_profile(), math.inf), "c must be finite, got inf",
+                 id="flip-inf"),
+    pytest.param(lambda: exp_flip_profile(psi_prime_profile(), -math.inf), "c must be finite, got -inf",
+                 id="flip-neg-inf"),
+])
+def test_profile_constructors_name_a_non_finite_parameter(build, message):
+    # nan passes `scale <= 0.0`; without the check the audit blamed the
+    # profile's values, or the flip blamed its rescaled base
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_power_tail_accepts_the_boundary_exponents():
@@ -484,6 +505,91 @@ def test_quadrature_warning_is_a_refusal():
     with pytest.raises(QuadratureError, match=r"on \(0\.0, 9\.094947017729282e-13\) is unreliable: "
                        r"The maximum number of subdivisions \(200\) has been achieved\."):
         profile_integral(bare, 0.0, 2.0 ** -40)
+
+
+# ---- spaces.quad against scipy.integrate.quad ----
+
+_QUAD_ARGS = dict(epsabs=1e-14, epsrel=1e-10, limit=200, full_output=1)
+
+
+def _same_as_scipy(func, lo, hi, **kwargs):
+    """spaces.quad and scipy.integrate.quad agree bit for bit, warning text included."""
+    args = {**_QUAD_ARGS, **kwargs}
+    mine = spaces.quad(func, lo, hi, **args)
+    theirs = quad(func, lo, hi, **args)
+    # the info dicts hold NaN-filled arrays, which never compare equal, and
+    # nothing reads them
+    assert len(mine) == len(theirs)
+    assert [float(v).hex() for v in mine[:2]] == [float(v).hex() for v in theirs[:2]]
+    assert mine[3:] == theirs[3:]
+    return mine
+
+
+def _eps_parts(x, eps):
+    """log+(x + eps) and log-(x + eps), rearranged as dets' eps-shifted sequence builds them."""
+    def log_plus(s):
+        y = x.evaluator(s) + eps
+        return math.log(y) if y > 1.0 else 0.0
+
+    def log_minus(s):
+        y = x.evaluator(1.0 - s) + eps
+        return 0.0 if y >= 1.0 else -math.log(y)
+
+    return log_plus, log_minus
+
+
+@pytest.mark.parametrize("line", ["name=exp-neg-psi-prime-flip", "name=exp-neg-psi-prime-flip scale=2",
+                                  "name=projection kernel=0.5"])
+@pytest.mark.parametrize("k", [4, 17, 30])
+def test_quad_matches_scipy_on_the_eps_compare_integrands(line, k):
+    # (0, 1) is the integral trace's interval, (0, 2^-36) and (0, 2^-40) are
+    # windows of the singular trace
+    x = parse_profile_spec(line)
+    for part in _eps_parts(x, 2.0 ** -k):
+        for lo, hi in ((0.0, 1.0), (0.0, 2.0 ** -36), (0.0, 2.0 ** -40)):
+            assert len(_same_as_scipy(part, lo, hi)) == 3
+
+
+@pytest.mark.parametrize("func, hi, kwargs, text", [
+    pytest.param(replace(psi_prime_profile(), antiderivative=None).evaluator, 2.0 ** -40, {},
+                 "The maximum number of subdivisions (200)", id="1-bare-psi-prime"),
+    pytest.param(lambda t: math.nan, 1.0, {}, "The occurrence of roundoff error", id="2-nan"),
+    pytest.param(lambda t: 1.0 / abs(t - 1.0 / 3.0), 1.0, {}, "Extremely bad integrand", id="3-pole"),
+    pytest.param(lambda t: t ** -0.99, 1.0, {"epsabs": 1e-300, "epsrel": 1e-14},
+                 "The algorithm does not converge", id="4-extrapolation"),
+    pytest.param(lambda t: t ** -2.0, 1.0, {}, "The integral is probably divergent", id="5-divergent"),
+])
+def test_quad_warns_with_scipys_text(func, hi, kwargs, text):
+    assert _same_as_scipy(func, 0.0, hi, **kwargs)[3].startswith(text)
+
+
+def test_quad_raises_as_scipy_does():
+    def overflowing(t):
+        return math.exp(1e3 / t)
+
+    raised = []
+    for fn in (spaces.quad, quad):
+        with pytest.raises(OverflowError) as exc:
+            fn(overflowing, 0.0, 1.0, **_QUAD_ARGS)
+        raised.append((type(exc.value), str(exc.value)))
+        # QUADPACK's invalid-input code, here from a limit below 1
+        with pytest.raises(ValueError):
+            fn(overflowing, 0.0, 1.0, **{**_QUAD_ARGS, "limit": 0})
+    assert raised[0] == raised[1] == (OverflowError, "math range error")
+    # unlike scipy's, spaces.quad has the full_output=1 form only
+    with pytest.raises(ValueError, match="full_output=1 form only"):
+        spaces.quad(math.exp, 0.0, 1.0, **{**_QUAD_ARGS, "full_output": 0})
+
+
+def test_quad_without_the_extension_names_its_directory(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.integrate._quadpack", raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    spaces._qagse.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=r"^no QUADPACK extension _quadpack in .*integrate$"):
+            spaces.quad(math.exp, 0.0, 1.0, **_QUAD_ARGS)
+    finally:
+        spaces._qagse.cache_clear()
 
 
 @pytest.mark.parametrize("b, scale", [(-2.0, 1.0), (-3.0, 1.0), (-2.5, 3.0), (-1.5, 0.2)])
