@@ -40,7 +40,7 @@ from .spaces import (
     Refusal,
     SpectralProfile,
     SymmetricSpace,
-    _tail_rule,
+    _certified,
     elog_membership,
     exp_flip_profile,
     membership,
@@ -60,10 +60,6 @@ __all__ = [
     "WitnessReport",
     "separating_witness_scenario",
 ]
-
-# Mathematical witness certificates must clear the integrability boundary by
-# at least this much in the exponent; boundary profiles are rejected.
-_WITNESS_MARGIN = 1e-9
 
 # The eps-shifted sequence of eps_limit_comparison.
 _EPS_K_MIN = 4
@@ -271,7 +267,7 @@ def eps_limit_comparison(x, phi: TraceFunctional,
     epsilons = [2.0 ** (-k) for k in range(_EPS_K_MIN, _EPS_K_MAX + 1)]
     if isinstance(x, SpectralProfile):
         # det_phi_with_branch admitted x, so a superpower x has a registered
-        # log+: no log+ rule has a superpower cell
+        # log+: the table knows no tail class for log+ of a superpower tail
         base = x.log_plus if x.tail_at_0 == SUPERPOWER else x
         # evaluators are pure, so a memo hit is the float a call would
         # return; the memo is this call's alone
@@ -293,21 +289,6 @@ def eps_limit_comparison(x, phi: TraceFunctional,
 
 
 # ---- the two-space separation scenario ----
-
-def _certified(space: SymmetricSpace, t: SpectralProfile, verdict: Membership) -> bool:
-    """The tail row of t in space gives verdict with a margin beyond _WITNESS_MARGIN.
-
-    The margin is tested in the exponent's own float form, x < 1 - w or
-    x > 1 + w (near the boundary x = 1 -+ margin exactly): abs(x - 1) > w
-    would certify a = 1 + 1e-9 outside L1.
-    """
-    got, margin = _tail_rule(space, t.tail_at_0)
-    if got is not verdict:
-        return False
-    if verdict is Membership.MEMBER:
-        return 1.0 - margin < 1.0 - _WITNESS_MARGIN
-    return 1.0 + margin > 1.0 + _WITNESS_MARGIN
-
 
 @dataclass(frozen=True)
 class WitnessReport:

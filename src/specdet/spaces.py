@@ -1,15 +1,15 @@
 """Symmetric function spaces on (0, 1) and closed-form spectral profiles.
 
 Membership of a profile in a space is decided by tail metadata carried on the
-profile, never by eyeballing floats.  One rule table, keyed by the space kind
-and the class of the tail at 0 (bounded, PowerTail, superpower, unknown),
-gives a verdict (or Undecidable) and the margin by which the deciding exponent
-clears its boundary; a second row set answers for log+ of the profile.
-membership, elog_membership, the integrability check of profile_integral and
-the integral trace (the L1 row) and the strict witness certificates of dets
-all read it.  The Marcinkiewicz power rules are those of psi_log() only.
-Grid functions are bounded, and every nonzero symmetric space contains the
-bounded functions, so they are always members.
+profile, never by eyeballing floats.  A bounded tail at 0 is in every space, a
+superpower tail in none, and a PowerTail is decided by one rule table keyed by
+the space's kind and psi (the Marcinkiewicz row is psi_log()'s only): a verdict
+(or Undecidable) and the margin by which the deciding exponent clears its
+boundary.  log+ of a profile reads the same rows through its own tail class,
+and Llog is L1 of log+.  membership, elog_membership, the integrability check
+of profile_integral and the integral trace (the L1 row) and the strict witness
+certificates all read it.  Grid functions are bounded, and every nonzero
+symmetric space contains the bounded functions, so they are always members.
 
 A profile integral is exact through a registered antiderivative; otherwise
 adaptive quadrature computes it and a quadrature warning is a refusal.  That
@@ -118,7 +118,7 @@ def _exp(x: float) -> float:
 
 # ---- Marcinkiewicz parameter functions ----
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsiFn:
     """Concave increasing parameter function with psi(0+) = 0, audited when made."""
 
@@ -639,6 +639,10 @@ def profile_integral(p: SpectralProfile, lo: float, hi: float) -> float:
 _M, _N, _U = Membership.MEMBER, Membership.NOT_MEMBER, Membership.UNDECIDABLE
 _L1 = space_lp(1.0)
 
+# Mathematical witness certificates must clear the integrability boundary by
+# at least this much in the exponent; boundary profiles are rejected.
+_WITNESS_MARGIN = 1e-9
+
 
 def _edge(x: float, on_edge: Membership) -> Tuple[Membership, float]:
     """Member below the boundary x = 1, not above it, on_edge within _RULE_EPS of it."""
@@ -657,41 +661,56 @@ def _linf_power(space: SymmetricSpace, t: PowerTail) -> Tuple[Membership, float]
     return _N, math.inf
 
 
-# (space kind, tail class) -> verdict and margin, or a rule (space, tail) that
-# returns them.  The margin is how far the deciding exponent clears its
-# boundary (p*a against 1 in Lp, a against 1 in M(psi-log)): +inf where no
-# exponent is compared, 0 on the boundary.  A bounded tail is a member of every
-# space and a missing cell is undecidable.  The Marcinkiewicz power rules hold
-# for psi-log only: int_0^t mu / psi(t) stays bounded exactly when mu is
-# integrable with at least one spare log power.  Superpower tails are not
-# integrable near 0.
+# (space kind, space psi) -> the rule (space, PowerTail) giving the verdict and
+# the margin by which the deciding exponent clears its boundary (p*a against 1
+# in Lp, a against 1 in M(psi-log)): +inf where no exponent is compared, 0 on
+# the boundary.  A space without a row leaves power tails undecidable.  The
+# Marcinkiewicz row holds for psi-log only, matched by identity: int_0^t mu /
+# psi(t) stays bounded exactly when mu is integrable with at least one spare
+# log power.
 _RULES = {
-    ("lp", PowerTail): lambda s, t: _edge(s.p * t.a, _M if s.p * t.b < -1.0 - _RULE_EPS else _N),
-    ("linf", PowerTail): _linf_power,
-    ("marcinkiewicz", PowerTail): lambda s, t: _edge(t.a, _M if t.b <= -2.0 + _RULE_EPS else _N),
-    ("lp", SUPERPOWER): (_N, math.inf),
-    ("linf", SUPERPOWER): (_N, math.inf),
-    ("marcinkiewicz", SUPERPOWER): (_N, math.inf),
-}
-# The same for log+ of the profile: log+ of a power tail grows like a*log(1/t).
-_LOG_PLUS_RULES = {
-    ("lp", PowerTail): (_M, math.inf),
-    ("linf", PowerTail): (_N, math.inf),
-    ("marcinkiewicz", PowerTail): (_M, math.inf),
+    ("lp", None): lambda s, t: _edge(s.p * t.a, _M if s.p * t.b < -1.0 - _RULE_EPS else _N),
+    ("linf", None): _linf_power,
+    ("marcinkiewicz", _PSI_LOG): lambda s, t: _edge(t.a, _M if t.b <= -2.0 + _RULE_EPS else _N),
 }
 
 
-def _tail_rule(space: SymmetricSpace, tail, log_plus: bool = False) -> Tuple[Membership, float]:
-    """The table's verdict and margin for a tail_at_0 in space (for its log+ if log_plus)."""
+def _log_plus_tail(tail):
+    """The tail class of log+ f, None if unknown: log+ of a power tail grows like a*log(1/t)."""
+    if isinstance(tail, PowerTail):
+        return PowerTail(0.0, 1.0)
+    return BOUNDED if tail == BOUNDED else None
+
+
+def _tail_rule(space: SymmetricSpace, tail) -> Tuple[Membership, float]:
+    """The table's verdict and margin for a tail_at_0 in space; Llog is L1 of log+."""
     if space.kind == "llog":
-        space, log_plus = _L1, True
+        space, tail = _L1, _log_plus_tail(tail)
+    # a bounded tail is a member of every space; a superpower tail is not
+    # integrable near 0, so it is in none
     if tail == BOUNDED:
         return _M, math.inf
-    cls = PowerTail if isinstance(tail, PowerTail) else tail if tail == SUPERPOWER else None
-    if cls is PowerTail and space.kind == "marcinkiewicz" and space.psi is not _PSI_LOG:
+    if tail == SUPERPOWER:
+        return _N, math.inf
+    rule = _RULES.get((space.kind, space.psi))
+    if rule is None or not isinstance(tail, PowerTail):
         return _U, math.inf
-    cell = (_LOG_PLUS_RULES if log_plus else _RULES).get((space.kind, cls), (_U, math.inf))
-    return cell(space, tail) if callable(cell) else cell
+    return rule(space, tail)
+
+
+def _certified(space: SymmetricSpace, t: SpectralProfile, verdict: Membership) -> bool:
+    """The tail row of t in space gives verdict with a margin beyond _WITNESS_MARGIN.
+
+    The margin is tested in the exponent's own float form, x < 1 - w or
+    x > 1 + w (near the boundary x = 1 -+ margin exactly): abs(x - 1) > w
+    would certify a = 1 + 1e-9 outside L1.
+    """
+    got, margin = _tail_rule(space, t.tail_at_0)
+    if got is not verdict:
+        return False
+    if verdict is Membership.MEMBER:
+        return 1.0 - margin < 1.0 - _WITNESS_MARGIN
+    return 1.0 + margin > 1.0 + _WITNESS_MARGIN
 
 
 def membership(space: SymmetricSpace, f) -> Membership:
@@ -709,4 +728,4 @@ def elog_membership(space: SymmetricSpace, f) -> Membership:
         return Membership.MEMBER
     if f.log_plus is not None:
         return membership(space, f.log_plus)
-    return _tail_rule(space, f.tail_at_0, log_plus=True)[0]
+    return _tail_rule(space, _log_plus_tail(f.tail_at_0))[0]

@@ -9,7 +9,6 @@ import pytest
 from specdet import dets, spaces
 from specdet.dets import (
     DetDomainError,
-    _certified,
     UnsupportedProfileError,
     det_multiplicativity_check,
     det_phi,
@@ -27,6 +26,7 @@ from specdet.spaces import (
     PowerTail,
     PsiFn,
     SpectralProfile,
+    _certified,
     constant_profile,
     elog_membership,
     exp_flip_profile,

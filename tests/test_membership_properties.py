@@ -9,13 +9,13 @@ log power; p keeps |p - 1| >= 1e-6.
 
 from hypothesis import given, settings, strategies as st
 
-from specdet.dets import _certified
 from specdet.spaces import (
     BOUNDED,
     SUPERPOWER,
     Membership,
     PowerTail,
     SpectralProfile,
+    _certified,
     elog_membership,
     membership,
     space_linf,
