@@ -678,7 +678,8 @@ _RULES = {
 def _log_plus_tail(tail):
     """The tail class of log+ f, None if unknown: log+ of a power tail grows like a*log(1/t)."""
     if isinstance(tail, PowerTail):
-        return PowerTail(0.0, 1.0)
+        # t^0 log^b with b <= 0 is bounded, and so is its log+
+        return PowerTail(0.0, 1.0) if tail.a > 0.0 or tail.b > 0.0 else BOUNDED
     return BOUNDED if tail == BOUNDED else None
 
 

@@ -600,7 +600,10 @@ def test_psi_named_impostor_is_never_certified():
 
 
 # Every space kind crossed with boundary-hugging tails, recorded from the five
-# rule functions the table replaced.  A code is "text*n" for n repeats.
+# rule functions the table replaced, but for log+ of the bounded PowerTail(0, 0)
+# without a registered log+: a member of Linf and of M(impostor) since
+# log+ f <= f, where those rules said not a member and undecidable.  A code is
+# "text*n" for n repeats.
 def _ulps(x):
     return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
 
@@ -666,7 +669,7 @@ _RECORDED_DECISIONS = {
         "MM00 NN00 MM00*7 NN00*5 MM10*14"
     ),
     ("Linf", False): (
-        "MM10 NU01 UU00 MN00 NN01*163"
+        "MM10 NU01 UU00 MM00 NN01*163"
     ),
     ("Linf", True): (
         "MM10 NN01 UU00 MM00 NN01*163"
@@ -690,7 +693,7 @@ _RECORDED_DECISIONS = {
         "NN00 MM00*5 NN00*7 NN01*14 MM10*28"
     ),
     ("impostor", False): (
-        "MM10 NU01 UU00*165"
+        "MM10 NU01 UU00 UM00 UU00*163"
     ),
     ("impostor", True): (
         "MM10 NN01 UU00*165"

@@ -7,6 +7,8 @@ the 1e-12 boundary slack of each space's edge, where the rules decide by the
 log power; p keeps |p - 1| >= 1e-6.
 """
 
+import math
+
 from hypothesis import given, settings, strategies as st
 
 from specdet.spaces import (
@@ -14,6 +16,7 @@ from specdet.spaces import (
     SUPERPOWER,
     Membership,
     PowerTail,
+    PsiFn,
     SpectralProfile,
     _certified,
     elog_membership,
@@ -73,3 +76,15 @@ def test_strict_certificate_implies_the_verdict(case):
             if _certified(space, f, verdict):
                 assert membership(space, f) is verdict, space.name
 
+
+
+@_SETTINGS
+@given(_cases())
+def test_a_member_has_its_log_plus_in_the_space(case):
+    # log+ f <= f, so a member's log+ is a member too
+    p_hi, p_lo, tail = case
+    f = _profile(tail)
+    impostor = space_marcinkiewicz(PsiFn("psi-log", math.sqrt))
+    for space in _chain(p_hi, p_lo) + [space_llog(), impostor]:
+        if membership(space, f) is Membership.MEMBER:
+            assert elog_membership(space, f) is Membership.MEMBER, space.name

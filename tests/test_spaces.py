@@ -921,3 +921,9 @@ def test_elog_membership_power_tails():
     assert elog_membership(space_marcinkiewicz(), p) is Membership.MEMBER
     custom = space_marcinkiewicz(PsiFn("sqrt", math.sqrt))
     assert elog_membership(custom, p) is Membership.UNDECIDABLE
+    # t^0 log^b with b <= 0 is bounded, and so is its log+
+    for b in (0.0, -1.0):
+        flat = SpectralProfile(name="flat", evaluator=lambda t: 1.0, tail_at_0=PowerTail(0.0, b))
+        assert membership(space_linf(), flat) is Membership.MEMBER
+        assert elog_membership(space_linf(), flat) is Membership.MEMBER
+        assert elog_membership(custom, flat) is Membership.MEMBER
