@@ -6,11 +6,12 @@ profile spec line, `example` reproduces the named closed-form scenarios and
 compares against their expected constants.  Exit codes: 0 success, 1 honest
 mathematical failure (violated bound, non-convergent limit, undecidable
 membership, domain refusal, a LAPACK decomposition that fails, a
-determinant or an eps-shifted value past the float range), 2 usage errors.
-`main` is the one place that maps a failure to its exit code: exit 1 is a
-spaces.Refusal, which every refusal class of the library subclasses, or
-LinAlgError, OverflowError or FloatingPointError.  Each refusal carries its
-own message, written where it is raised.
+determinant or an eps-shifted value past the float range), 2 usage errors
+and a missing QUADPACK.  `main` is the one place that maps a failure to its
+exit code: exit 1 is a spaces.Refusal, which every refusal class of the
+library subclasses, or LinAlgError, OverflowError or FloatingPointError; exit
+2 is any other ValueError, an OSError or an ImportError.  Each refusal
+carries its own message, written where it is raised.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _MATH_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -583,7 +583,7 @@ _EXIT_1 = (
 
 
 @pytest.mark.parametrize("cls, code", [(c, 1) for c in _EXIT_1]
-                         + [(ValueError, 2), (OSError, 2)],
+                         + [(ValueError, 2), (OSError, 2), (ImportError, 2)],
                          ids=lambda v: getattr(v, "__name__", str(v)))
 @pytest.mark.parametrize("command", list(_COMPUTATIONS))
 def test_main_maps_each_failure_class_to_its_exit_code(capsys, monkeypatch, command, cls, code):
@@ -639,6 +639,25 @@ def test_main_leaves_a_program_bug_loud(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_example_scenario", computation)
     with pytest.raises(KeyError):
         main(["example", "--name", "prop-3-2"])
+
+
+def test_det_without_quadpack_exits_2(capsys, monkeypatch, tmp_path):
+    # scipy absent: the first quadrature names it in one line, and a matrix
+    # determinant, which needs no quadrature, still runs
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.delitem(sys.modules, "scipy.integrate._quadpack", raising=False)
+    spaces._qagse.cache_clear()
+    try:
+        code, out, err = _run(capsys, ["det", "--input", "name=exp-neg-psi-prime-flip",
+                                       "--eps-compare"])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "scipy" in err
+        assert "Traceback" not in err
+        path = str(tmp_path / "id.mat")
+        save_matrix(identity(3), path)
+        assert _run(capsys, ["det", "--input", path])[0] == 0
+    finally:
+        spaces._qagse.cache_clear()
 
 
 def test_det_membership_refusal_exits_1(capsys):
