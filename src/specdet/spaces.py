@@ -583,7 +583,7 @@ def _qagse():
     return module._qagse
 
 
-def quad(func, a, b, *, epsabs, epsrel, limit, full_output=1):
+def quad(func, a, b, *, epsabs, epsrel, limit):
     """scipy.integrate.quad(func, a, b, ..., full_output=1) for finite a < b.
 
     It calls _qagse(func, a, b, (), 1, epsabs, epsrel, limit) of scipy's
@@ -597,8 +597,6 @@ def quad(func, a, b, *, epsabs, epsrel, limit, full_output=1):
     propagates.  A module-level function, so callers and instrumentation
     can rebind spaces.quad.
     """
-    if full_output != 1:
-        raise ValueError("quad has scipy's full_output=1 form only")
     out = _qagse()(func, a, b, (), 1, epsabs, epsrel, limit)
     ier = out[-1]
     if ier == 0:
@@ -625,7 +623,7 @@ def profile_integral(p: SpectralProfile, lo: float, hi: float) -> float:
         raise DivergenceError(f"profile {p.name!r} is not integrable near 0")
     # a fourth element, QUADPACK's warning text, means the value may be off by
     # more than its estimate
-    out = quad(p.evaluator, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200, full_output=1)
+    out = quad(p.evaluator, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200)
     if len(out) > 3:
         raise QuadratureError(
             f"quadrature of profile {p.name!r} on ({float(lo)!r}, {float(hi)!r}) is unreliable: "
