@@ -77,7 +77,6 @@ def test_strict_certificate_implies_the_verdict(case):
                 assert membership(space, f) is verdict, space.name
 
 
-
 @_SETTINGS
 @given(_cases())
 def test_a_member_has_its_log_plus_in_the_space(case):

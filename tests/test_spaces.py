@@ -865,6 +865,10 @@ def test_psi_log_rules_are_not_inherited_by_name():
     assert membership(impostor, power_profile(0.75)) is Membership.UNDECIDABLE
     assert elog_membership(impostor, power_profile(0.75)) is Membership.UNDECIDABLE
     assert membership(space_marcinkiewicz(), power_profile(0.75)) is Membership.MEMBER
+    # a PsiFn equals only itself: not even psi-log's own function inherits them
+    twin = space_marcinkiewicz(PsiFn("psi-log", psi_log().fn))
+    assert twin != space_marcinkiewicz()
+    assert membership(twin, power_profile(0.75)) is Membership.UNDECIDABLE
 
 
 def test_membership_superpower_rules():
