@@ -1,10 +1,11 @@
 """Symmetric function spaces on (0, 1) and closed-form spectral profiles.
 
 Membership of a profile in a space is decided by tail metadata carried on the
-profile, never by eyeballing floats.  A bounded tail at 0 is in every space, a
-superpower tail in none, and a PowerTail is decided by one rule table keyed by
-the space's kind and psi (the Marcinkiewicz row is psi_log()'s only): a verdict
-(or Undecidable) and the margin by which the deciding exponent clears its
+profile, never by eyeballing floats.  A bounded tail at 0 (BOUNDED, or a
+PowerTail t^0 log^b with b <= 0) is in every space, a superpower tail in none,
+and a growing PowerTail is decided by one rule table keyed by the space's kind
+and psi (the Marcinkiewicz row is psi_log()'s only): a verdict (or
+Undecidable) and the margin by which the deciding exponent clears its
 boundary.  log+ of a profile reads the same rows through its own tail class,
 and Llog is L1 of log+.  membership, elog_membership, the integrability check
 of profile_integral and the integral trace (the L1 row) and the strict witness
@@ -259,7 +260,7 @@ class SpectralProfile:
 
     name: str
     evaluator: Callable[[float], float]
-    tail_at_0: object = BOUNDED          # PowerTail | "bounded" | "superpower"
+    tail_at_0: object = BOUNDED  # PowerTail | BOUNDED | SUPERPOWER | other: unknown, undecidable
     kernel_mass: float = 0.0
     antiderivative: Optional[Callable[[float], float]] = None
     log_plus: Optional["SpectralProfile"] = None
@@ -375,7 +376,7 @@ def power_profile(a: float, b: float = 0.0, scale: float = 1.0) -> SpectralProfi
     return SpectralProfile(
         name=f"power(a={a:g},b={b:g},scale={scale:g})",
         evaluator=ev,
-        tail_at_0=BOUNDED if (a == 0.0 and b <= 0.0) else PowerTail(a, b),
+        tail_at_0=PowerTail(a, b),
         antiderivative=anti,
         rescale=lambda k, _a=a, _b=b, _s=scale: power_profile(_a, _b, _s * k),
     )
@@ -426,9 +427,7 @@ def exp_flip_profile(base: SpectralProfile, c: float = 1.0,
         raise ValueError("exp-flip base must be strictly positive (no kernel)")
     if c == 0.0:
         return constant_profile(1.0)
-    unbounded = isinstance(base.tail_at_0, PowerTail) and (
-        base.tail_at_0.a > 0.0 or base.tail_at_0.b > 0.0
-    )
+    unbounded = isinstance(base.tail_at_0, PowerTail) and not _bounded(base.tail_at_0)
     zero = constant_profile(0.0)
     if c > 0.0:
         ev = lambda t, _f=base.evaluator, _c=c: _exp(-_c * _f(1.0 - t))
@@ -651,12 +650,9 @@ def _edge(x: float, on_edge: Membership) -> Tuple[Membership, float]:
     return on_edge, 0.0
 
 
-def _linf_power(space: SymmetricSpace, t: PowerTail) -> Tuple[Membership, float]:
-    # t^0 log^b with b <= 0 is bounded but clears no boundary (margin 0); every
-    # other power tail grows (a > 0 or b > 0), which certifies a non-member
-    if t.a == 0.0 and t.b <= 0.0:
-        return _M, 0.0
-    return _N, math.inf
+def _bounded(tail) -> bool:
+    """BOUNDED, or a power tail t^0 log^b with b <= 0: the one place that rule lives."""
+    return tail == BOUNDED or (isinstance(tail, PowerTail) and tail.a == 0.0 and tail.b <= 0.0)
 
 
 # (space kind, space psi) -> the rule (space, PowerTail) giving the verdict and
@@ -668,17 +664,16 @@ def _linf_power(space: SymmetricSpace, t: PowerTail) -> Tuple[Membership, float]
 # log power.
 _RULES = {
     ("lp", None): lambda s, t: _edge(s.p * t.a, _M if s.p * t.b < -1.0 - _RULE_EPS else _N),
-    ("linf", None): _linf_power,
+    ("linf", None): lambda s, t: (_N, math.inf),  # bounded tails never reach a row
     ("marcinkiewicz", _PSI_LOG): lambda s, t: _edge(t.a, _M if t.b <= -2.0 + _RULE_EPS else _N),
 }
 
 
 def _log_plus_tail(tail):
-    """The tail class of log+ f, None if unknown: log+ of a power tail grows like a*log(1/t)."""
-    if isinstance(tail, PowerTail):
-        # t^0 log^b with b <= 0 is bounded, and so is its log+
-        return PowerTail(0.0, 1.0) if tail.a > 0.0 or tail.b > 0.0 else BOUNDED
-    return BOUNDED if tail == BOUNDED else None
+    """The tail class of log+ f, None if unknown: a growing power tail gives a*log(1/t)."""
+    if _bounded(tail):
+        return BOUNDED
+    return PowerTail(0.0, 1.0) if isinstance(tail, PowerTail) else None
 
 
 def _tail_rule(space: SymmetricSpace, tail) -> Tuple[Membership, float]:
@@ -687,7 +682,7 @@ def _tail_rule(space: SymmetricSpace, tail) -> Tuple[Membership, float]:
         space, tail = _L1, _log_plus_tail(tail)
     # a bounded tail is a member of every space; a superpower tail is not
     # integrable near 0, so it is in none
-    if tail == BOUNDED:
+    if _bounded(tail):
         return _M, math.inf
     if tail == SUPERPOWER:
         return _N, math.inf

@@ -600,10 +600,10 @@ def test_psi_named_impostor_is_never_certified():
 
 
 # Every space kind crossed with boundary-hugging tails, recorded from the five
-# rule functions the table replaced, but for log+ of the bounded PowerTail(0, 0)
-# without a registered log+: a member of Linf and of M(impostor) since
-# log+ f <= f, where those rules said not a member and undecidable.  A code is
-# "text*n" for n repeats.
+# rule functions the table replaced, but for the bounded PowerTail(0, 0): it is
+# decided as BOUNDED is, a certified member of every space with its log+ (MM10),
+# where those rules gave Linf an uncertified member (MM00) and M(impostor) an
+# undecidable verdict.  A code is "text*n" for n repeats.
 def _ulps(x):
     return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
 
@@ -669,10 +669,10 @@ _RECORDED_DECISIONS = {
         "MM00 NN00 MM00*7 NN00*5 MM10*14"
     ),
     ("Linf", False): (
-        "MM10 NU01 UU00 MM00 NN01*163"
+        "MM10 NU01 UU00 MM10 NN01*163"
     ),
     ("Linf", True): (
-        "MM10 NN01 UU00 MM00 NN01*163"
+        "MM10 NN01 UU00 MM10 NN01*163"
     ),
     ("Llog", False): (
         "MM10 UU00*2 MM10*164"
@@ -693,10 +693,10 @@ _RECORDED_DECISIONS = {
         "NN00 MM00*5 NN00*7 NN01*14 MM10*28"
     ),
     ("impostor", False): (
-        "MM10 NU01 UU00 UM00 UU00*163"
+        "MM10 NU01 UU00 MM10 UU00*163"
     ),
     ("impostor", True): (
-        "MM10 NN01 UU00*165"
+        "MM10 NN01 UU00 MM10 UU00*163"
     ),
 }
 # integral trace, then profile_integral on (0, 0.5): D diverges, F finite
@@ -746,3 +746,4 @@ def test_integrability_unchanged():
     assert len(want) == len(_DECISION_TAILS)
     got = [_integrability(t) for t in _DECISION_TAILS]
     assert [(t, g, w) for t, g, w in zip(_DECISION_TAILS, got, want) if g != w] == []
+
