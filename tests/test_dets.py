@@ -747,3 +747,15 @@ def test_integrability_unchanged():
     got = [_integrability(t) for t in _DECISION_TAILS]
     assert [(t, g, w) for t, g, w in zip(_DECISION_TAILS, got, want) if g != w] == []
 
+
+@pytest.mark.parametrize("b", [0.0, -1.0, -3.0])
+@pytest.mark.parametrize("a", [0.0, -0.0], ids=["+0", "-0"])
+@pytest.mark.parametrize("name", list(_DECISION_SPACES))
+def test_a_bounded_power_tail_reads_as_bounded(name, a, b):
+    # t^0 log^b with b <= 0 is a bounded function: every question it meets
+    # gets the answer BOUNDED gets, with or without a registered log+
+    space = _DECISION_SPACES[name]
+    for with_log_plus in (False, True):
+        got = _decisions(space, _tail_profile(PowerTail(a, b), with_log_plus))
+        assert got == _decisions(space, _tail_profile(BOUNDED, with_log_plus)), with_log_plus
+    assert _integrability(PowerTail(a, b)) == _integrability(BOUNDED)
