@@ -11,9 +11,10 @@ Both are linear, so a signed grid function f is evaluated as
 phi(f+) - phi(f-), with each part rearranged on its own
 (stepfn.signed_parts).  The dyadic extrapolation either stabilizes within a
 declared window or the evaluation refuses with NonConvergentError; it never
-silently averages an oscillation.  The window (the last five dyadic points)
-is evaluated first; the earlier points are computed only when the scheme
-refuses, to fill the sampled tail the refusal carries.
+silently averages an oscillation or returns a non-finite ratio.  The window
+(the last five dyadic points) is evaluated first; the earlier points are
+computed only when the scheme refuses, to fill the sampled tail the refusal
+carries.
 """
 
 from __future__ import annotations
@@ -118,13 +119,16 @@ def _dyadic_limit(phi: TraceFunctional, f) -> float:
 
     first = _K_MAX - 4
     window = [ratio(k) for k in range(first, _K_MAX + 1)]
-    if max(window) - min(window) > _DELTA_CONV:
-        raise NonConvergentError(
-            f"dyadic scheme for {phi.name} did not stabilize: last window "
-            f"spread {max(window) - min(window):.3e} exceeds {_DELTA_CONV:.1e}",
-            [ratio(k) for k in range(_K_MIN, first)] + window,
-        )
-    return window[-1]
+    # max and min read a NaN by its position, so only a finite window has a spread
+    finite = all(map(math.isfinite, window))
+    spread = max(window) - min(window)
+    if finite and spread <= _DELTA_CONV:
+        return window[-1]
+    problem = f"spread {spread:.3e} exceeds {_DELTA_CONV:.1e}" if finite else "holds a non-finite ratio"
+    raise NonConvergentError(
+        f"dyadic scheme for {phi.name} did not stabilize: last window {problem}",
+        [ratio(k) for k in range(_K_MIN, first)] + window,
+    )
 
 
 def _eval_nonincreasing(phi: TraceFunctional, f) -> float:

@@ -335,6 +335,23 @@ def test_singular_trace_statement_carries_spread():
         pytest.fail("expected NonConvergentError")
 
 
+def _nan_head_profile(nan_at):
+    """Constant 1 whose registered antiderivative reads NaN at the points nan_at accepts."""
+    return SpectralProfile(name="nan-head", evaluator=lambda t: 1.0,
+                           antiderivative=lambda t: math.nan if nan_at(t) else t)
+
+
+@pytest.mark.parametrize("nan_at", [
+    lambda t: t <= 1e-10,  # the whole window k = 36..40
+    lambda t: t == 2.0 ** -37,  # one ratio: [1, nan, 1, 1, 1] reads a spread of 0.0
+], ids=["window", "one-ratio"])
+def test_singular_trace_refuses_a_non_finite_ratio(nan_at):
+    with pytest.raises(NonConvergentError, match="last window holds a non-finite ratio$") as exc:
+        eval_functional(singular_trace(), _nan_head_profile(nan_at))
+    assert "spread" not in str(exc.value)
+    assert len(exc.value.values) == 33 and any(map(math.isnan, exc.value.values))
+
+
 def test_oscillating_fixture_is_honest():
     # the fixture itself must be a valid profile: audited monotone and exactly integrable
     p = _oscillating_profile()
@@ -357,6 +374,12 @@ def _eager_dyadic_limit(phi, f):
         t_k = 2.0 ** (-k)
         ratios.append(traces._head_integral(f, t_k) / phi.psi(t_k))
     window = ratios[-5:]
+    if not all(math.isfinite(r) for r in window):
+        raise NonConvergentError(
+            f"dyadic scheme for {phi.name} did not stabilize: last window "
+            "holds a non-finite ratio",
+            ratios,
+        )
     if max(window) - min(window) > 1e-6:
         raise NonConvergentError(
             f"dyadic scheme for {phi.name} did not stabilize: last window "
