@@ -343,7 +343,7 @@ def _nan_head_profile(nan_at):
 
 @pytest.mark.parametrize("nan_at", [
     lambda t: t <= 1e-10,  # the whole window k = 36..40
-    lambda t: t == 2.0 ** -37,  # one ratio: [1, nan, 1, 1, 1] reads a spread of 0.0
+    lambda t: t == 2.0 ** -37,  # one NaN among finite ratios: max and min read past it
 ], ids=["window", "one-ratio"])
 def test_singular_trace_refuses_a_non_finite_ratio(nan_at):
     with pytest.raises(NonConvergentError, match="last window holds a non-finite ratio$") as exc:
