@@ -101,10 +101,6 @@ class MatrixOperator:
         return self._eigs, self._eigvecs
 
     @property
-    def n(self) -> int:
-        return self._n
-
-    @property
     def entries(self) -> np.ndarray:
         return self._a
 
@@ -230,9 +226,9 @@ def hermitian_gaussian(seed: int, n: int) -> MatrixOperator:
 
 def save_matrix(a: MatrixOperator, path: str) -> None:
     """Write: first line n, then n rows of n "re,im" pairs, row-major, 17 significant digits."""
-    rows = [str(a.n)]
-    for i in range(a.n):
-        rows.append(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in a.entries[i]))
+    entries = a.entries
+    rows = [str(entries.shape[0])]
+    rows.extend(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) for row in entries)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(rows) + "\n")
 

@@ -59,7 +59,6 @@ __all__ = [
     "psi_prime_profile",
     "exp_flip_profile",
     "projection_profile",
-    "scale_profile",
     "parse_profile_spec",
     "membership",
     "elog_membership",
@@ -99,7 +98,7 @@ class Refusal(Exception):
 
 
 class DivergenceError(Refusal, ValueError):
-    """An integral required by a functional is infinite."""
+    """An integral required by a functional is infinite, or not a number."""
 
 
 class MembershipUndecidableError(Refusal, ValueError):
@@ -111,6 +110,7 @@ class QuadratureError(Refusal, ValueError):
 
 
 def _exp(x: float) -> float:
+    """exp(x), +inf past the float range where math.exp raises."""
     try:
         return math.exp(x)
     except OverflowError:
@@ -254,8 +254,9 @@ class SpectralProfile:
     log_minus, when registered, are the decreasing rearrangements of
     log+ evaluator and log- evaluator, ready for trace evaluation.
     rescale, when registered, maps k > 0 to the closed form of k * profile
-    (the profile's own constructor at the multiplied parameter); scale_profile
-    returns it and refuses a profile that registers none.
+    (the profile's own constructor at the multiplied parameter);
+    exp_flip_profile reads it for the log split of a flip with |c| != 1 and
+    refuses a profile that registers none.
     """
 
     name: str
@@ -398,18 +399,6 @@ def psi_prime_profile(scale: float = 1.0) -> SpectralProfile:
     )
 
 
-def scale_profile(p: SpectralProfile, c: float) -> SpectralProfile:
-    """c * p for c > 0; tail class and membership behaviour are unchanged."""
-    c = float(c)
-    if c <= 0.0:
-        raise ValueError("scaling constant must be positive")
-    if c == 1.0:
-        return p
-    if p.rescale is None:
-        raise ValueError(f"profile {p.name!r} registers no rescale")
-    return p.rescale(c)
-
-
 def exp_flip_profile(base: SpectralProfile, c: float = 1.0,
                      name: Optional[str] = None) -> SpectralProfile:
     """mu of exp(-c*T) where T is the positive operator with mu(T) = base.
@@ -418,7 +407,8 @@ def exp_flip_profile(base: SpectralProfile, c: float = 1.0,
     already the rearranged profile (bounded by 1, decaying where base blows
     up), for c < 0 the rearrangement is exp(|c|*base(t)).  The registered log
     decompositions are exact: log- rearranges to c*base for c > 0, log+ to
-    |c|*base for c < 0.
+    |c|*base for c < 0.  |c|*base is base itself for |c| = 1 and otherwise
+    the base's registered rescale, so a base without one refuses.
     """
     c = float(c)
     if not math.isfinite(c):
@@ -427,7 +417,13 @@ def exp_flip_profile(base: SpectralProfile, c: float = 1.0,
         raise ValueError("exp-flip base must be strictly positive (no kernel)")
     if c == 0.0:
         return constant_profile(1.0)
-    unbounded = isinstance(base.tail_at_0, PowerTail) and not _bounded(base.tail_at_0)
+    tail = base.tail_at_0
+    if c < 0.0 and (not isinstance(tail, PowerTail) or _bounded(tail)):
+        raise ValueError("exp-flip with negative coefficient needs an unbounded power-class base")
+    k = abs(c)
+    if k != 1.0 and base.rescale is None:
+        raise ValueError(f"profile {base.name!r} registers no rescale")
+    scaled = base if k == 1.0 else base.rescale(k)
     zero = constant_profile(0.0)
     if c > 0.0:
         ev = lambda t, _f=base.evaluator, _c=c: _exp(-_c * _f(1.0 - t))
@@ -436,17 +432,14 @@ def exp_flip_profile(base: SpectralProfile, c: float = 1.0,
             evaluator=ev,
             tail_at_0=BOUNDED,
             log_plus=zero,
-            log_minus=scale_profile(base, c),
+            log_minus=scaled,
         )
-    if not unbounded:
-        raise ValueError("exp-flip with negative coefficient needs an unbounded power-class base")
-    k = -c
     ev = lambda t, _f=base.evaluator, _k=k: _exp(_k * _f(t))
     return SpectralProfile(
         name=name or f"exp({k:g}*{base.name})",
         evaluator=ev,
         tail_at_0=SUPERPOWER,
-        log_plus=scale_profile(base, k),
+        log_plus=scaled,
         log_minus=zero,
     )
 
@@ -608,6 +601,7 @@ def quad(func, a, b, *, epsabs, epsrel, limit):
 def profile_integral(p: SpectralProfile, lo: float, hi: float) -> float:
     """int_lo^hi of the profile; exact via the registered antiderivative when present.
 
+    An antiderivative whose difference is not finite refuses (DivergenceError).
     Otherwise adaptive quadrature computes it, and a quadrature warning is a
     refusal (QuadratureError), not a value.
     """
@@ -617,7 +611,11 @@ def profile_integral(p: SpectralProfile, lo: float, hi: float) -> float:
         return 0.0
     if p.antiderivative is not None:
         flo = 0.0 if lo == 0.0 else p.antiderivative(lo)
-        return p.antiderivative(hi) - flo
+        val = p.antiderivative(hi) - flo
+        if not math.isfinite(val):
+            raise DivergenceError(f"the antiderivative of profile {p.name!r} gives the integral "
+                                  f"{val!r} on ({float(lo)!r}, {float(hi)!r})")
+        return val
     if lo == 0.0 and _tail_rule(_L1, p.tail_at_0)[0] is Membership.NOT_MEMBER:
         raise DivergenceError(f"profile {p.name!r} is not integrable near 0")
     # a fourth element, QUADPACK's warning text, means the value may be off by

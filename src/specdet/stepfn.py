@@ -46,8 +46,9 @@ class GridFn:
     The value on the open cell ``((k-1)/n, k/n)`` is ``values[k-1]``.  The
     function is right-continuous: at an interior node ``k/n`` it takes the
     next cell's value, ``values[k]``, and ``values_at(ts, left=True)`` reads
-    the left limit ``values[k-1]``.  Instances are immutable; arithmetic
-    returns new functions on the least common refinement of the operand grids.
+    the left limit ``values[k-1]``.  Instances are immutable.  Sums and
+    differences are between grids, on their least common refinement; a
+    number enters only as ``c - f``.
     """
 
     __slots__ = ("_values", "_terms")
@@ -113,34 +114,23 @@ class GridFn:
         return np.repeat(self._values, m // n)
 
     def _binary(self, other, op):
-        if isinstance(other, GridFn):
-            m = math.lcm(self.n_cells, other.n_cells)
-            if m > _MAX_CELLS:
-                raise ValueError("common refinement exceeds the cell cap")
-            return GridFn(op(self.resampled(m), other.resampled(m)))
-        if isinstance(other, (int, float)):
-            return GridFn(op(self._values, float(other)))
-        return NotImplemented
+        if not isinstance(other, GridFn):
+            return NotImplemented
+        m = math.lcm(self.n_cells, other.n_cells)
+        if m > _MAX_CELLS:
+            raise ValueError("common refinement exceeds the cell cap")
+        return GridFn(op(self.resampled(m), other.resampled(m)))
 
     def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __radd__(self, other):
         return self._binary(other, np.add)
 
     def __sub__(self, other):
         return self._binary(other, np.subtract)
 
     def __rsub__(self, other):
-        if isinstance(other, GridFn):
+        if not isinstance(other, (int, float)):
             return NotImplemented
-        return GridFn(-self._values)._binary(other, np.add)
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply)
-
-    def __rmul__(self, other):
-        return self._binary(other, np.multiply)
+        return GridFn(float(other) - self._values)
 
     def __neg__(self):
         return GridFn(-self._values)

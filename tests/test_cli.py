@@ -19,6 +19,8 @@ from specdet.spaces import (
     MembershipUndecidableError,
     QuadratureError,
     Refusal,
+    SpectralProfile,
+    constant_profile,
 )
 from specdet.traces import NonConvergentError
 from specdet.verify import SUITE_NAMES
@@ -521,6 +523,8 @@ _CENSUS = {
     "kind=power a=0.5 b=1": _NO_LOG_SPLIT,
     # exp(psi') has an unbounded log+, outside Linf and every Lp with p > 1
     "name=exp-neg-psi-prime-flip scale=-1": "..DD..DD.... " * 3,
+    # the constant 1 with its registered log split
+    "name=exp-neg-psi-prime-flip scale=0": "............ " * 3,
 }
 
 
@@ -551,6 +555,21 @@ def test_det_refusal_census(capsys, monkeypatch):
                                                "--space", space] + eps)
                     got.append((code, raised[0] if raised else None))
         assert got == expected, line
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_integral_exits_1_naming_the_profile(capsys, monkeypatch, value):
+    # a log+ whose antiderivative is not finite; before, its value reached exp
+    from specdet import cli
+
+    bad = SpectralProfile(name="bad", evaluator=lambda t: 0.0, antiderivative=lambda t: value)
+    x = SpectralProfile(name="x", evaluator=lambda t: 1.0, log_plus=bad,
+                        log_minus=constant_profile(0.0))
+    monkeypatch.setattr(cli, "parse_profile_spec", lambda text: x)
+    code, out, err = _run(capsys, ["det", "--input", "name=x"])
+    assert (code, out) == (1, "")
+    assert err == ("error: the antiderivative of profile 'bad' gives the integral "
+                   f"{value!r} on (0.0, 1.0)\n")
 
 
 # ---- the failure boundary in main ----

@@ -90,7 +90,7 @@ def test_construction_and_arithmetic_run_no_decomposition(lapack_calls):
     h = hermitian_gaussian(1, 6)
     g = ginibre(2, 6)
     ops = [h + g, h - g, -h, 2.0 * g, g * 3, h.matmul(g), identity(6)]
-    assert all(op.n == 6 for op in ops)
+    assert all(op.entries.shape == (6, 6) for op in ops)
     assert h.entries.shape == (6, 6) and math.isfinite(g.tau)
     assert lapack_calls == Counter()
 

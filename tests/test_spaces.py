@@ -7,6 +7,7 @@ endpoint shrinks) before the symbolic answer is frozen.
 
 import importlib.machinery
 import math
+import re
 import sys
 import types
 import warnings
@@ -38,14 +39,13 @@ from specdet.spaces import (
     projection_profile,
     psi_log,
     psi_prime_profile,
-    scale_profile,
     space_linf,
     space_llog,
     space_lp,
     space_marcinkiewicz,
 )
 from specdet.stepfn import GridFn
-from specdet.traces import singular_trace
+from specdet.traces import eval_functional, integral_trace, singular_trace
 from spaces_reference import audit_profile_reference
 
 
@@ -471,6 +471,17 @@ def test_profile_integral_divergent_raises():
     assert profile_integral(p, 0.5, 1.0) == pytest.approx(2.0 * (0.5 ** -0.5) - 2.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_antiderivative_refuses(value):
+    # the antiderivative's value is no integral; it was returned as one
+    q = SpectralProfile(name="q", evaluator=lambda t: 1.0, antiderivative=lambda t: value)
+    for call, interval in ((lambda: profile_integral(q, 0.0, 0.5), "(0.0, 0.5)"),
+                           (lambda: eval_functional(integral_trace(1.0), q), "(0.0, 1.0)")):
+        message = f"profile 'q' gives the integral {value!r} on {interval}"
+        with pytest.raises(DivergenceError, match=re.escape(message) + "$"):
+            call()
+
+
 # every constructor that registers an antiderivative, the generic scaled one
 # included; the ids are fixed labels so the test ids stay put
 _EXACT_PROFILES = [
@@ -651,20 +662,18 @@ def test_exp_flip_rejections():
 
 # ---- other profile constructors ----
 
-def test_scale_profile_paths():
+def test_rescale_paths():
     p = power_profile(0.75)
-    assert scale_profile(p, 1.0) is p
-    q = scale_profile(p, 3.0)
+    # a flip by |c| = 1 reads the base itself as its log part
+    assert exp_flip_profile(p, 1.0).log_minus is p
+    assert exp_flip_profile(p, -1.0).log_plus is p
+    q = p.rescale(3.0)
     assert q(0.5) == pytest.approx(3.0 * p(0.5), rel=1e-14)
     assert q.tail_at_0 == p.tail_at_0
-    r = scale_profile(psi_prime_profile(), 2.0)
+    r = psi_prime_profile().rescale(2.0)
     assert profile_integral(r, 0.0, 0.25) == pytest.approx(2.0 * psi_log()(0.25), rel=1e-14)
-    s = scale_profile(constant_profile(2.0), 2.0)
+    s = constant_profile(2.0).rescale(2.0)
     assert s(0.9) == 4.0
-    with pytest.raises(ValueError):
-        scale_profile(p, 0.0)
-    with pytest.raises(ValueError):
-        scale_profile(p, -1.0)
 
 
 def _assert_same_profile(p, q):
@@ -691,16 +700,32 @@ _RESCALABLE = [
 
 @pytest.mark.parametrize("k", [3.0, 7.0, 0.1])
 @pytest.mark.parametrize("p, direct", _RESCALABLE, ids=lambda v: getattr(v, "name", ""))
-def test_scale_profile_is_the_constructor_at_the_multiplied_parameter(p, direct, k):
-    _assert_same_profile(scale_profile(p, k), direct(k))
+def test_rescale_is_the_constructor_at_the_multiplied_parameter(p, direct, k):
+    _assert_same_profile(p.rescale(k), direct(k))
 
 
-def test_scale_profile_refuses_a_profile_without_rescale():
-    p = projection_profile(0.25)
+@pytest.mark.parametrize("k", [3.0, 7.0, 0.1])
+def test_exp_flip_log_part_is_the_rescaled_base(k):
+    p = power_profile(0.75)
+    _assert_same_profile(exp_flip_profile(p, k).log_minus, p.rescale(k))
+    _assert_same_profile(exp_flip_profile(p, -k).log_plus, p.rescale(k))
+
+
+def test_exp_flip_refuses_a_base_without_rescale():
+    p = SpectralProfile(name="bare", evaluator=lambda t: 2.0)
     assert p.rescale is None
-    assert scale_profile(p, 1.0) is p
-    with pytest.raises(ValueError, match=r"profile 'projection\(kernel=0\.25\)' registers no rescale"):
-        scale_profile(p, 5.0)
+    assert exp_flip_profile(p, 1.0).log_minus is p
+    with pytest.raises(ValueError, match=r"profile 'bare' registers no rescale"):
+        exp_flip_profile(p, 5.0)
+    u = SpectralProfile(name="bare-power", evaluator=lambda t: t ** -0.5, tail_at_0=PowerTail(0.5))
+    assert exp_flip_profile(u, -1.0).log_plus is u
+    with pytest.raises(ValueError, match=r"profile 'bare-power' registers no rescale"):
+        exp_flip_profile(u, -5.0)
+    # the earlier refusals win: a kernel in the base, then a bounded base under c < 0
+    with pytest.raises(ValueError, match="no kernel"):
+        exp_flip_profile(projection_profile(0.25), 5.0)
+    with pytest.raises(ValueError, match="unbounded power-class base"):
+        exp_flip_profile(p, -5.0)
 
 
 def test_projection_profile():

@@ -96,11 +96,18 @@ def test_binary_ops_refine_to_lcm():
 
 def test_binary_ops_scalars_and_neg():
     f = GridFn([1.0, -2.0])
-    assert np.array_equal((f + 1.0).values, [2.0, -1.0])
-    assert np.array_equal((3.0 * f).values, [3.0, -6.0])
     assert np.array_equal((1.0 - f).values, [0.0, 3.0])
     assert np.array_equal((-f).values, [-1.0, 2.0])
     assert np.array_equal((f - f).values, [0.0, 0.0])
+    # a number minus a grid is c - values bit for bit, signs of zero included
+    z = GridFn([0.0, -0.0, -2.0])
+    for c in (0.0, -0.0, 2.5):
+        bits = [v.hex() for v in (c - z.values).tolist()]
+        assert [v.hex() for v in (c - z).values.tolist()] == bits, c
+    # a number enters only as c - f, and grids are added or subtracted, not multiplied
+    for op in (lambda: f + 1.0, lambda: 1.0 + f, lambda: f - 1.0, lambda: 3.0 * f, lambda: f * f):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_monotone_difference_is_plain_gridfn():

@@ -10,17 +10,19 @@ from specdet import traces
 from specdet.dets import eps_limit_comparison
 from specdet.matmodel import MatrixOperator, ginibre, haar_unitary, hermitian_gaussian
 from specdet.spaces import (
+    _PSI_GRID,
     DivergenceError,
     PowerTail,
     PsiFn,
     QuadratureError,
     SpectralProfile,
+    constant_profile,
     parse_profile_spec,
     parse_space,
     power_profile,
     profile_integral,
+    psi_log,
     psi_prime_profile,
-    scale_profile,
 )
 from specdet.stepfn import GridFn, MonotoneStepFn, integrate
 from specdet.traces import (
@@ -281,7 +283,7 @@ def test_eval_on_operator_equals_the_per_part_split_bit_for_bit():
 def test_singular_trace_exact_on_psi_prime():
     # head integral of psi' is psi itself, so every dyadic ratio is exactly 1
     assert eval_functional(singular_trace(), psi_prime_profile()) == 1.0
-    assert eval_functional(singular_trace(), scale_profile(psi_prime_profile(), 3.0)) == 3.0
+    assert eval_functional(singular_trace(), psi_prime_profile().rescale(3.0)) == 3.0
 
 
 def test_singular_trace_vanishes_on_bounded_grids():
@@ -335,19 +337,24 @@ def test_singular_trace_statement_carries_spread():
         pytest.fail("expected NonConvergentError")
 
 
-def _nan_head_profile(nan_at):
-    """Constant 1 whose registered antiderivative reads NaN at the points nan_at accepts."""
-    return SpectralProfile(name="nan-head", evaluator=lambda t: 1.0,
-                           antiderivative=lambda t: math.nan if nan_at(t) else t)
+_WINDOW = tuple(2.0 ** -k for k in range(36, 41))
+
+
+def _nan_psi(nan_at):
+    """psi_log, but NaN at the points nan_at accepts; its audit grid holds none of the window's."""
+    fn = psi_log().fn
+    return PsiFn("nan-psi", lambda t: math.nan if nan_at(t) else fn(t))
 
 
 @pytest.mark.parametrize("nan_at", [
-    lambda t: t <= 1e-10,  # the whole window k = 36..40
+    lambda t: t in _WINDOW,  # the whole window k = 36..40
     lambda t: t == 2.0 ** -37,  # one NaN among finite ratios: max and min read past it
 ], ids=["window", "one-ratio"])
 def test_singular_trace_refuses_a_non_finite_ratio(nan_at):
+    # the NaN comes from psi: a NaN integral refuses before any ratio is formed
+    assert not set(_WINDOW) & set(_PSI_GRID)
     with pytest.raises(NonConvergentError, match="last window holds a non-finite ratio$") as exc:
-        eval_functional(singular_trace(), _nan_head_profile(nan_at))
+        eval_functional(singular_trace(_nan_psi(nan_at)), constant_profile(1.0))
     assert "spread" not in str(exc.value)
     assert len(exc.value.values) == 33 and any(map(math.isnan, exc.value.values))
 
