@@ -48,8 +48,6 @@ from .verify import (
 
 _MATH_ERRORS = (Refusal, LinAlgError, OverflowError, FloatingPointError)
 
-EXAMPLE_NAMES = ("ex-3-4-invertible", "ex-3-4-projection", "prop-3-2")
-
 
 def _write_output(payload: str, path: Optional[str]) -> None:
     """Write the report to path, or to stdout; a failed write raises an OSError naming path."""
@@ -64,13 +62,14 @@ def _write_output(payload: str, path: Optional[str]) -> None:
 
 
 def _parse_tols(pairs: Optional[List[str]]) -> Dict[str, float]:
+    """NAME=VAL items by target; a bare value targets "default", and a repeated target refuses."""
     out: Dict[str, float] = {}
     for item in pairs or []:
         name, sep, value = item.partition("=")
-        if sep:
-            out[name.strip()] = float(value)
-        else:
-            out["default"] = float(item)
+        key = name.strip() if sep else "default"
+        if key in out:
+            raise ValueError(f"tolerance target {key!r} is given more than once")
+        out[key] = float(value if sep else item)
     return out
 
 
@@ -136,53 +135,49 @@ def cmd_det(args: argparse.Namespace) -> int:
     return 0
 
 
-def _example_scenario(name: str) -> dict:
-    checks = []
-
-    def record(label, computed, expected, kind, tol):
-        if computed is None:
-            ok = False
-        elif kind == "rel":
-            ok = abs(computed - expected) <= tol * abs(expected)
-        elif kind == "exact":
-            ok = computed == expected
-        else:
-            ok = abs(computed - expected) <= tol
-        checks.append({
-            "label": label,
-            "computed": computed,
-            "expected": expected,
-            "comparison": kind,
-            "tolerance": tol,
-            "pass": bool(ok),
-        })
-
-    if name == "ex-3-4-invertible":
-        x = parse_profile_spec("name=exp-neg-psi-prime-flip")
-        phi = singular_trace()
-        space = space_marcinkiewicz()
-        cmp = eps_limit_comparison(x, phi, space)
-        value, branch = cmp.det_value, cmp.branch
-        record("det", value, math.exp(-1.0), "rel", 1e-9)
-        record("branch", branch, 1, "exact", 0.0)
-        record("eps_limit", cmp.limit, 1.0, "abs", 1e-6)
-    elif name == "ex-3-4-projection":
-        x = projection_profile(0.5)
-        phi = singular_trace()
-        space = space_marcinkiewicz()
-        cmp = eps_limit_comparison(x, phi, space)
-        value, branch = cmp.det_value, cmp.branch
-        record("det", value, 0.0, "exact", 0.0)
-        record("branch", branch, 3, "exact", 0.0)
-        record("eps_limit", cmp.limit, 1.0, "abs", 1e-6)
+def _check(label, computed, expected, kind, tol) -> dict:
+    """One example check: computed against expected, "rel", "abs" or "exact"."""
+    if computed is None:
+        ok = False
+    elif kind == "rel":
+        ok = abs(computed - expected) <= tol * abs(expected)
+    elif kind == "exact":
+        ok = computed == expected
     else:
-        witness = power_profile(0.75)
-        rep = separating_witness_scenario(space_lp(2.0), space_lp(1.0), witness)
-        record("det_over_large_space", rep.det_large, math.exp(-4.0), "rel", 1e-9)
-        record("branch_large", rep.branch_large, 1, "exact", 0.0)
-        record("det_over_small_space", rep.det_small, 0.0, "exact", 0.0)
-        record("branch_small", rep.branch_small, 2, "exact", 0.0)
-        record("witness_integral", rep.integral_t, 4.0, "rel", 1e-12)
+        ok = abs(computed - expected) <= tol
+    return {"label": label, "computed": computed, "expected": expected,
+            "comparison": kind, "tolerance": tol, "pass": bool(ok)}
+
+
+def _example_3_4(x, det, det_kind, det_tol, branch):
+    """Example 3.4: x under the singular trace over M(psi-log), whose eps-shifted limit is 1."""
+    cmp = eps_limit_comparison(x, singular_trace(), space_marcinkiewicz())
+    return [("det", cmp.det_value, det, det_kind, det_tol),
+            ("branch", cmp.branch, branch, "exact", 0.0),
+            ("eps_limit", cmp.limit, 1.0, "abs", 1e-6)]
+
+
+def _prop_3_2():
+    rep = separating_witness_scenario(space_lp(2.0), space_lp(1.0), power_profile(0.75))
+    return [("det_over_large_space", rep.det_large, math.exp(-4.0), "rel", 1e-9),
+            ("branch_large", rep.branch_large, 1, "exact", 0.0),
+            ("det_over_small_space", rep.det_small, 0.0, "exact", 0.0),
+            ("branch_small", rep.branch_small, 2, "exact", 0.0),
+            ("witness_integral", rep.integral_t, 4.0, "rel", 1e-12)]
+
+
+# example name -> the scenario, giving its checks as _check arguments
+_EXAMPLES = {
+    "ex-3-4-invertible": lambda: _example_3_4(
+        parse_profile_spec("name=exp-neg-psi-prime-flip"), math.exp(-1.0), "rel", 1e-9, 1),
+    "ex-3-4-projection": lambda: _example_3_4(projection_profile(0.5), 0.0, "exact", 0.0, 3),
+    "prop-3-2": _prop_3_2,
+}
+EXAMPLE_NAMES = tuple(_EXAMPLES)
+
+
+def _example_scenario(name: str) -> dict:
+    checks = [_check(*args) for args in _EXAMPLES[name]()]
     return {"name": name, "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
@@ -204,10 +199,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run seeded inequality suites")
     p_verify.add_argument("--suite", default="all",
                           help="comma-separated suite names, or 'all'")
-    p_verify.add_argument("--n", type=int, default=64, help="matrix size, 2..512")
-    p_verify.add_argument("--trials", type=int, default=100,
+    p_verify.add_argument("--n", type=int, default=SuiteConfig.n, help="matrix size, 2..512")
+    p_verify.add_argument("--trials", type=int, default=SuiteConfig.trials,
                           help="seeded trials per suite (0 gives a no-data report)")
-    p_verify.add_argument("--seed", type=int, default=42, help="master seed")
+    p_verify.add_argument("--seed", type=int, default=SuiteConfig.seed, help="master seed")
     p_verify.add_argument("--tol", action="append", metavar="NAME=VAL",
                           help="tolerance override; bare value sets the default")
     p_verify.add_argument("--out", help="write the report here instead of stdout")

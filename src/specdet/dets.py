@@ -111,12 +111,9 @@ def _exp_eps(log_value: float, eps: float) -> float:
     return _exp(log_value, f"the value shifted by eps = {eps:g}")
 
 
-def _det_grid(mu: GridFn, phi: TraceFunctional) -> Tuple[float, int]:
-    # eval_functional rearranges its argument, so neither the kernel test
-    # nor the log needs mu sorted
-    if mu.values.min() == 0.0:
-        return 0.0, 3
-    return _exp_det(eval_functional(phi, GridFn(np.log(mu.values)))), 1
+def _log_det_grid(mu: GridFn, phi: TraceFunctional) -> float:
+    """phi(log mu) for a positive grid mu, in any cell order: eval_functional rearranges."""
+    return eval_functional(phi, GridFn(np.log(mu.values)))
 
 
 def det_phi_with_branch(x, phi: TraceFunctional,
@@ -133,7 +130,9 @@ def det_phi_with_branch(x, phi: TraceFunctional,
     if isinstance(x, GridFn):
         if np.any(x.values < 0.0):
             raise ValueError("grid input to a determinant must be nonnegative data")
-        return _det_grid(x, phi)
+        if x.values.min() == 0.0:
+            return 0.0, 3
+        return _exp_det(_log_det_grid(x, phi)), 1
     if not isinstance(x, SpectralProfile):
         raise TypeError(f"cannot take a determinant of {type(x).__name__}")
     if space is None:
@@ -274,8 +273,7 @@ def eps_limit_comparison(x, phi: TraceFunctional,
     else:
         # det_phi_with_branch refused every other type, so x is a GridFn;
         # x + e is positive, so the branch-1 formula applies to it
-        values = [_exp_eps(eval_functional(phi, GridFn(np.log(x.values + e))), e)
-                  for e in epsilons]
+        values = [_exp_eps(_log_det_grid(GridFn(x.values + e), phi), e) for e in epsilons]
     tail = values[-_EPS_WINDOW:]
     spread = max(tail) - min(tail)
     converged = spread <= _EPS_AGREE_TOL * max(1.0, abs(tail[-1]))

@@ -60,7 +60,7 @@ class MatrixOperator:
     passes without the SVD.
     """
 
-    __slots__ = ("_a", "_n", "_svals", "_eigs", "_eigvecs", "_self_adjoint")
+    __slots__ = ("_a", "_svals", "_eigs", "_eigvecs", "_self_adjoint")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=np.complex128)
@@ -70,7 +70,6 @@ class MatrixOperator:
             raise ValueError("entries must be finite")
         a.setflags(write=False)
         self._a = a
-        self._n = a.shape[0]
         self._svals = None
         self._self_adjoint = None
         self._eigs = None
@@ -129,7 +128,7 @@ class MatrixOperator:
     @property
     def tau(self) -> float:
         """Normalized trace tr/n (real part; exact for self-adjoint input)."""
-        return float(np.trace(self._a).real) / self._n
+        return float(np.trace(self._a).real) / self._a.shape[0]
 
     def matmul(self, other: "MatrixOperator") -> "MatrixOperator":
         return MatrixOperator(self._a @ other._a)
@@ -156,7 +155,7 @@ class MatrixOperator:
 
     def __repr__(self):
         sa = "self-adjoint" if self.self_adjoint else "general"
-        return f"MatrixOperator(n={self._n}, {sa})"
+        return f"MatrixOperator(n={self._a.shape[0]}, {sa})"
 
 
 def identity(n: int) -> MatrixOperator:

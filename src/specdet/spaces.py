@@ -9,8 +9,7 @@ Undecidable) and the margin by which the deciding exponent clears its
 boundary.  log+ of a profile reads the same rows through its own tail class,
 and Llog is L1 of log+.  membership, elog_membership, the integrability check
 of profile_integral and the integral trace (the L1 row) and the strict witness
-certificates all read it.  Grid functions are bounded, and every nonzero
-symmetric space contains the bounded functions, so they are always members.
+certificates all read it.
 
 A profile integral is exact through a registered antiderivative; otherwise
 adaptive quadrature computes it and a quadrature warning is a refusal.  That
@@ -33,8 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-
-from .stepfn import GridFn
 
 __all__ = [
     "Membership",
@@ -587,7 +584,8 @@ def quad(func, a, b, *, epsabs, epsrel, limit):
     info), plus scipy's warning text as a fourth element when QUADPACK
     warns; another error code raises ValueError, and an exception of func
     propagates.  A module-level function, so callers and instrumentation
-    can rebind spaces.quad.
+    can rebind spaces.quad.  The parity tests have passed on scipy 1.17.1,
+    the only version tried.
     """
     out = _qagse()(func, a, b, (), 1, epsabs, epsrel, limit)
     ier = out[-1]
@@ -707,8 +705,6 @@ def _certified(space: SymmetricSpace, t: SpectralProfile, verdict: Membership) -
 
 def membership(space: SymmetricSpace, f) -> Membership:
     """Decide whether mu-class membership holds; Undecidable rather than guessed."""
-    if isinstance(f, GridFn):
-        return Membership.MEMBER
     if space.kind == "llog":
         return elog_membership(_L1, f)
     return _tail_rule(space, f.tail_at_0)[0]
@@ -716,8 +712,6 @@ def membership(space: SymmetricSpace, f) -> Membership:
 
 def elog_membership(space: SymmetricSpace, f) -> Membership:
     """Membership of log+ f, the entry ticket to the determinant domain."""
-    if isinstance(f, GridFn):
-        return Membership.MEMBER
     if f.log_plus is not None:
         return membership(space, f.log_plus)
     return _tail_rule(space, _log_plus_tail(f.tail_at_0))[0]

@@ -5,8 +5,10 @@ integral of f* at 1, c * int_0^1 f*, which on an n x n matrix model
 reproduces c * (normalized trace); for a profile that integral is
 spaces.profile_integral, the one place that refuses a non-integrable tail.
 The singular family evaluates lim_{t->0} (1/psi(t)) int_0^t f* along a
-dyadic scheme and is the model of a trace supported at the origin: it
-vanishes on every bounded function and picks out the psi-slope of the tail.
+dyadic scheme and is the model of a trace supported at the origin: it picks
+out the psi-slope of the tail.  Its limit is 0 on a bounded function, but the
+scheme stops at t = 2^-40 and leaves up to sup|f| * 2^-40 / psi(2^-40), about
+2.7e-11 * sup|f| for psi-log.
 Both are linear, so a signed grid function f is evaluated as
 phi(f+) - phi(f-), with each part rearranged on its own
 (stepfn.signed_parts).  The dyadic extrapolation either stabilizes within a
@@ -156,9 +158,10 @@ def eval_functional(phi: TraceFunctional, f) -> float:
 def eval_on_operator(phi: TraceFunctional, a) -> float:
     """phi applied to a self-adjoint matrix model through its eigenvalue data.
 
-    Only integral functionals act nontrivially on matrix models (every matrix
-    function is bounded, so singular functionals vanish on them by design);
-    asking for a singular trace here is a usage error, not a zero.
+    Only integral functionals act nontrivially on matrix models: every matrix
+    function is bounded, so a singular functional's limit is 0 on it, and the
+    dyadic scheme would return only its residue, up to about 2.7e-11 * sup|f|.
+    Asking for a singular trace here is a usage error, not a zero.
     """
     if not isinstance(a, MatrixOperator):
         raise TypeError("eval_on_operator expects a MatrixOperator")

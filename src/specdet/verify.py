@@ -80,10 +80,7 @@ class CheckRow:
 
 @dataclass
 class CheckReport:
-    check_name: str
-    seed: int
     trials: int
-    n: int
     worst_margin: float
     violations: int
     passed: bool
@@ -439,16 +436,12 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
         rows = [row for trial_rows, _ in per_check for row in trial_rows]
         violations = sum(1 for r in rows if not r.ok)
         worst = min((r.margin for r in rows), default=math.inf)
-        runtime = sum(ms for _, ms in per_check)
         reports[name] = CheckReport(
-            check_name=name,
-            seed=config.seed,
             trials=config.trials,
-            n=config.n,
             worst_margin=worst,
             violations=violations,
             passed=violations == 0,
-            runtime_ms=runtime,
+            runtime_ms=math.fsum(ms for _, ms in per_check),
             rows=rows,
         )
     return SuiteResult(config=config, reports=reports,
@@ -491,7 +484,7 @@ def result_to_json(result: SuiteResult) -> str:
         rep = result.reports[name]
         entry = {
             "trials": rep.trials,
-            "n": rep.n,
+            "n": result.config.n,
             "rows": len(rep.rows),
             "worst_margin": None if math.isinf(rep.worst_margin) else rep.worst_margin,
             "violations": rep.violations,

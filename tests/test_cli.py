@@ -134,6 +134,18 @@ def test_verify_repeated_suite_exits_2(capsys, suite):
     assert err == "error: suite 'majorization' is given more than once\n"
 
 
+@pytest.mark.parametrize("tols, key", [(["majorization=-10", "majorization=1e-3"], "majorization"),
+                                       (["majorization=-10", " majorization=-10"], "majorization"),
+                                       (["-10", "1e-3"], "default"),
+                                       (["-10", "default=1e-3"], "default")])
+def test_verify_repeated_tolerance_exits_2(capsys, tols, key):
+    # kept, the last value would drop the first, a forced failure included
+    argv = ["verify", "--suite", "majorization", "--n", "8", "--trials", "1"]
+    code, out, err = _run(capsys, argv + [arg for tol in tols for arg in ("--tol", tol)])
+    assert (code, out) == (2, "")
+    assert err == f"error: tolerance target {key!r} is given more than once\n"
+
+
 @pytest.mark.parametrize("tol, key, what", [("nan", "default", "NaN"), ("NaN", "default", "NaN"),
                                             ("majorization=nan", "majorization", "NaN"),
                                             ("default=-nan", "default", "NaN"),

@@ -271,6 +271,24 @@ def test_det_is_multiplicative_on_flip_pairs(trace):
     assert {1, 2} <= branches
 
 
+@pytest.mark.parametrize("trace", ("integral:1", "singular:psi-log"))
+@pytest.mark.parametrize("values, branch", (([3.0, 1.5, 0.25], 1), ([2.0, 0.5, 0.0], 3)))
+def test_grid_det_and_eps_sequence_do_not_read_the_space(trace, values, branch):
+    # a grid is bounded, so its log lies in every space: no --space of the
+    # CLI moves a bit of its determinant or of its eps-shifted sequence
+    phi, x = parse_trace(trace), GridFn(values)
+
+    def bits(space):
+        value, got_branch = det_phi_with_branch(x, phi, space)
+        cmp = eps_limit_comparison(x, phi, space)
+        return value.hex(), got_branch, [v.hex() for v in cmp.values]
+
+    want = bits(None)
+    assert want[1] == branch
+    for name in _FIVE_SPACES + ("Lp:0.5",):
+        assert bits(parse_space(name)) == want, name
+
+
 def _decreasing_grid(rng, n, zero_cell):
     v = np.sort(np.exp(rng.uniform(-3.0, 3.0, n)))[::-1]
     if zero_cell:

@@ -32,6 +32,16 @@ def test_bare_import_loads_no_layer_and_binds_no_public_name():
     assert json.loads(run.stdout) == {"modules": ["specdet"], "numpy": False, "public": []}
 
 
+def test_spaces_imports_no_other_layer():
+    # spaces is the leaf layer: grids never reach it, so it needs only numpy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specdet.__file__)))
+    code = ("import json, sys, specdet.spaces; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('specdet'))))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert json.loads(run.stdout) == ["specdet", "specdet.spaces"]
+
+
 @pytest.mark.parametrize("layer", LAYERS)
 def test_every_public_name_resolves_in_its_own_layer(layer):
     # the benchmark tracer getattr()s every __all__ entry, so a stale one

@@ -44,7 +44,6 @@ from specdet.spaces import (
     space_lp,
     space_marcinkiewicz,
 )
-from specdet.stepfn import GridFn
 from specdet.traces import eval_functional, integral_trace, singular_trace
 from spaces_reference import audit_profile_reference
 
@@ -873,7 +872,6 @@ def test_membership_marcinkiewicz_oracle_cross_check():
 def test_membership_custom_psi_power_is_undecidable():
     space = space_marcinkiewicz(PsiFn("sqrt", math.sqrt))
     assert membership(space, power_profile(0.5)) is Membership.UNDECIDABLE
-    assert membership(space, GridFn([1.0, 0.5])) is Membership.MEMBER
 
 
 def test_psi_log_is_one_object():
@@ -913,16 +911,9 @@ def test_membership_llog_is_exponential_l1():
     assert membership(space_llog(), fast) is Membership.NOT_MEMBER
 
 
-def test_membership_gridfn_always_member():
-    g = GridFn([5.0, 1.0, 0.0])
-    for space in (space_lp(1.0), space_linf(), space_llog(), space_marcinkiewicz()):
-        assert membership(space, g) is Membership.MEMBER
-
-
 # ---- exponential-log membership ----
 
 def test_elog_membership_bounded_and_grid():
-    assert elog_membership(space_lp(1.0), GridFn([2.0, 1.0])) is Membership.MEMBER
     assert elog_membership(space_lp(1.0), constant_profile(7.0)) is Membership.MEMBER
 
 

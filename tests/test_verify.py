@@ -251,6 +251,8 @@ def test_zero_trials_passes_with_no_rows():
     for name in SUITE_NAMES:
         assert payload["reports"][name]["worst_margin"] is None
         assert payload["reports"][name]["rows"] == 0
+        # an empty sum of trial times is the float 0.0, like every other runtime
+        assert isinstance(payload["reports"][name]["runtime_ms"], float)
     assert rows_to_csv(result.rows) == "check_name,seed,trial,n,t_or_r,quantity,bound,margin,pass\n"
 
 
