@@ -66,7 +66,9 @@ class MatrixOperator:
         a = np.array(entries, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise ValueError("entries must form a nonempty square matrix")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        # the copy is contiguous, so its raveled float view is every real
+        # and imaginary part, read in one pass
+        if not np.isfinite(a.ravel("K").view(np.float64)).all():
             raise ValueError("entries must be finite")
         a.setflags(write=False)
         self._a = a

@@ -7,7 +7,10 @@ and are computed exactly (compensated with ``math.fsum``), which is what lets
 the verification checks assert cancellations at the 1e-10 level instead of
 chasing quadrature error.  Each grid computes its full-cell terms
 ``values[k] * ((k+1)/n - k/n)`` once, on its first integral, and every later
-query reuses them.
+query reuses them.  Queries come in batches: ``values_at`` evaluates a grid at
+many points, ``integrals`` integrates it over many intervals and
+``psi_values`` gives the averaging transform at many points, each in one
+call; ``integrate`` and ``psi_eval`` are their one-element cases.
 
 Grids are right-continuous, like the singular value function mu(t; T):
 at an interior node a query returns the value of the cell to its right.
@@ -25,7 +28,9 @@ __all__ = [
     "MonotoneStepFn",
     "decreasing_rearrangement",
     "signed_parts",
+    "integrals",
     "integrate",
+    "psi_values",
     "psi_eval",
     "dilate2",
 ]
@@ -173,49 +178,69 @@ def signed_parts(f: GridFn) -> tuple[MonotoneStepFn, MonotoneStepFn]:
     return pos, neg
 
 
-def integrate(f: GridFn, a: float, b: float) -> float:
-    """Exact integral of f over (a, b), 0 <= a <= b <= 1.
+def integrals(f: GridFn, los, his) -> list:
+    """Exact integral of f over each (a, b) of zip(los, his), 0 <= a <= b <= 1.
 
-    A finite sum of value*length terms, accumulated with math.fsum so the
-    result is the correctly rounded value of the exact real sum.  Cells that
-    (a, b) covers whole take their term from the grid's cache; only the
-    partial cells at either end are computed per query.
+    Each integral is a finite sum of value*length terms, accumulated with
+    math.fsum so the result is the correctly rounded value of the exact real
+    sum.  Cells that (a, b) covers whole take their term from the grid's
+    cache; only the partial cells at either end are computed per interval.
+    The first pair out of bounds raises ValueError.
     """
-    a = float(a)
-    b = float(b)
-    if not (0.0 <= a <= b <= 1.0):
-        raise ValueError(f"integration bounds ({a}, {b}) must satisfy 0 <= a <= b <= 1")
-    if a == b:
-        return 0.0
     n = f.n_cells
     v = f.values
-    k0 = max(int(math.floor(a * n)), 0)
-    k1 = min(int(math.ceil(b * n)), n)
-    # Cell k is whole when a <= k/n and (k+1)/n <= b; both tests are monotone
-    # in k, so the whole cells are one run [w0, w1) inside [k0, k1).
-    w0 = k0
-    while w0 < k1 and w0 / n < a:
-        w0 += 1
-    w1 = k1
-    while w1 > w0 and w1 / n > b:
-        w1 -= 1
-    terms = f._cell_terms()[w0:w1]
-    for k in (*range(k0, w0), *range(w1, k1)):
-        lo = a if a > k / n else k / n
-        hi = b if b < (k + 1) / n else (k + 1) / n
-        if hi > lo:
-            terms.append(float(v[k]) * (hi - lo))
-    return math.fsum(terms)
+    cells = f._cell_terms()
+    out = []
+    for a, b in zip(los, his):
+        a = float(a)
+        b = float(b)
+        if not (0.0 <= a <= b <= 1.0):
+            raise ValueError(f"integration bounds ({a}, {b}) must satisfy 0 <= a <= b <= 1")
+        if a == b:
+            out.append(0.0)
+            continue
+        k0 = max(int(math.floor(a * n)), 0)
+        k1 = min(int(math.ceil(b * n)), n)
+        # Cell k is whole when a <= k/n and (k+1)/n <= b; both tests are
+        # monotone in k, so the whole cells are one run [w0, w1) in [k0, k1).
+        w0 = k0
+        while w0 < k1 and w0 / n < a:
+            w0 += 1
+        w1 = k1
+        while w1 > w0 and w1 / n > b:
+            w1 -= 1
+        terms = cells[w0:w1]
+        for k in (*range(k0, w0), *range(w1, k1)):
+            lo = a if a > k / n else k / n
+            hi = b if b < (k + 1) / n else (k + 1) / n
+            if hi > lo:
+                terms.append(float(v[k]) * (hi - lo))
+        out.append(math.fsum(terms))
+    return out
+
+
+def integrate(f: GridFn, a: float, b: float) -> float:
+    """Exact integral of f over (a, b), 0 <= a <= b <= 1; see integrals."""
+    return integrals(f, (a,), (b,))[0]
+
+
+def psi_values(f: GridFn, ts) -> list:
+    """Averaging transform (Psi f)(t) = (1/t) * int_t^{1-t} f at each t of ts.
+
+    Zero for t >= 1/2; the first t outside (0, 1] raises ValueError.
+    """
+    ts = [float(t) for t in ts]
+    for t in ts:
+        if not 0.0 < t <= 1.0:
+            raise ValueError(f"transform argument {t} outside (0, 1]")
+    inner = [t for t in ts if t < 0.5]
+    windows = iter(integrals(f, inner, [1.0 - t for t in inner]))
+    return [next(windows) / t if t < 0.5 else 0.0 for t in ts]
 
 
 def psi_eval(f: GridFn, t: float) -> float:
     """Averaging transform (Psi f)(t) = (1/t) * int_t^{1-t} f, zero for t >= 1/2."""
-    t = float(t)
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"transform argument {t} outside (0, 1]")
-    if t >= 0.5:
-        return 0.0
-    return integrate(f, t, 1.0 - t) / t
+    return psi_values(f, (t,))[0]
 
 
 def dilate2(f: GridFn) -> GridFn:

@@ -6,8 +6,10 @@ per comparison: quantity, bound, margin = bound - quantity, and a pass flag
 with tolerance tol * (1 + |bound|).  Seeds for each (check, trial, slot) are
 derived with BLAKE2b so results are bit-stable across processes and across
 thread counts; rows are assembled in a fixed order regardless of execution
-order.  Nothing here retries or resamples on failure: a violated bound stays
-in the report.
+order.  ``CheckRow`` is a NamedTuple, so a row is a tuple of its nine
+fields.  A check integrates or transforms a grid at all of its points in one
+``stepfn.integrals`` or ``stepfn.psi_values`` call.  Nothing here retries or
+resamples on failure: a violated bound stays in the report.
 """
 
 from __future__ import annotations
@@ -18,15 +20,16 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from itertools import repeat
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .stepfn import (
     GridFn,
     dilate2,
-    integrate,
-    psi_eval,
+    integrals,
+    psi_values,
     signed_parts,
 )
 from .matmodel import (
@@ -65,8 +68,7 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 _CUTOFF_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     check_name: str
     seed: int
     trial: int
@@ -175,9 +177,10 @@ def _rows(name, seed, trial, n, tol, ts, quantities, bounds) -> List[CheckRow]:
     q = np.asarray(quantities, dtype=float)
     b = np.asarray(bounds, dtype=float)
     margin, ok = _ok(q, b, tol)
-    columns = (np.asarray(ts, dtype=float).tolist(), q.tolist(), b.tolist(),
-               margin.tolist(), ok.tolist())
-    return [CheckRow(name, seed, trial, n, *fields) for fields in zip(*columns)]
+    return list(map(CheckRow._make, zip(
+        repeat(name), repeat(seed), repeat(trial), repeat(n),
+        np.asarray(ts, dtype=float).tolist(), q.tolist(), b.tolist(),
+        margin.tolist(), ok.tolist())))
 
 
 def _boundary_ts(n: int, frac: float) -> List[float]:
@@ -201,7 +204,7 @@ def _check_product_log_integral(n, t_op, s_op):
     g = GridFn(np.log(prod.singular_values)) - lambda_matrix(t_op) - lambda_matrix(s_op)
     mu_t, mu_s = mu_matrix(t_op), mu_matrix(s_op)
     ts = [k / (2 * n) for k in range(1, n // 2)] or [0.125]
-    q = [abs(integrate(g, 2 * t, 1.0 - 2 * t)) for t in ts]
+    q = np.abs(integrals(g, [2 * t for t in ts], [1.0 - 2 * t for t in ts]))
     return ts, q, 8.0 * np.array(ts) * (mu_t.values_at(ts) + mu_s.values_at(ts))
 
 
@@ -231,9 +234,10 @@ def _check_majorization(n, t_op, s_op):
     mu_sum = mu_matrix(t_op + s_op)
     mu_parts = mu_matrix(t_op) + mu_matrix(s_op)
     ts = [k / n for k in range(1, n // 2 + 1)]
-    head_sum = [integrate(mu_sum, 0.0, t) for t in ts]
-    head_parts = [integrate(mu_parts, 0.0, t) for t in ts]
-    head_sum_2t = [integrate(mu_sum, 0.0, 2 * t) for t in ts]
+    zeros = [0.0] * len(ts)
+    head_sum = integrals(mu_sum, zeros, ts)
+    head_parts = integrals(mu_parts, zeros, ts)
+    head_sum_2t = integrals(mu_sum, zeros, [2 * t for t in ts])
     # each t gives the lower comparison, then the upper one
     return (np.repeat(ts, 2), np.column_stack((head_sum, head_parts)).ravel(),
             np.column_stack((head_parts, head_sum_2t)).ravel())
@@ -244,7 +248,7 @@ def _check_sum_psi_bound(n, t_op, s_op):
     mu_sum = mu_matrix(t_op + s_op)
     h = mu_sum - mu_matrix(t_op) - mu_matrix(s_op)
     ts = _half_grid(n)
-    q = [abs(integrate(h, t, 1.0 - t)) for t in ts]
+    q = np.abs(integrals(h, ts, [1.0 - t for t in ts]))
     return ts, q, 4.0 * np.array(ts) * mu_sum.values_at(ts)
 
 
@@ -269,10 +273,11 @@ def _check_split_psi_vanishing(n, t_op):
     h = _psi_tpm(t_op)
     _p, _m, t_star = _split_threshold(t_op.eigenvalues, n)
     ts = [t for t in _boundary_ts(n, 0.5) if t < t_star - _CUTOFF_GUARD]
-    q = [abs(psi_eval(h, t)) for t in ts]
-    sup = max(abs(psi_eval(h, t)) for t in _half_grid(n))
+    # the half grid opens with the boundary points in increasing order, so
+    # the rows of ts are the first len(ts) of its pass
+    psi = [abs(x) for x in psi_values(h, _half_grid(n))]
     b_sup = 2.0 * t_op.norm / max(t_star, 1.0 / n)
-    return ts + [0.5], q + [sup], [0.0] * len(ts) + [b_sup]
+    return ts + [0.5], psi[:len(ts)] + [max(psi)], [0.0] * len(ts) + [b_sup]
 
 
 def _psi_tpm(x: MatrixOperator) -> GridFn:
@@ -297,10 +302,10 @@ def _check_sum_psi_composite(n, t_op, s_op):
     g = lambda_matrix(t_op) + lambda_matrix(s_op) - lambda_matrix(ts_op)
     grid = _half_grid(n)
     c_sum = sum(
-        max(abs(psi_eval(h, t)) for t in grid)
+        max(map(abs, psi_values(h, grid)))
         for h in [_psi_tpm(x) for x in (t_op, s_op, ts_op)]
     )
-    q = [abs(psi_eval(g, t)) for t in grid]
+    q = [abs(x) for x in psi_values(g, grid)]
     b = 12.0 * mu_a.values_at(grid) + c_sum
     return [0.0] + grid, [ident_gap] + q, np.concatenate(([0.0], b))
 
@@ -322,10 +327,14 @@ def _check_commutator_criterion(n, t_op):
         r_max = 0.5
     rs = [r for r in _half_grid(n) if r < r_max]
     cuts = mu_t.values_at(rs)
-    q = []
-    for r, cut in zip(rs, cuts.tolist()):
-        tau_trunc = math.fsum(w[np.abs(w) <= cut]) / n
-        q.append(abs(tau_trunc / r - psi_eval(lam, r)))
+    # the truncation at cut keeps the eigenvalues with |w| <= cut: a prefix
+    # of w stably sorted by modulus, whose fsum is that of the masked w
+    modulus = np.abs(w)
+    order = np.argsort(modulus, kind="stable")
+    kept = np.searchsorted(modulus[order], cuts, side="right").tolist()
+    by_modulus = w[order].tolist()
+    q = [abs(math.fsum(by_modulus[:k]) / n / r - psi)
+         for r, k, psi in zip(rs, kept, psi_values(lam, rs))]
     return rs, q, 2.0 * cuts
 
 

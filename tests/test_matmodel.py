@@ -41,10 +41,14 @@ def test_rejects_nonsquare_and_nonfinite():
         MatrixOperator(np.ones((2, 3)))
     with pytest.raises(ValueError):
         MatrixOperator(np.zeros((0, 0)))
-    with pytest.raises(ValueError):
-        MatrixOperator(np.array([[math.inf]]))
-    with pytest.raises(ValueError):
-        MatrixOperator(np.array([[1.0 + math.nan * 1j]]))
+    for bad in (math.nan, math.inf, -math.inf):
+        for entry in (complex(bad, 1.0), complex(1.0, bad)):
+            a = np.ones((3, 3), dtype=complex)
+            a[2, 1] = entry
+            # a Fortran-ordered input gives a Fortran-ordered copy
+            for entries in (a, np.asfortranarray(a), a.T):
+                with pytest.raises(ValueError, match="entries must be finite"):
+                    MatrixOperator(entries)
 
 
 def test_entries_read_only():

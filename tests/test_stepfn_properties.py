@@ -1,10 +1,12 @@
 """Property tests of the step-function layer against its references.
 
-``integrate`` must return the bits of the per-cell reference loop and
-``GridFn.values_at`` the values of per-point ``__call__``, on grids of 1 to
-512 cells, on both sides of a node.  Points are drawn where the rules can
-drift apart: on nodes, one ulp either side of a node, at midpoints and
-quarter points (k/(2n)), at the edges of the node snap window, and at random.
+``integrate`` must return the bits of the per-cell reference loop,
+``integrals`` those of the loop per interval, ``psi_values`` those of
+per-point ``psi_eval``, and ``GridFn.values_at`` the values of per-point
+``__call__``, on grids of 1 to 512 cells, on both sides of a node.  Points
+are drawn where the rules can drift apart: on nodes, one ulp either side of
+a node, at midpoints and quarter points (k/(2n)), at the edges of the node
+snap window, and at random.
 A trace on a signed grid must return the bits (or the refusal) of the clip,
 rearrange and subtract formula it replaced, under integral:c and singular.
 The remaining properties are those of the exact calculus itself: refinement
@@ -22,7 +24,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specdet.stepfn import GridFn, _SNAP, decreasing_rearrangement, integrate
+from specdet.stepfn import (
+    GridFn,
+    _SNAP,
+    decreasing_rearrangement,
+    integrals,
+    integrate,
+    psi_eval,
+    psi_values,
+)
 from specdet.traces import NonConvergentError, eval_functional, integral_trace, singular_trace
 from specdet.verify import SUITE_NAMES, SuiteConfig, rows_to_csv, run_suite
 from stepfn_reference import integrate_reference, signed_eval_reference, values_at_reference
@@ -101,6 +111,62 @@ def test_integrate_matches_reference_on_all_structured_pairs():
         for i, a in enumerate(pts):
             for b in pts[i:]:
                 assert integrate(f, a, b).hex() == integrate_reference(f, a, b).hex(), (n, a, b)
+
+
+@st.composite
+def _grid_and_intervals(draw):
+    """A grid of 1 to 70 cells and sorted pairs on it, (0, 1) and an a == b among them."""
+    f = draw(_grids(max_cells=70))
+    point = _point(f.n_cells)
+    pairs = draw(st.lists(st.tuples(point, point).map(sorted), max_size=30))
+    a = draw(point)
+    return f, draw(st.permutations([*pairs, (0.0, 1.0), (a, a)]))
+
+
+@_SETTINGS
+@given(_grid_and_intervals())
+def test_integrals_match_the_reference_per_interval(case):
+    f, pairs = case
+    got = integrals(f, [a for a, _ in pairs], [b for _, b in pairs])
+    assert [x.hex() for x in got] == [integrate_reference(f, a, b).hex() for a, b in pairs]
+
+
+@_SETTINGS
+@given(_grids(max_cells=70), st.data())
+def test_psi_values_match_pointwise_psi_eval(f, data):
+    point = _point(f.n_cells).filter(lambda t: t > 0.0)
+    ts = data.draw(st.permutations([*data.draw(st.lists(point, max_size=30)), 0.5, 1.0]))
+    got = [x.hex() for x in psi_values(f, ts)]
+    assert got == [psi_eval(f, t).hex() for t in ts]
+    assert got == [(integrate_reference(f, t, 1.0 - t) / t if t < 0.5 else 0.0).hex()
+                   for t in ts]
+
+
+@pytest.mark.parametrize("los, his", [
+    ([0.1, 0.6, 0.9], [0.2, 0.5, 0.3]),
+    ([0.0, -0.5], [1.0, 0.5]),
+    ([0.25, 0.5], [0.5, 1.5]),
+    ([0.25, math.nan], [0.5, 0.5]),
+])
+def test_integrals_raise_the_message_of_the_first_bad_interval(los, his):
+    f = GridFn([1.0, 2.0, 3.0])
+    bad = next((a, b) for a, b in zip(los, his) if not 0.0 <= a <= b <= 1.0)
+    with pytest.raises(ValueError) as single:
+        integrate(f, *bad)
+    assert str(single.value) == f"integration bounds {bad} must satisfy 0 <= a <= b <= 1"
+    with pytest.raises(ValueError) as batched:
+        integrals(f, los, his)
+    assert str(batched.value) == str(single.value)
+
+
+@pytest.mark.parametrize("ts, bad", [([0.25, 0.0, -1.0], 0.0), ([0.75, 1.5], 1.5),
+                                     ([math.nan], math.nan)])
+def test_psi_values_raise_the_message_of_the_first_bad_point(ts, bad):
+    f = GridFn([1.0, 2.0, 3.0])
+    for call in (lambda: psi_eval(f, bad), lambda: psi_values(f, ts)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"transform argument {bad} outside (0, 1]"
 
 
 @_SETTINGS

@@ -1,6 +1,5 @@
 """Verification harness: check rows, determinism, serialization, tolerances."""
 
-import dataclasses
 import json
 import math
 import os
@@ -112,6 +111,23 @@ def test_commutator_hand_case():
     quantity = abs(tau_trunc / r - psi_eval(lam, r))
     assert quantity == 1.0
     assert quantity <= 2.0 * mu(r)
+
+
+def test_commutator_truncation_keeps_the_ties_at_the_cut():
+    # every cut mu(r) = 3, 2, 1 equals some |w|, four times at 1, and
+    # dropping the ties at the cut would change each truncated sum
+    w = [3.0, 1.0, 1.0, 0.5, -0.5, -0.5, -1.0, -2.0]
+    t_op = MatrixOperator(np.diag(w).astype(complex))
+    ev = t_op.eigenvalues
+    assert sorted(ev.tolist()) == sorted(w)
+    rs, q, bounds = verify._check_commutator_criterion(8, t_op)
+    cuts = mu_matrix(t_op).values_at(rs)
+    assert set(cuts.tolist()) == {3.0, 2.0, 1.0}
+    assert np.array_equal(bounds, 2.0 * cuts)
+    lam = GridFn(ev)
+    masked = [abs(math.fsum(ev[np.abs(ev) <= cut]) / 8 / r - psi_eval(lam, r))
+              for r, cut in zip(rs, cuts.tolist())]
+    assert [x.hex() for x in q] == [x.hex() for x in masked]
 
 
 def test_majorization_hand_case():
@@ -303,9 +319,20 @@ def test_rows_order_follows_suite_order():
 def test_row_fields_are_python_scalars():
     # a numpy scalar would print as np.float64(...) under repr
     for row in run_suite(_quick_config(n=9, trials=1)).rows:
-        for value in dataclasses.astuple(row)[4:8]:
+        for value in tuple(row)[4:8]:
             assert type(value) is float
         assert type(row.ok) is bool
+
+
+def test_rows_are_immutable_and_read_as_the_dataclass_rows_did():
+    row = CheckRow("majorization", 12, 0, 8, 0.125, 1.0, 2.0, 1.0, True)
+    with pytest.raises(AttributeError):
+        row.margin = 0.0
+    # the repr and the hash of the frozen dataclass rows this type replaced
+    assert repr(row) == (
+        "CheckRow(check_name='majorization', seed=12, trial=0, n=8, t=0.125, "
+        "quantity=1.0, bound=2.0, margin=1.0, ok=True)")
+    assert hash(row) == hash(("majorization", 12, 0, 8, 0.125, 1.0, 2.0, 1.0, True))
 
 
 @pytest.mark.parametrize("n", [7, 16, 37])
@@ -314,11 +341,20 @@ def test_csv_bytes_equal_with_the_references_swapped_in(monkeypatch, n):
 
     config = _quick_config(n=n, trials=3, seed=42)
     fast = rows_to_csv(run_suite(config).rows)
-    monkeypatch.setattr(stepfn, "integrate", integrate_reference)   # psi_eval's binding
-    monkeypatch.setattr(verify, "integrate", integrate_reference)
+    intervals = []
+
+    def integrals_reference(f, los, his):
+        pairs = list(zip(los, his))
+        intervals.extend(pairs)
+        return [integrate_reference(f, a, b) for a, b in pairs]
+
+    monkeypatch.setattr(stepfn, "integrals", integrals_reference)   # psi_values' binding
+    monkeypatch.setattr(verify, "integrals", integrals_reference)
     monkeypatch.setattr(GridFn, "values_at", values_at_reference)
     monkeypatch.setattr(verify, "_rows", rows_reference)
     assert rows_to_csv(run_suite(config).rows) == fast
+    # the suites reached the reference, so the bytes above compare something
+    assert len(intervals) > 0
 
 
 # ---- golden report digests ----
