@@ -5,9 +5,9 @@ averaging transforms) is a piecewise-constant function on a uniform grid of
 ``n`` cells ``((k-1)/n, k/n)``.  Integrals of such functions are finite sums
 and are computed exactly (compensated with ``math.fsum``), which is what lets
 the verification checks assert cancellations at the 1e-10 level instead of
-chasing quadrature error.  Each grid computes its full-cell terms
-``values[k] * ((k+1)/n - k/n)`` once, on its first integral, and every later
-query reuses them.  Queries come in batches: ``values_at`` evaluates a grid at
+chasing quadrature error.  Each ``integrals`` call computes the grid's
+full-cell terms ``values[k] * ((k+1)/n - k/n)`` once and shares them among its
+intervals.  Queries come in batches: ``values_at`` evaluates a grid at
 many points, ``integrals`` integrates it over many intervals and
 ``psi_values`` gives the averaging transform at many points, each in one
 call; ``integrate`` and ``psi_eval`` are their one-element cases.
@@ -56,7 +56,7 @@ class GridFn:
     number enters only as ``c - f``.
     """
 
-    __slots__ = ("_values", "_terms")
+    __slots__ = ("_values",)
 
     def __init__(self, values):
         arr = np.array(values, dtype=float)
@@ -68,7 +68,6 @@ class GridFn:
             raise ValueError("cell values must be finite")
         arr.setflags(write=False)
         self._values = arr
-        self._terms = None
 
     @property
     def values(self) -> np.ndarray:
@@ -98,18 +97,6 @@ class GridFn:
         snapped = (np.abs(x - k) <= _SNAP) & (k >= 1) & (k <= n - 1)
         idx[snapped] = k[snapped] - 1 if left else k[snapped]
         return self._values[idx.astype(np.intp)]
-
-    def _cell_terms(self) -> list:
-        """Full-cell integrals ``values[k] * ((k+1)/n - k/n)``, computed on first use.
-
-        Two threads filling the cache at once compute equal lists, so the
-        unguarded assignment is safe.
-        """
-        terms = self._terms
-        if terms is None:
-            nodes = np.arange(self.n_cells + 1) / self.n_cells
-            terms = self._terms = (self._values * (nodes[1:] - nodes[:-1])).tolist()
-        return terms
 
     def resampled(self, m: int) -> np.ndarray:
         """Values on the refinement with m cells; m must be a multiple of n_cells."""
@@ -183,13 +170,15 @@ def integrals(f: GridFn, los, his) -> list:
 
     Each integral is a finite sum of value*length terms, accumulated with
     math.fsum so the result is the correctly rounded value of the exact real
-    sum.  Cells that (a, b) covers whole take their term from the grid's
-    cache; only the partial cells at either end are computed per interval.
+    sum.  The whole-cell terms are computed once per call and shared by
+    every interval; only the partial cells at either end are computed per
+    interval.
     The first pair out of bounds raises ValueError.
     """
     n = f.n_cells
     v = f.values
-    cells = f._cell_terms()
+    nodes = np.arange(n + 1) / n
+    cells = (v * (nodes[1:] - nodes[:-1])).tolist()
     out = []
     for a, b in zip(los, his):
         a = float(a)

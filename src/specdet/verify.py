@@ -19,7 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
@@ -478,13 +478,7 @@ def result_to_json(result: SuiteResult) -> str:
     import json
 
     payload = {
-        "config": {
-            "suites": list(result.config.suites),
-            "n": result.config.n,
-            "trials": result.config.trials,
-            "seed": result.config.seed,
-            "tol_overrides": dict(result.config.tol_overrides),
-        },
+        "config": asdict(result.config),
         "passed": result.passed,
         "wall_ms": result.wall_ms,
         "reports": {},

@@ -86,6 +86,16 @@ def test_psi_audit_rejects_bad_shapes():
         space_marcinkiewicz(PsiFn("decreasing", lambda t: 1.0 / (1.0 + t)))
 
 
+def test_psi_concavity_slack_is_relative_rounding_only():
+    # a convex kink of 1e-9 in slope at one audit point is refused; the
+    # audit's slack only forgives the rounding of straight and concave psi
+    kink = spaces._PSI_GRID[32]
+    with pytest.raises(ValueError, match="must be concave"):
+        PsiFn("kink", lambda t: t + 1e-9 * max(t - kink, 0.0))
+    assert PsiFn("identity", lambda t: t).name == "identity"
+    assert PsiFn("psi-log", psi_log().fn).name == "psi-log"
+
+
 def test_psi_sqrt_passes_audit():
     # concave, increasing, psi(0+) = 0: admissible but not the log one
     space = space_marcinkiewicz(PsiFn("sqrt", math.sqrt))

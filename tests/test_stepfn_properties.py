@@ -95,7 +95,7 @@ def _grid_and_points(draw):
 @given(_grid_and_bounds())
 def test_integrate_matches_reference_bits(case):
     f, pairs = case
-    # several queries per grid, so most of them read the filled term cache
+    # several queries per grid; each call builds the full-cell terms afresh
     for a, b in pairs:
         assert integrate(f, a, b).hex() == integrate_reference(f, a, b).hex(), (a, b)
 
@@ -254,7 +254,7 @@ def test_integral_is_invariant_under_decreasing_rearrangement(f):
 
 # ---- threads ----
 
-def test_concurrent_first_fill_of_the_term_cache():
+def test_concurrent_integrate_on_a_shared_grid_matches_reference():
     rng = np.random.default_rng(11)
     values = rng.standard_normal(509)
     queries = [tuple(sorted(rng.random(2))) for _ in range(200)]
