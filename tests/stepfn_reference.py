@@ -1,8 +1,8 @@
 """Reference implementations that the fast step-function paths must match bit for bit.
 
 ``integrate_reference`` is the per-cell loop that ``stepfn.integrate`` used
-before it took its full-cell terms from one array product; run pair by pair, it is also the
-reference for ``stepfn.integrals``.  ``values_at_reference`` is the
+before it took its full-cell terms from one array product; run pair by pair,
+it is also the reference for ``stepfn.integrals``.  ``values_at_reference`` is the
 per-point snap rule, on either side of a node, that ``GridFn.values_at``
 (and through it ``GridFn.__call__``) applies to a whole array.
 ``rows_reference`` builds check rows one scalar ``_ok`` at a time, the way

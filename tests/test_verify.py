@@ -366,7 +366,8 @@ _GOLDEN_CSV_SHA256 = {
     "0.3.31.188.0/Haswell": {
         (37, 5, 7): "729aeeb43153331d914df46b6eee6d317d9d5d40cde102fd571d9fc960c65613",
         (64, 3, 42): "aba2368da55e0aaddb9e317b974b750a9e81ce8fcf4c915dc7aa3a390f400d13",
-        # 1 - p/n rounds at n = 39, so this digest moves when _CUTOFF_GUARD is 0
+        # verify._CUTOFF_GUARD changes rows at n = 39 (not at 37 or 64), so
+        # this digest moves when the guard is 0
         (39, 3, 42): "3cc88008d031dfaef001dfd3325a09d10a72d808109393cf639bcf54afaa0b92",
     },
 }
