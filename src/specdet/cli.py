@@ -7,11 +7,18 @@ compares against their expected constants.  Exit codes: 0 success, 1 honest
 mathematical failure (violated bound, non-convergent limit, undecidable
 membership, domain refusal, a LAPACK decomposition that fails, a
 determinant or an eps-shifted value past the float range), 2 usage errors
-and a missing QUADPACK.  `main` is the one place that maps a failure to its
-exit code: exit 1 is a spaces.Refusal, which every refusal class of the
-library subclasses, or LinAlgError, OverflowError or FloatingPointError; exit
-2 is any other ValueError, an OSError or an ImportError.  Each refusal
-carries its own message, written where it is raised.
+and a missing QUADPACK or numpy.  `main` is the one place that maps a
+failure to its exit code: exit 1 is a spaces.Refusal, which every refusal
+class of the library subclasses, or numpy's LinAlgError, OverflowError or
+FloatingPointError; exit 2 is any other ValueError, an OSError or an
+ImportError.  Each refusal carries its own message, written where it is
+raised.
+
+A command imports what it needs when it runs.  `verify` imports
+specdet.verify and a matrix file specdet.matmodel, and both load numpy.
+Importing this module, and a `det` or `example` on closed-form profiles
+without quadrature (such as `example --name prop-3-2`), load no numpy; a
+quadrature loads it through scipy's _quadpack extension.
 """
 
 from __future__ import annotations
@@ -24,10 +31,7 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from numpy.linalg import LinAlgError
-
 from .dets import det_phi_with_branch, eps_limit_comparison, separating_witness_scenario
-from .matmodel import load_matrix
 from .spaces import (
     Refusal,
     parse_profile_spec,
@@ -38,15 +42,25 @@ from .spaces import (
     space_marcinkiewicz,
 )
 from .traces import parse_trace, singular_trace
-from .verify import (
-    SUITE_NAMES,
-    SuiteConfig,
-    result_to_json,
-    rows_to_csv,
-    run_suite,
-)
 
-_MATH_ERRORS = (Refusal, LinAlgError, OverflowError, FloatingPointError)
+_MATH_ERRORS = (Refusal, OverflowError, FloatingPointError)
+
+
+def _exit_code(exc: Exception) -> Optional[int]:
+    """1 for a mathematical failure, 2 for a usage error, None for a program bug.
+
+    numpy's LinAlgError is a mathematical failure.  It can only have been
+    raised once numpy.linalg is loaded, so it is looked up there rather than
+    imported: a run that never needs numpy never loads it.  The refusal
+    classes come first, since most of them subclass ValueError.
+    """
+    linalg = sys.modules.get("numpy.linalg")
+    if isinstance(exc, _MATH_ERRORS) or (linalg is not None
+                                         and isinstance(exc, linalg.LinAlgError)):
+        return 1
+    if isinstance(exc, (ValueError, OSError, ImportError)):
+        return 2
+    return None
 
 
 def _write_output(payload: str, path: Optional[str]) -> None:
@@ -74,16 +88,20 @@ def _parse_tols(pairs: Optional[List[str]]) -> Dict[str, float]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     if args.suite.strip().lower() == "all":
-        suites = SUITE_NAMES
+        suites = verify.SUITE_NAMES
     else:
         suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-    config = SuiteConfig(
-        suites=suites, n=args.n, trials=args.trials, seed=args.seed,
-        tol_overrides=_parse_tols(args.tol),
-    )
-    result = run_suite(config)
-    payload = rows_to_csv(result.rows) if args.format == "csv" else result_to_json(result)
+    given = {key: getattr(args, key) for key in ("n", "trials", "seed")
+             if getattr(args, key) is not None}
+    config = verify.SuiteConfig(suites=suites, tol_overrides=_parse_tols(args.tol), **given)
+    result = verify.run_suite(config)
+    if args.format == "csv":
+        payload = verify.rows_to_csv(result.rows)
+    else:
+        payload = verify.result_to_json(result)
     _write_output(payload, args.out)
     for name in suites:
         rep = result.reports[name]
@@ -104,6 +122,8 @@ def _load_det_input(text: str):
         return parse_profile_spec(text)
     if not os.path.exists(text):
         raise FileNotFoundError(f"matrix file {text!r} does not exist")
+    from .matmodel import load_matrix
+
     return load_matrix(text)
 
 
@@ -199,10 +219,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run seeded inequality suites")
     p_verify.add_argument("--suite", default="all",
                           help="comma-separated suite names, or 'all'")
-    p_verify.add_argument("--n", type=int, default=SuiteConfig.n, help="matrix size, 2..512")
-    p_verify.add_argument("--trials", type=int, default=SuiteConfig.trials,
+    # --n, --trials and --seed default to None: cmd_verify leaves an option
+    # that is not given to SuiteConfig, which owns the defaults
+    p_verify.add_argument("--n", type=int, help="matrix size, 2..512")
+    p_verify.add_argument("--trials", type=int,
                           help="seeded trials per suite (0 gives a no-data report)")
-    p_verify.add_argument("--seed", type=int, default=SuiteConfig.seed, help="master seed")
+    p_verify.add_argument("--seed", type=int, help="master seed")
     p_verify.add_argument("--tol", action="append", metavar="NAME=VAL",
                           help="tolerance override; bare value sets the default")
     p_verify.add_argument("--out", help="write the report here instead of stdout")
@@ -235,15 +257,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0
-    # _MATH_ERRORS first: most refusals subclass ValueError
     try:
         return args.func(args)
-    except _MATH_ERRORS as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, ImportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return code
 
 
 def console_main() -> None:

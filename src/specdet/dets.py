@@ -21,18 +21,19 @@ log+ x) at the same points for every eps, the audit grid and the quadrature
 nodes of the same intervals, so one comparison reads x through one dict per
 call, keyed by the point, made when the call starts and dropped when it
 returns.
+
+Each entry point tests for a profile first.  numpy and the grid and matrix
+layers (stepfn, matmodel) are imported inside the branches that take a grid
+or a matrix, so a profile determinant loads none of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from . import spaces  # not a from-import of _exp: the benchmark tracer would wrap it
-from .stepfn import GridFn
 from .spaces import (
     BOUNDED,
     SUPERPOWER,
@@ -47,7 +48,10 @@ from .spaces import (
     membership,
 )
 from .traces import TraceFunctional, eval_functional, integral_trace
-from .matmodel import MatrixOperator, mu_matrix
+
+if TYPE_CHECKING:
+    from .matmodel import MatrixOperator
+    from .stepfn import GridFn
 
 __all__ = [
     "DetDomainError",
@@ -113,6 +117,10 @@ def _exp_eps(log_value: float, eps: float) -> float:
 
 def _log_det_grid(mu: GridFn, phi: TraceFunctional) -> float:
     """phi(log mu) for a positive grid mu, in any cell order: eval_functional rearranges."""
+    import numpy as np
+
+    from .stepfn import GridFn
+
     return eval_functional(phi, GridFn(np.log(mu.values)))
 
 
@@ -125,16 +133,21 @@ def det_phi_with_branch(x, phi: TraceFunctional,
     profiles, where membership of log+ (domain entry) and log- (branch 1 vs 2)
     is decided by the registered rules.
     """
-    if isinstance(x, MatrixOperator):
-        x = mu_matrix(x)
-    if isinstance(x, GridFn):
+    if not isinstance(x, SpectralProfile):
+        import numpy as np
+
+        from .matmodel import MatrixOperator, mu_matrix
+        from .stepfn import GridFn
+
+        if isinstance(x, MatrixOperator):
+            x = mu_matrix(x)
+        if not isinstance(x, GridFn):
+            raise TypeError(f"cannot take a determinant of {type(x).__name__}")
         if np.any(x.values < 0.0):
             raise ValueError("grid input to a determinant must be nonnegative data")
         if x.values.min() == 0.0:
             return 0.0, 3
         return _exp_det(_log_det_grid(x, phi)), 1
-    if not isinstance(x, SpectralProfile):
-        raise TypeError(f"cannot take a determinant of {type(x).__name__}")
     if space is None:
         raise ValueError("profile determinants need the ambient space")
     entry = elog_membership(space, x)
@@ -258,8 +271,11 @@ def eps_limit_comparison(x, phi: TraceFunctional,
     above 1); `agree` then records whether that limit matches the exact
     value, which by design it need not.
     """
-    if isinstance(x, MatrixOperator):
-        x = mu_matrix(x)
+    if not isinstance(x, SpectralProfile):
+        from .matmodel import MatrixOperator, mu_matrix
+
+        if isinstance(x, MatrixOperator):
+            x = mu_matrix(x)
     det_value, branch = det_phi_with_branch(x, phi, space)
     epsilons = [2.0 ** (-k) for k in range(_EPS_K_MIN, _EPS_K_MAX + 1)]
     if isinstance(x, SpectralProfile):
@@ -271,6 +287,8 @@ def eps_limit_comparison(x, phi: TraceFunctional,
         seen: Dict[float, float] = {}
         values = [_eps_term_profile(x, base.evaluator, seen, phi, e) for e in epsilons]
     else:
+        from .stepfn import GridFn
+
         # det_phi_with_branch refused every other type, so x is a GridFn;
         # x + e is positive, so the branch-1 formula applies to it
         values = [_exp_eps(_log_det_grid(GridFn(x.values + e), phi), e) for e in epsilons]

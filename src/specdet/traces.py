@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .stepfn import GridFn, integrate, signed_parts
-from .matmodel import MatrixOperator, lambda_matrix
 from .spaces import PsiFn, Refusal, SpectralProfile, profile_integral, psi_log
 
 __all__ = [
@@ -101,10 +99,12 @@ def parse_trace(text: str) -> TraceFunctional:
 
 
 def _head_integral(f, t: float) -> float:
-    """int_0^t of an already-nonincreasing argument."""
-    if isinstance(f, GridFn):
-        return integrate(f, 0.0, t)
-    return profile_integral(f, 0.0, t)
+    """int_0^t of an already-nonincreasing argument: a profile, else a grid."""
+    if isinstance(f, SpectralProfile):
+        return profile_integral(f, 0.0, t)
+    from .stepfn import integrate
+
+    return integrate(f, 0.0, t)
 
 
 def _dyadic_limit(phi: TraceFunctional, f) -> float:
@@ -149,6 +149,8 @@ def eval_functional(phi: TraceFunctional, f) -> float:
     """
     if isinstance(f, SpectralProfile):
         return _eval_nonincreasing(phi, f)
+    from .stepfn import GridFn, signed_parts
+
     if not isinstance(f, GridFn):
         raise TypeError(f"cannot evaluate a trace on {type(f).__name__}")
     pos, neg = signed_parts(f)
@@ -163,6 +165,8 @@ def eval_on_operator(phi: TraceFunctional, a) -> float:
     dyadic scheme would return only its residue, up to about 2.7e-11 * sup|f|.
     Asking for a singular trace here is a usage error, not a zero.
     """
+    from .matmodel import MatrixOperator, lambda_matrix
+
     if not isinstance(a, MatrixOperator):
         raise TypeError("eval_on_operator expects a MatrixOperator")
     if not a.self_adjoint:

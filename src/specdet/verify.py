@@ -18,7 +18,6 @@ import hashlib
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
@@ -235,9 +234,10 @@ def _check_majorization(n, t_op, s_op):
     mu_parts = mu_matrix(t_op) + mu_matrix(s_op)
     ts = [k / n for k in range(1, n // 2 + 1)]
     zeros = [0.0] * len(ts)
-    head_sum = integrals(mu_sum, zeros, ts)
+    # the heads of mu_sum at ts and at 2 * ts, from one call
+    heads_sum = integrals(mu_sum, zeros * 2, ts + [2 * t for t in ts])
+    head_sum, head_sum_2t = heads_sum[:len(ts)], heads_sum[len(ts):]
     head_parts = integrals(mu_parts, zeros, ts)
-    head_sum_2t = integrals(mu_sum, zeros, [2 * t for t in ts])
     # each t gives the lower comparison, then the upper one
     return (np.repeat(ts, 2), np.column_stack((head_sum, head_parts)).ravel(),
             np.column_stack((head_parts, head_sum_2t)).ravel())
@@ -433,6 +433,9 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
 
     workers = min(_thread_count(), max(1, len(jobs)))
     if workers > 1:
+        # imported here: a serial run loads no thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_one, jobs))
     else:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import specdet
-from specdet import dets, matmodel, spaces, traces
+from specdet import cli, dets, matmodel, spaces, traces, verify
 from specdet.cli import _build_parser, main
 from specdet.dets import DetDomainError, UnsupportedProfileError
 from specdet.matmodel import MatrixOperator, identity, save_matrix
@@ -586,11 +586,13 @@ def test_a_non_finite_integral_exits_1_naming_the_profile(capsys, monkeypatch, v
 
 # ---- the failure boundary in main ----
 
-# each command with the cli name of the computation it calls
+# each command with the module and name of the computation it calls; cli
+# imports verify when the command runs, so run_suite is patched in verify
 _COMPUTATIONS = {
-    "verify": (["verify", "--suite", "majorization", "--n", "8", "--trials", "1"], "run_suite"),
-    "det": (["det", "--input", "name=exp-neg-psi-prime-flip"], "det_phi_with_branch"),
-    "example": (["example", "--name", "prop-3-2"], "_example_scenario"),
+    "verify": (["verify", "--suite", "majorization", "--n", "8", "--trials", "1"],
+               verify, "run_suite"),
+    "det": (["det", "--input", "name=exp-neg-psi-prime-flip"], cli, "det_phi_with_branch"),
+    "example": (["example", "--name", "prop-3-2"], cli, "_example_scenario"),
 }
 
 
@@ -618,14 +620,12 @@ _EXIT_1 = (
                          ids=lambda v: getattr(v, "__name__", str(v)))
 @pytest.mark.parametrize("command", list(_COMPUTATIONS))
 def test_main_maps_each_failure_class_to_its_exit_code(capsys, monkeypatch, command, cls, code):
-    from specdet import cli
-
-    argv, name = _COMPUTATIONS[command]
+    argv, module, name = _COMPUTATIONS[command]
 
     def computation(*args, **kwargs):
         raise _refusal(cls)
 
-    monkeypatch.setattr(cli, name, computation)
+    monkeypatch.setattr(module, name, computation)
     got, out, err = _run(capsys, argv)
     assert (got, out, err) == (code, "", "error: refused here\n")
 
@@ -794,6 +794,36 @@ direct = quad(p.evaluator, 0.1, 0.9, epsabs=1e-14, epsrel=1e-10, limit=200, full
 print(json.dumps({"codes": codes, "before": before, "after": after,
                   "value": value.hex(), "direct": float(direct).hex()}))
 """
+
+
+# numpy is loaded by the grid and matrix layers only: importing the cli, a
+# profile det without quadrature, a refusal and prop-3-2 never need it
+_NUMPY_FREE_START = """
+import json, sys
+from specdet.cli import main
+
+tmp = sys.argv[1]
+loaded = {"import": "numpy" in sys.modules}
+codes = [
+    main(["det", "--input", "name=exp-neg-psi-prime-flip", "--trace", "singular:psi-log",
+          "--space", "marcinkiewicz", "--out", tmp + "/f.json"]),
+    main(["det", "--input", "kind=power a=0.5", "--space", "L2"]),
+    main(["example", "--name", "prop-3-2", "--out", tmp + "/e.json"]),
+]
+loaded["main"] = "numpy" in sys.modules
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_start_up_and_closed_form_runs_do_not_import_numpy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specdet.__file__)))
+    run = subprocess.run([sys.executable, "-c", _NUMPY_FREE_START, str(tmp_path)],
+                         capture_output=True, text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert json.loads(run.stdout) == {"codes": [0, 1, 0],
+                                      "loaded": {"import": False, "main": False}}
+    assert run.stderr == ("error: profile 'power(a=0.5,b=0,scale=1)' "
+                          "has no registered log decomposition\n")
 
 
 def test_start_up_and_exact_runs_do_not_import_scipy(tmp_path):

@@ -33,10 +33,12 @@ def test_bare_import_loads_no_layer_and_binds_no_public_name():
 
 
 def test_spaces_imports_no_other_layer():
-    # spaces is the leaf layer: grids never reach it, so it needs only numpy
+    # spaces is the leaf layer: grids never reach it, and its audit grids are
+    # literals, so it imports the standard library only, numpy included not
     src = os.path.dirname(os.path.dirname(os.path.abspath(specdet.__file__)))
     code = ("import json, sys, specdet.spaces; "
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('specdet'))))")
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('specdet') or m == 'numpy')))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120, env=dict(os.environ, PYTHONPATH=src), check=True)
     assert json.loads(run.stdout) == ["specdet", "specdet.spaces"]

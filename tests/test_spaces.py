@@ -268,6 +268,16 @@ def _recording(fn, seen):
     return ev
 
 
+@pytest.mark.parametrize("grid, lo, hi", [
+    ("_PROFILE_GRID", 1e-9, 1.0 - 1e-9),
+    ("_SUPERPOWER_GRID", 1e-2, 1.0 - 1e-9),
+    ("_PSI_GRID", 1e-15, 1.0 - 1e-6),
+])
+def test_audit_grid_literals_are_numpy_geomspace_bit_for_bit(grid, lo, hi):
+    expected = np.geomspace(lo, hi, 64).tolist()
+    assert [t.hex() for t in getattr(spaces, grid)] == [t.hex() for t in expected]
+
+
 def test_audit_evaluates_the_geomspace_grid():
     seen = []
     SpectralProfile(name="rec", evaluator=_recording(lambda t: 1.0, seen))
