@@ -18,9 +18,9 @@ loaded by itself on the first call of quad, never through scipy.integrate; a
 process whose profiles all have antiderivatives (and every matrix or verify
 run) loads no scipy module at all.
 
-The module imports the standard library only.  Its audit grids are float
-literals and the PsiFn audit runs on plain floats, so a profile loads no
-numpy; the first quadrature does, since the _quadpack extension imports it.
+The module imports the standard library only.  The audit grids are 64-point
+plain-float geomspaces and the PsiFn audit runs on plain floats, so a profile
+loads no numpy; the first quadrature does (the _quadpack extension imports it).
 """
 
 from __future__ import annotations
@@ -69,67 +69,17 @@ __all__ = [
 # to the boundary are treated as sitting on it.
 _RULE_EPS = 1e-12
 
-# Audit points: ordinary profiles, superpower profiles (which may overflow
-# closer to 0), and psi functions.  Each is np.geomspace(lo, hi, 64).tolist()
-# for the (lo, hi) named above it, written out so that spaces needs no numpy;
-# a geomspace in plain floats differs from numpy's power at a few points.
-# (1e-9, 1 - 1e-9)
-_PROFILE_GRID = (
-    1e-09, 1.3894954943510848e-09, 1.9306977288219575e-09, 2.682695795151982e-09,
-    3.727593720078264e-09, 5.179474678820147e-09, 7.196856729326096e-09, 9.999999998888893e-09,
-    1.389495494196694e-08, 1.930697728607436e-08, 2.6826957948539005e-08, 3.727593719664089e-08,
-    5.179474678244652e-08, 7.196856728526449e-08, 9.999999997777787e-08, 1.3894954940423063e-07,
-    1.9306977283929153e-07, 2.6826957945558246e-07, 3.727593719249914e-07, 5.179474677669157e-07,
-    7.196856727726801e-07, 9.999999996666681e-07, 1.3894954938879186e-06, 1.9306977281783943e-06,
-    2.6826957942577483e-06, 3.727593718835738e-06, 5.179474677093652e-06, 7.196856726927153e-06,
-    9.999999995555575e-06, 1.389495493733531e-05, 1.9306977279638733e-05, 2.6826957939596723e-05,
-    3.7275937184215634e-05, 5.179474676518157e-05, 7.196856726127506e-05, 9.999999994444448e-05,
-    0.00013894954935791403, 0.00019306977277493522, 0.00026826957936615966, 0.00037275937180073876,
-    0.0005179474675942662, 0.0007196856725327859, 0.000999999999333334, 0.0013894954934247526,
-    0.001930697727534831, 0.0026826957933635204, 0.0037275937175932127, 0.0051794746753671675,
-    0.0071968567245282115, 0.009999999992222236, 0.01389495493270365, 0.01930697727320306,
-    0.02682695793065439, 0.03727593717179037, 0.05179474674791673, 0.07196856723728565,
-    0.09999999991111129, 0.13894954931159773, 0.1930697727105789, 0.2682695792767363,
-    0.3727593716764862, 0.5179474674216168, 0.7196856722928917, 0.999999999,
-)
-# (1e-2, 1 - 1e-9)
-_SUPERPOWER_GRID = (
-    0.01, 0.010758358985251022, 0.011574228805553135, 0.012451970846757377,
-    0.013396277244329602, 0.01441219596604471, 0.015505157796849564, 0.016681005370147144,
-    0.017946024400694302, 0.01930697728607436, 0.020771139256367543, 0.022346337265264197,
-    0.024040991830520483, 0.025864162047422635, 0.027825594015887776, 0.029935772940077335,
-    0.03220597917903152, 0.034648348547954115, 0.03727593719249914, 0.040102791382857564,
-    0.043144022600741294, 0.04641588832065583, 0.049935878917293536, 0.053722811163627204,
-    0.057796928819515266, 0.06218001084853455, 0.06689548784153378, 0.07196856726927153,
-    0.07742636823370097, 0.08329806643823912, 0.08961505015198663, 0.0964110880016346,
-    0.10372250948802127, 0.1115883991923238, 0.1200508057100514, 0.12915496642973562,
-    0.13894954935791404, 0.1494869132831294, 0.16082338766969959, 0.1730195737774821,
-    0.18614066861732756, 0.2002568134739859, 0.21544346885955942, 0.23178181790188887,
-    0.24935920032426026, 0.2682695793363515, 0.28861404393227474, 0.31050134928084216,
-    0.3340484980968114, 0.35938136610094384, 0.38663537491238764, 0.4159562159704581,
-    0.44750062935567925, 0.48143724167341595, 0.517947467479166, 0.5572264790642497,
-    0.5994842497860662, 0.644946676520239, 0.6938567872349297, 0.7464760401426314,
-    0.8030857213743077, 0.8639884486474082, 0.9295097889658935, 0.999999999,
-)
-# (1e-15, 1 - 1e-6)
-_PSI_GRID = (
-    1e-15, 1.730195711382453e-15, 2.9935771996862453e-15, 5.179474432589435e-15,
-    8.961504450481342e-15, 1.5505156567757585e-14, 2.6826955397847757e-14, 4.641588317880454e-14,
-    8.03085620159969e-14, 1.3894952958736958e-13, 2.4040988019067614e-13, 4.1595614367987895e-13,
-    7.1968553591811e-13, 1.2451968277895014e-12, 2.1544342112684304e-12, 3.727592832792291e-12,
-    6.449465133077192e-12, 1.1158836913960819e-11, 1.9306971772551296e-11, 3.340483976065047e-11,
-    5.7796910493295495e-11, 9.999996666665537e-11, 1.730195134650361e-10, 2.99357620182684e-10,
-    5.179472706097372e-10, 8.961501463312178e-10, 1.5505151399370373e-09, 2.682694645552626e-09,
-    4.641586770683823e-09, 8.030853524646714e-09, 1.3894948327084403e-08, 2.4040980005402274e-08,
-    4.1595600502778404e-08, 7.196852960228515e-08, 1.2451964127237514e-07, 2.15443349312345e-07,
-    3.7275915902609256e-07, 6.449462983254752e-07, 1.11588331943473e-06, 1.930696533689186e-06,
-    3.3404828625700107e-06, 5.779689122765213e-06, 9.999993333332185e-06, 1.730194557918454e-05,
-    2.993575203967768e-05, 5.179470979605906e-05, 8.961498476144012e-05, 0.0001550514623098482,
-    0.00026826937513207744, 0.00046415852234877084, 0.0008030850847694632, 0.0013894943695433389,
-    0.0024040971991739603, 0.004159558663757354, 0.007196850561276729, 0.012451959976581398,
-    0.021544327749787085, 0.03727590347729974, 0.06449460833433028, 0.11158829474734974,
-    0.19306958901234564, 0.3340481749075346, 0.5779687196201518, 0.999999,
-)
+
+# Audit points, each a 64-point plain-float geomspace (numpy's recipe, libm's pow):
+# ordinary profiles, superpower profiles (which may overflow closer to 0), psi functions.
+def _geomspace(lo: float, hi: float) -> Tuple[float, ...]:
+    a, b = math.log10(lo), math.log10(hi)
+    return (lo, *(10.0 ** (k * ((b - a) / 63) + a) for k in range(1, 63)), hi)
+
+
+_PROFILE_GRID = _geomspace(1e-9, 1.0 - 1e-9)
+_SUPERPOWER_GRID = _geomspace(1e-2, 1.0 - 1e-9)
+_PSI_GRID = _geomspace(1e-15, 1.0 - 1e-6)
 
 
 class Membership(enum.Enum):
@@ -569,8 +519,8 @@ def parse_profile_spec(line: str) -> SpectralProfile:
 
 # ---- integrals of profiles ----
 
-# scipy.integrate.quad's text for each QUADPACK warning code (scipy 1.17), so
-# a refusal reads the same as when quad came from scipy.integrate
+# scipy.integrate.quad's text for each warning code 1 to 5 of QUADPACK's qagse
+# (scipy 1.17), so a refusal reads the same as when quad came from scipy.integrate
 _QUADPACK_WARNINGS = {
     1: "The maximum number of subdivisions ({limit}) has been achieved.\n  "
        "If increasing the limit yields no improvement it is advised to "
@@ -589,9 +539,6 @@ _QUADPACK_WARNINGS = {
        "tolerance\n  cannot be achieved, and that the returned result "
        "(if full_output = 1) is \n  the best which can be obtained.",
     5: "The integral is probably divergent, or slowly convergent.",
-    7: "Abnormal termination of the routine.  The estimates for result\n  "
-       "and error are less reliable.  It is assumed that the requested "
-       "accuracy\n  has not been achieved.",
 }
 
 
@@ -628,16 +575,14 @@ def quad(func, a, b, *, epsabs, epsrel, limit):
     """scipy.integrate.quad(func, a, b, ..., full_output=1) for finite a < b.
 
     It calls _qagse(func, a, b, (), 1, epsabs, epsrel, limit) of scipy's
-    private _quadpack extension, the routine scipy.integrate.quad itself
-    calls for finite bounds without points or weight, so value and error
-    estimate are the same floats.  The private routine because importing
-    scipy.integrate costs more than the rest of the package together, and
-    the extension alone a small part of that.  Returns (value, abserr,
-    info), plus scipy's warning text as a fourth element when QUADPACK
-    warns; another error code raises ValueError, and an exception of func
-    propagates.  A module-level function, so callers and instrumentation
-    can rebind spaces.quad.  The parity tests have passed on scipy 1.17.1,
-    the only version tried.
+    private _quadpack extension (see _qagse for why), the routine
+    scipy.integrate.quad itself calls for finite bounds without points or
+    weight, so value and error estimate are the same floats.  Returns
+    (value, abserr, info), plus scipy's warning text as a fourth element
+    when QUADPACK warns (codes 1 to 5); code 6, invalid input, raises
+    ValueError, and an exception of func propagates.  A module-level
+    function, so callers and instrumentation can rebind spaces.quad.  The
+    parity tests have passed on scipy 1.17.1, the only version tried.
     """
     out = _qagse()(func, a, b, (), 1, epsabs, epsrel, limit)
     ier = out[-1]

@@ -12,9 +12,9 @@ where they must pass, so a kill is the mutant's doing.  One line per mutant,
 then the run time; the exit code is 1 when a mutant survived.
 
 The tolerance mutants cover every tolerance constant and cutoff of the
-library; the structural ones cover the exact integral and the truncation of
-the commutator criterion.  pytest does not collect this file (its name does
-not start with test_), so tier-1 does not run it.
+library; the structural ones cover the exact integral, the truncation of
+the commutator criterion and the audit grids.  pytest does not collect this
+file (its name does not start with test_), so tier-1 does not run it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ MUTANTS = (
            ("tests/test_matmodel.py::test_hermiticity_decision_at_the_tolerance",)),
     Mutant("verify-cutoff-guard", "verify.py", "_CUTOFF_GUARD = 1e-12", "_CUTOFF_GUARD = 0.0",
            ("tests/test_verify.py::test_golden_csv_digests",)),
-    # structure of the exact kernels
+    # structure of the exact kernels and of the audit grids
     Mutant("verify-truncation-side", "verify.py", 'side="right"', 'side="left"',
            ("tests/test_verify.py::test_commutator_truncation_keeps_the_ties_at_the_cut",)),
     Mutant("stepfn-sum-for-fsum", "stepfn.py", "out.append(math.fsum(terms))",
@@ -74,6 +74,8 @@ MUTANTS = (
     Mutant("stepfn-dropped-end-cell", "stepfn.py",
            "for k in (*range(k0, w0), *range(w1, k1)):", "for k in range(w1, k1):",
            ("tests/test_stepfn_properties.py::test_integrals_match_the_reference_per_interval",)),
+    Mutant("spaces-geomspace-offset", "spaces.py", "k * ((b - a) / 63) + a", "k * ((b - a) / 63)",
+           ("tests/test_spaces.py::test_audit_grid_literals_are_numpy_geomspace_bit_for_bit",)),
 )
 
 

