@@ -9,6 +9,14 @@ derived from those cached arrays, so inequalities compare numbers produced by
 a single decomposition rather than by repeated, slightly different solves.
 A decomposition whose result leaves the float range refuses with LinAlgError.
 ginibre and hermitian_gaussian draw the seeded matrices of the verify suites.
+
+Copy policy: an operator built from a caller's array copies it, so a later
+write by the caller moves neither its entries nor its spectra, and the
+caller's array stays writable.  An array the library has just computed (a
+loaded file, a sum, difference, scalar multiple or product, a functional
+calculus result, a sampler draw) is referenced by nothing else, so its
+operator keeps that array itself instead of a second copy; it is still
+checked and made read-only.
 """
 
 from __future__ import annotations
@@ -58,16 +66,24 @@ class MatrixOperator:
     exactly when the matrix passes the hermiticity test
     max|A - A*| <= 1e-12 * ||A|| (floor 1e-300); an exactly hermitian matrix
     passes without the SVD.
+
+    The entries are copied into a read-only complex128 array, so the caller
+    may go on writing to the array it passed.  The library passes _owned=True
+    for an array it has just built and shares with no one: that array is
+    checked the same way and made read-only, but not copied.
     """
 
     __slots__ = ("_a", "_svals", "_eigs", "_eigvecs", "_self_adjoint")
 
-    def __init__(self, entries):
-        a = np.array(entries, dtype=np.complex128)
+    def __init__(self, entries, *, _owned=False):
+        if _owned:
+            a = np.asarray(entries, dtype=np.complex128)
+        else:
+            a = np.array(entries, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise ValueError("entries must form a nonempty square matrix")
-        # the copy is contiguous, so its raveled float view is every real
-        # and imaginary part, read in one pass
+        # the raveled float view is every real and imaginary part, read in
+        # one pass
         if not np.isfinite(a.ravel("K").view(np.float64)).all():
             raise ValueError("entries must be finite")
         a.setflags(write=False)
@@ -133,24 +149,24 @@ class MatrixOperator:
         return float(np.trace(self._a).real) / self._a.shape[0]
 
     def matmul(self, other: "MatrixOperator") -> "MatrixOperator":
-        return MatrixOperator(self._a @ other._a)
+        return MatrixOperator(self._a @ other._a, _owned=True)
 
     def __add__(self, other):
         if isinstance(other, MatrixOperator):
-            return MatrixOperator(self._a + other._a)
+            return MatrixOperator(self._a + other._a, _owned=True)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, MatrixOperator):
-            return MatrixOperator(self._a - other._a)
+            return MatrixOperator(self._a - other._a, _owned=True)
         return NotImplemented
 
     def __neg__(self):
-        return MatrixOperator(-self._a)
+        return MatrixOperator(-self._a, _owned=True)
 
     def __mul__(self, c):
         if isinstance(c, (int, float)):
-            return MatrixOperator(self._a * float(c))
+            return MatrixOperator(self._a * float(c), _owned=True)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -161,7 +177,7 @@ class MatrixOperator:
 
 
 def identity(n: int) -> MatrixOperator:
-    return MatrixOperator(np.eye(n, dtype=np.complex128))
+    return MatrixOperator(np.eye(n, dtype=np.complex128), _owned=True)
 
 
 # ---- step functions from cached spectral data ----
@@ -182,7 +198,7 @@ def functional_calculus(a: MatrixOperator, fn: Callable[[np.ndarray], np.ndarray
     """Apply a real function to a self-adjoint matrix through its eigensystem."""
     w, v = a._eigh()
     fw = np.asarray(fn(w), dtype=float)
-    return MatrixOperator((v * fw) @ v.conj().T)
+    return MatrixOperator((v * fw) @ v.conj().T, _owned=True)
 
 
 def op_exp(a: MatrixOperator) -> MatrixOperator:
@@ -200,8 +216,13 @@ def neg_part(a: MatrixOperator) -> MatrixOperator:
 # ---- seeded samplers ----
 
 def _ginibre(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return g * (scale / math.sqrt(2.0 * n))
+    # (re + 1j * im) * c built in one array: IEEE addition commutes, so the
+    # bits are those of that expression
+    re = rng.standard_normal((n, n))
+    g = 1j * rng.standard_normal((n, n))
+    g += re
+    g *= scale / math.sqrt(2.0 * n)
+    return g
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -214,13 +235,15 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def ginibre(seed: int, n: int) -> MatrixOperator:
     """Ginibre matrix of size n, complex Gaussian entries of variance 1/n."""
-    return MatrixOperator(_ginibre(np.random.default_rng(seed), n, 1.0))
+    return MatrixOperator(_ginibre(np.random.default_rng(seed), n, 1.0), _owned=True)
 
 
 def hermitian_gaussian(seed: int, n: int) -> MatrixOperator:
     """(g + g*)/2 for a Ginibre g of entry variance 2/n: exactly hermitian."""
     g = _ginibre(np.random.default_rng(seed), n, math.sqrt(2.0))
-    return MatrixOperator((g + g.conj().T) / 2.0)
+    h = g + g.conj().T
+    h /= 2.0
+    return MatrixOperator(h, _owned=True)
 
 
 # ---- plain-text persistence ----
@@ -277,4 +300,4 @@ def load_matrix(path: str) -> MatrixOperator:
         raise ValueError(f"{path}: expected {total} entries, found {count}")
     # the (re, im) float pairs are complex128 in memory; re + 1j*im would
     # turn a -0.0 real part into +0.0
-    return MatrixOperator(np.concatenate(chunks).view(np.complex128).reshape(n, n))
+    return MatrixOperator(np.concatenate(chunks).view(np.complex128).reshape(n, n), _owned=True)

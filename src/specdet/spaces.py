@@ -549,11 +549,15 @@ def _qagse():
     Importing scipy.integrate runs its __init__, which loads the ODE solvers,
     sparse, linalg, special and optimize; the extension alone loads only the
     few scipy._lib modules of its callback support.  It is registered under
-    its own name, so a later import of scipy.integrate reuses it.
+    its own name, so a later import of scipy.integrate reuses it.  numpy is
+    imported first because the extension loads numpy's C API: when numpy
+    cannot be imported, the extension writes a line of its own to stderr and
+    raises a vaguer error, where the import raises numpy's ImportError alone.
     """
     name = "scipy.integrate._quadpack"
     module = sys.modules.get(name)
     if module is None:
+        import numpy
         scipy = importlib.util.find_spec("scipy")
         if scipy is None:
             raise ImportError("scipy is not installed", name="scipy")
@@ -572,24 +576,23 @@ def _qagse():
 
 
 def quad(func, a, b, *, epsabs, epsrel, limit):
-    """scipy.integrate.quad(func, a, b, ..., full_output=1) for finite a < b.
+    """scipy.integrate.quad(func, a, b, ...) for finite a < b, without the info dict.
 
-    It calls _qagse(func, a, b, (), 1, epsabs, epsrel, limit) of scipy's
+    It calls _qagse(func, a, b, (), 0, epsabs, epsrel, limit) of scipy's
     private _quadpack extension (see _qagse for why), the routine
     scipy.integrate.quad itself calls for finite bounds without points or
     weight, so value and error estimate are the same floats.  Returns
-    (value, abserr, info), plus scipy's warning text as a fourth element
-    when QUADPACK warns (codes 1 to 5); code 6, invalid input, raises
+    (value, abserr), plus scipy's warning text as a third element when
+    QUADPACK warns (codes 1 to 5); code 6, invalid input, raises
     ValueError, and an exception of func propagates.  A module-level
     function, so callers and instrumentation can rebind spaces.quad.  The
     parity tests have passed on scipy 1.17.1, the only version tried.
     """
-    out = _qagse()(func, a, b, (), 1, epsabs, epsrel, limit)
-    ier = out[-1]
+    value, abserr, ier = _qagse()(func, a, b, (), 0, epsabs, epsrel, limit)
     if ier == 0:
-        return out[:-1]
+        return value, abserr
     if ier in _QUADPACK_WARNINGS:
-        return out[:-1] + (_QUADPACK_WARNINGS[ier].format(limit=limit),)
+        return value, abserr, _QUADPACK_WARNINGS[ier].format(limit=limit)
     raise ValueError(f"QUADPACK qagse refused its input with error code {ier}")
 
 
@@ -613,13 +616,13 @@ def profile_integral(p: SpectralProfile, lo: float, hi: float) -> float:
         return val
     if lo == 0.0 and _tail_rule(_L1, p.tail_at_0)[0] is Membership.NOT_MEMBER:
         raise DivergenceError(f"profile {p.name!r} is not integrable near 0")
-    # a fourth element, QUADPACK's warning text, means the value may be off by
+    # a third element, QUADPACK's warning text, means the value may be off by
     # more than its estimate
     out = quad(p.evaluator, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200)
-    if len(out) > 3:
+    if len(out) > 2:
         raise QuadratureError(
             f"quadrature of profile {p.name!r} on ({float(lo)!r}, {float(hi)!r}) is unreliable: "
-            + " ".join(out[3].split())
+            + " ".join(out[2].split())
         )
     return float(out[0])
 

@@ -158,7 +158,9 @@ def _trial_seed(master: int, check: str, trial: int, slot: str) -> int:
 def _psd(seed: int, n: int) -> MatrixOperator:
     g = ginibre(seed, n).entries
     w = g @ g.conj().T
-    return MatrixOperator((w + w.conj().T) / 2.0)
+    h = w + w.conj().T
+    h /= 2.0
+    return MatrixOperator(h, _owned=True)
 
 
 def _ok(quantity, bound, tol: float):

@@ -13,7 +13,8 @@ then the run time; the exit code is 1 when a mutant survived.
 
 The tolerance mutants cover every tolerance constant and cutoff of the
 library; the structural ones cover the exact integral, the truncation of
-the commutator criterion and the audit grids.  pytest does not collect this
+the commutator criterion and the audit grids; the last one covers the copy
+of a caller's array.  pytest does not collect this
 file (its name does not start with test_), so tier-1 does not run it.
 """
 
@@ -76,6 +77,10 @@ MUTANTS = (
            ("tests/test_stepfn_properties.py::test_integrals_match_the_reference_per_interval",)),
     Mutant("spaces-geomspace-offset", "spaces.py", "k * ((b - a) / 63) + a", "k * ((b - a) / 63)",
            ("tests/test_spaces.py::test_audit_grid_literals_are_numpy_geomspace_bit_for_bit",)),
+    # the copy policy: a caller's array is copied, not kept
+    Mutant("matmodel-caller-copy", "matmodel.py", "a = np.array(entries, dtype=np.complex128)",
+           "a = np.asarray(entries, dtype=np.complex128)",
+           ("tests/test_matmodel.py::test_operator_keeps_its_entries_and_spectra_after_the_caller_writes",)),
 )
 
 

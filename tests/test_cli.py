@@ -272,11 +272,11 @@ def test_det_lapack_failure_exits_1(capsys, tmp_path, failing_svd):
 
 
 def test_det_quadrature_warning_exits_1(capsys, monkeypatch):
-    # a warning from quad (a fourth element) is a refusal, not a value; the
+    # a warning from quad (a third element) is a refusal, not a value; the
     # bounded rest of the shifted superpower log has no antiderivative, so
     # the first shifted value reaches quad
     def warning_quad(func, a, b, **kwargs):
-        return 0.0, 1.0, {}, "The maximum number of subdivisions (200) has been achieved."
+        return 0.0, 1.0, "The maximum number of subdivisions (200) has been achieved."
 
     monkeypatch.setattr(spaces, "quad", warning_quad)
     code, out, err = _run(capsys, [
@@ -689,6 +689,20 @@ def test_det_without_quadpack_exits_2(capsys, monkeypatch, tmp_path):
         assert _run(capsys, ["det", "--input", path])[0] == 0
     finally:
         spaces._qagse.cache_clear()
+
+
+def test_det_quadrature_without_numpy_exits_2_in_one_line(tmp_path):
+    # QUADPACK's extension loads numpy's C API; spaces imports numpy before
+    # it, so a blocked numpy gives numpy's own ImportError and nothing else,
+    # not a line the extension writes to stderr followed by a vaguer error
+    (tmp_path / "sitecustomize.py").write_text('import sys; sys.modules["numpy"] = None\n')
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specdet.__file__)))
+    run = subprocess.run([sys.executable, "-m", "specdet.cli", "det", "--input",
+                          "name=exp-neg-psi-prime-flip", "--eps-compare"],
+                         capture_output=True, text=True, timeout=120, check=False,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src])))
+    assert (run.returncode, run.stdout, run.stderr) == (
+        2, "", "error: import of numpy halted; None in sys.modules\n")
 
 
 def test_det_membership_refusal_exits_1(capsys):

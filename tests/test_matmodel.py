@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from specdet import matmodel
 from specdet.cli import main
@@ -30,7 +30,7 @@ from specdet.matmodel import (
 )
 from specdet.stepfn import GridFn, integrate, signed_parts
 from specdet.traces import integral_trace
-from specdet.verify import SuiteConfig, run_check
+from specdet.verify import SuiteConfig, _psd, run_check
 from stepfn_reference import mu_neg_part_reference, mu_pos_part_reference
 
 
@@ -55,6 +55,45 @@ def test_entries_read_only():
     a = identity(2)
     with pytest.raises(ValueError):
         a.entries[0, 0] = 5.0
+
+
+# ---- copy policy ----
+
+def test_operator_keeps_its_entries_and_spectra_after_the_caller_writes():
+    # a caller's array is copied: writing to it afterwards moves neither the
+    # entries nor the spectra, which are computed only on first read
+    g = ginibre(29, 7).entries
+    caller = g + g.conj().T
+    kept = caller.copy()
+    a = MatrixOperator(caller)
+    caller[...] = 0.0
+    caller[0, 1] = 1e300
+    assert np.array_equal(a.entries, kept)
+    reference = MatrixOperator(kept)
+    assert a.singular_values.tobytes() == reference.singular_values.tobytes()
+    assert a.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+
+
+def test_the_callers_array_stays_writable():
+    caller = np.eye(3, dtype=np.complex128)
+    a = MatrixOperator(caller)
+    assert caller.flags.writeable and not a.entries.flags.writeable
+    caller[1, 1] = 5.0
+    assert a.entries[1, 1] == 1.0
+
+
+def test_operators_the_library_builds_are_read_only_and_checked(tmp_path):
+    a, b = hermitian_gaussian(3, 5), ginibre(4, 5)
+    path = str(tmp_path / "b.mat")
+    save_matrix(b, path)
+    built = [a + b, a - b, -a, 2.0 * a, a.matmul(b), op_exp(a), pos_part(a), identity(5),
+             a, b, _psd(5, 5), load_matrix(path)]
+    assert not any(op.entries.flags.writeable for op in built)
+    huge = MatrixOperator(np.full((2, 2), 1e308))
+    for overflow in (lambda: huge + huge, lambda: huge * 10.0, lambda: huge.matmul(huge)):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="entries must be finite"):
+            overflow()
 
 
 def test_hermiticity_detection():
@@ -352,13 +391,24 @@ def _recipe(seed: int, n: int, scale: float) -> np.ndarray:
     return g * (scale / math.sqrt(2.0 * n))
 
 
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Same layout and the same 64-bit words, so signed zeros count too."""
+    return x.strides == y.strides and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=64))
+@example(3, 1)
+@example(3, 7)
+@example(3, 64)
 def test_samplers_match_the_written_out_recipe_bytewise(seed, n):
-    assert ginibre(seed, n).entries.tobytes() == _recipe(seed, n, 1.0).tobytes()
+    # the draws are built in place; these are the expressions they replaced
+    g = _recipe(seed, n, 1.0)
+    assert _same_bits(ginibre(seed, n).entries, g)
+    w = g @ g.conj().T
+    assert _same_bits(_psd(seed, n).entries, (w + w.conj().T) / 2.0)
     g = _recipe(seed, n, math.sqrt(2.0))
-    h = (g + g.conj().T) / 2.0
-    assert hermitian_gaussian(seed, n).entries.tobytes() == h.tobytes()
+    assert _same_bits(hermitian_gaussian(seed, n).entries, (g + g.conj().T) / 2.0)
 
 
 def test_sampling_is_deterministic():

@@ -549,15 +549,15 @@ _QUAD_ARGS = dict(epsabs=1e-14, epsrel=1e-10, limit=200)
 
 
 def _same_as_scipy(func, lo, hi, **kwargs):
-    """spaces.quad and scipy's quad with full_output=1 agree bit for bit, warning text included."""
+    """spaces.quad and scipy's quad with full_output=1 agree bit for bit, warning text included.
+
+    scipy's third element is the info dict, which spaces.quad does not build.
+    """
     args = {**_QUAD_ARGS, **kwargs}
     mine = spaces.quad(func, lo, hi, **args)
     theirs = quad(func, lo, hi, **args, full_output=1)
-    # the info dicts hold NaN-filled arrays, which never compare equal, and
-    # nothing reads them
-    assert len(mine) == len(theirs)
     assert [float(v).hex() for v in mine[:2]] == [float(v).hex() for v in theirs[:2]]
-    assert mine[3:] == theirs[3:]
+    assert mine[2:] == theirs[3:]
     return mine
 
 
@@ -583,7 +583,7 @@ def test_quad_matches_scipy_on_the_eps_compare_integrands(line, k):
     x = parse_profile_spec(line)
     for part in _eps_parts(x, 2.0 ** -k):
         for lo, hi in ((0.0, 1.0), (0.0, 2.0 ** -36), (0.0, 2.0 ** -40)):
-            assert len(_same_as_scipy(part, lo, hi)) == 3
+            assert len(_same_as_scipy(part, lo, hi)) == 2
 
 
 @pytest.mark.parametrize("func, hi, kwargs, text", [
@@ -596,7 +596,7 @@ def test_quad_matches_scipy_on_the_eps_compare_integrands(line, k):
     pytest.param(lambda t: t ** -2.0, 1.0, {}, "The integral is probably divergent", id="5-divergent"),
 ])
 def test_quad_warns_with_scipys_text(func, hi, kwargs, text):
-    assert _same_as_scipy(func, 0.0, hi, **kwargs)[3].startswith(text)
+    assert _same_as_scipy(func, 0.0, hi, **kwargs)[2].startswith(text)
 
 
 def test_quad_warning_table_holds_the_qagse_warning_codes():

@@ -226,8 +226,8 @@ def test_lazy_spectra_match_eager_decomposition(monkeypatch, n):
     lazy = rows_to_csv(run_suite(config).rows)
     construct = MatrixOperator.__init__
 
-    def eager_init(self, entries):
-        construct(self, entries)
+    def eager_init(self, entries, **kwargs):
+        construct(self, entries, **kwargs)
         self.singular_values
         if self.self_adjoint:
             self.eigenvalues
