@@ -739,6 +739,27 @@ def test_example_out_file(capsys, tmp_path):
     assert payload["pass"] is True
 
 
+# ---- det and example digests ----
+
+def test_det_digests_match_the_benchmark_reference():
+    # the byte gate of det and example, as test_golden_csv_digests is that
+    # of verify: the benchmark's 255 profile and example jobs and the matrix
+    # jobs of input set 0, replayed against perfbench/reference.json in the
+    # benchmark's BLAS set-up; tests/det_replay.py replays all 16 sets
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specdet.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "SPECDET_THREADS"}
+    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OPENBLAS_CORETYPE="Haswell")
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "det_replay.py")
+    run = subprocess.run([sys.executable, script, "0"], capture_output=True, text=True,
+                         timeout=300, env=env)
+    assert run.returncode in (0, 1, 2), run.stderr
+    report = json.loads(run.stdout)
+    if report["skip"]:
+        pytest.skip(report["skip"])
+    assert report["jobs"] == 267
+    assert report["mismatches"] == []
+
+
 # ---- top level ----
 
 def test_no_subcommand_exits_2(capsys):
