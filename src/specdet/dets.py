@@ -22,9 +22,9 @@ nodes of the same intervals, so one comparison reads x through one dict per
 call, keyed by the point, made when the call starts and dropped when it
 returns.
 
-Each entry point tests for a profile first.  numpy and the grid and matrix
-layers (stepfn, matmodel) are imported inside the branches that take a grid
-or a matrix, so a profile determinant loads none of them.
+Both entry points admit their input through one helper, which tests for a
+profile first; numpy and the grid and matrix layers (stepfn, matmodel) are
+imported past that test, so a profile determinant loads none of them.
 """
 
 from __future__ import annotations
@@ -124,25 +124,41 @@ def _log_det_grid(mu: GridFn, phi: TraceFunctional) -> float:
     return eval_functional(phi, GridFn(np.log(mu.values)))
 
 
+def _admitted(x):
+    """A profile or grid function as it is, a matrix model as its mu; else TypeError."""
+    if isinstance(x, SpectralProfile):
+        return x
+    from .matmodel import MatrixOperator, mu_matrix
+    from .stepfn import GridFn
+
+    if isinstance(x, MatrixOperator):
+        return mu_matrix(x)
+    if isinstance(x, GridFn):
+        return x
+    raise TypeError(f"cannot take a determinant of {type(x).__name__}")
+
+
+def _decided(verdict: Membership, part: str, x: SpectralProfile,
+             space: SymmetricSpace) -> Membership:
+    """The membership verdict on the log part of x, refused when no rule decided it."""
+    if verdict is Membership.UNDECIDABLE:
+        raise MembershipUndecidableError(f"cannot certify {part} membership of {x.name!r} "
+                                         f"in {space.name}")
+    return verdict
+
+
 def det_phi_with_branch(x, phi: TraceFunctional,
                         space: Optional[SymmetricSpace] = None) -> Tuple[float, int]:
     """Determinant value and the branch taken: 1 exact, 2 escaping log-, 3 kernel.
 
-    A matrix model enters through its singular value function.  Grid
-    functions are bounded, so the space argument is only consulted for
+    Grid functions are bounded, so the space argument is only consulted for
     profiles, where membership of log+ (domain entry) and log- (branch 1 vs 2)
     is decided by the registered rules.
     """
+    x = _admitted(x)
     if not isinstance(x, SpectralProfile):
         import numpy as np
 
-        from .matmodel import MatrixOperator, mu_matrix
-        from .stepfn import GridFn
-
-        if isinstance(x, MatrixOperator):
-            x = mu_matrix(x)
-        if not isinstance(x, GridFn):
-            raise TypeError(f"cannot take a determinant of {type(x).__name__}")
         if np.any(x.values < 0.0):
             raise ValueError("grid input to a determinant must be nonnegative data")
         if x.values.min() == 0.0:
@@ -150,12 +166,7 @@ def det_phi_with_branch(x, phi: TraceFunctional,
         return _exp_det(_log_det_grid(x, phi)), 1
     if space is None:
         raise ValueError("profile determinants need the ambient space")
-    entry = elog_membership(space, x)
-    if entry is Membership.UNDECIDABLE:
-        raise MembershipUndecidableError(
-            f"cannot certify log+ membership of {x.name!r} in {space.name}"
-        )
-    if entry is Membership.NOT_MEMBER:
+    if _decided(elog_membership(space, x), "log+", x, space) is Membership.NOT_MEMBER:
         raise DetDomainError(
             f"{x.name!r} is outside the determinant domain for {space.name}: "
             "log+ of the profile is not a member"
@@ -166,12 +177,7 @@ def det_phi_with_branch(x, phi: TraceFunctional,
         raise UnsupportedProfileError(
             f"profile {x.name!r} has no registered log decomposition"
         )
-    lower = membership(space, x.log_minus)
-    if lower is Membership.UNDECIDABLE:
-        raise MembershipUndecidableError(
-            f"cannot certify log- membership of {x.name!r} in {space.name}"
-        )
-    if lower is Membership.NOT_MEMBER:
+    if _decided(membership(space, x.log_minus), "log-", x, space) is Membership.NOT_MEMBER:
         return 0.0, 2
     return _exp_det(eval_functional(phi, x.log_plus) - eval_functional(phi, x.log_minus)), 1
 
@@ -271,11 +277,7 @@ def eps_limit_comparison(x, phi: TraceFunctional,
     above 1); `agree` then records whether that limit matches the exact
     value, which by design it need not.
     """
-    if not isinstance(x, SpectralProfile):
-        from .matmodel import MatrixOperator, mu_matrix
-
-        if isinstance(x, MatrixOperator):
-            x = mu_matrix(x)
+    x = _admitted(x)
     det_value, branch = det_phi_with_branch(x, phi, space)
     epsilons = [2.0 ** (-k) for k in range(_EPS_K_MIN, _EPS_K_MAX + 1)]
     if isinstance(x, SpectralProfile):
@@ -289,8 +291,8 @@ def eps_limit_comparison(x, phi: TraceFunctional,
     else:
         from .stepfn import GridFn
 
-        # det_phi_with_branch refused every other type, so x is a GridFn;
-        # x + e is positive, so the branch-1 formula applies to it
+        # _admitted refused every other type, so x is a GridFn; x + e is
+        # positive, so the branch-1 formula applies to it
         values = [_exp_eps(_log_det_grid(GridFn(x.values + e), phi), e) for e in epsilons]
     tail = values[-_EPS_WINDOW:]
     spread = max(tail) - min(tail)

@@ -226,8 +226,8 @@ def _ginibre(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a Ginibre draw with phase correction."""
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+    """Haar-distributed unitary: QR of a draw of ginibre's recipe, phase-corrected."""
+    g = _ginibre(rng, n, 1.0)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))

@@ -426,21 +426,14 @@ def exp_flip_profile(base: SpectralProfile, c: float = 1.0,
     zero = constant_profile(0.0)
     if c > 0.0:
         ev = lambda t, _f=base.evaluator, _c=c: _exp(-_c * _f(1.0 - t))
-        return SpectralProfile(
-            name=name or f"exp(-{c:g}*{base.name}(1-t))",
-            evaluator=ev,
-            tail_at_0=BOUNDED,
-            log_plus=zero,
-            log_minus=scaled,
-        )
-    ev = lambda t, _f=base.evaluator, _k=k: _exp(_k * _f(t))
-    return SpectralProfile(
-        name=name or f"exp({k:g}*{base.name})",
-        evaluator=ev,
-        tail_at_0=SUPERPOWER,
-        log_plus=scaled,
-        log_minus=zero,
-    )
+        default, tail = f"exp(-{c:g}*{base.name}(1-t))", BOUNDED
+        log_plus, log_minus = zero, scaled
+    else:
+        ev = lambda t, _f=base.evaluator, _k=k: _exp(_k * _f(t))
+        default, tail = f"exp({k:g}*{base.name})", SUPERPOWER
+        log_plus, log_minus = scaled, zero
+    return SpectralProfile(name=name or default, evaluator=ev, tail_at_0=tail,
+                           log_plus=log_plus, log_minus=log_minus)
 
 
 def projection_profile(kernel: float) -> SpectralProfile:

@@ -158,7 +158,8 @@ def eval_functional(phi: TraceFunctional, f) -> float:
 
 
 def eval_on_operator(phi: TraceFunctional, a) -> float:
-    """phi applied to a self-adjoint matrix model through its eigenvalue data.
+    """phi applied to a self-adjoint matrix model through its eigenvalue data;
+    lambda_matrix decides self-adjointness and raises ValueError off it.
 
     Only integral functionals act nontrivially on matrix models: every matrix
     function is bounded, so a singular functional's limit is 0 on it, and the
@@ -169,8 +170,6 @@ def eval_on_operator(phi: TraceFunctional, a) -> float:
 
     if not isinstance(a, MatrixOperator):
         raise TypeError("eval_on_operator expects a MatrixOperator")
-    if not a.self_adjoint:
-        raise ValueError("operator trace evaluation requires a self-adjoint input")
     if phi.kind != "integral":
         raise ValueError(
             "singular functionals vanish on matrix models; evaluate them on "

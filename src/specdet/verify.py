@@ -33,6 +33,7 @@ from .stepfn import (
 )
 from .matmodel import (
     MatrixOperator,
+    _ginibre,
     ginibre,
     hermitian_gaussian,
     lambda_matrix,
@@ -156,7 +157,7 @@ def _trial_seed(master: int, check: str, trial: int, slot: str) -> int:
 
 
 def _psd(seed: int, n: int) -> MatrixOperator:
-    g = ginibre(seed, n).entries
+    g = _ginibre(np.random.default_rng(seed), n, 1.0)
     w = g @ g.conj().T
     h = w + w.conj().T
     h /= 2.0

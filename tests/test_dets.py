@@ -159,8 +159,10 @@ def test_det_grid_rejects_negative_values():
 
 
 def test_det_rejects_unknown_input_type():
-    with pytest.raises(TypeError):
-        det_phi(3.5, PHI1)
+    # both entry points admit their input through one helper
+    for entry in (det_phi, eps_limit_comparison):
+        with pytest.raises(TypeError, match="^cannot take a determinant of float$"):
+            entry(3.5, PHI1)
 
 
 def test_singular_trace_det_on_invertible_matrix_is_one():
@@ -214,8 +216,15 @@ def test_profile_without_log_decomposition_is_unsupported():
 def test_det_undecidable_membership_raises():
     space = space_marcinkiewicz(PsiFn("sqrt", math.sqrt))
     x = exp_flip_profile(power_profile(0.5), 1.0)
-    with pytest.raises(MembershipUndecidableError):
+    with pytest.raises(MembershipUndecidableError) as log_minus:
         det_phi(x, PHI1, space)
+    assert str(log_minus.value) == (
+        "cannot certify log- membership of 'exp(-1*power(a=0.5,b=0,scale=1)(1-t))' in M(sqrt)")
+    x = exp_flip_profile(power_profile(0.75), -1.0)
+    with pytest.raises(MembershipUndecidableError) as log_plus:
+        det_phi(x, PHI1, space_marcinkiewicz(PsiFn("psi-log", math.sqrt)))
+    assert str(log_plus.value) == (
+        "cannot certify log+ membership of 'exp(1*power(a=0.75,b=0,scale=1))' in M(psi-log)")
 
 
 def test_det_input_outside_elog_raises():
@@ -377,6 +386,28 @@ def test_eps_comparison_projection_integral_trace_refuses():
     assert cmp.det_value == 0.0 and cmp.branch == 3
     assert not cmp.converged
     assert cmp.values[-1] < 1e-3
+
+
+def _eps_with_shifted_values(monkeypatch, value):
+    """eps_limit_comparison of a converging profile whose shifted values are value(eps)."""
+    monkeypatch.setattr(dets, "_eps_term_profile", lambda x, read, seen, phi, eps: value(eps))
+    x = exp_flip_profile(psi_prime_profile(), 1.0)
+    return eps_limit_comparison(x, singular_trace(), space_marcinkiewicz())
+
+
+def test_eps_limit_needs_its_last_five_values_to_agree(monkeypatch):
+    # the last three values agree, the two before them do not: no limit
+    cmp = _eps_with_shifted_values(monkeypatch, lambda eps: 1.0 if eps <= 2.0 ** -28 else 2.0)
+    assert cmp.values[-5:] == [2.0, 2.0, 1.0, 1.0, 1.0]
+    assert not cmp.converged and cmp.limit is None and cmp.agree is None
+
+
+def test_eps_limit_tolerance_is_absolute_below_one(monkeypatch):
+    # values near 0.01 spread by 1e-7: more than 1e-6 of 0.01, less than 1e-6
+    cmp = _eps_with_shifted_values(monkeypatch,
+                                   lambda eps: 0.01 + (1e-7 if eps > 2.0 ** -28 else 0.0))
+    assert 1e-8 < max(cmp.values[-5:]) - min(cmp.values[-5:]) < 1e-6
+    assert cmp.converged and cmp.limit == 0.01
 
 
 @pytest.mark.parametrize("kernel", [0.0, 0.5])

@@ -411,6 +411,20 @@ def test_samplers_match_the_written_out_recipe_bytewise(seed, n):
     assert _same_bits(hermitian_gaussian(seed, n).entries, (g + g.conj().T) / 2.0)
 
 
+def test_psd_builds_one_operator(monkeypatch):
+    # the Ginibre factor is drawn as an array, not read off an operator
+    built = []
+    init = MatrixOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MatrixOperator, "__init__", counting_init)
+    op = _psd(3, 7)
+    assert built == [op]
+
+
 def test_sampling_is_deterministic():
     for sampler in (ginibre, hermitian_gaussian):
         a = sampler(12, 4)
