@@ -12,10 +12,16 @@ where they must pass, so a kill is the mutant's doing.  One line per mutant,
 then the run time; the exit code is 1 when a mutant survived.
 
 The tolerance mutants cover every tolerance constant and cutoff of the
-library; the structural ones cover the exact integral, the truncation of
-the commutator criterion and the audit grids; the last one covers the copy
-of a caller's array.  pytest does not collect this
-file (its name does not start with test_), so tier-1 does not run it.
+library; the decision mutants cover the window and floor of the eps limit,
+the majorization tolerance and the psi origin ratio; the structural ones
+cover the exact integral, the truncation of the commutator criterion and the
+audit grids; the last one covers the copy of a caller's array.  pytest does
+not collect this file (its name does not start with test_), so tier-1 does
+not run it.
+
+One known mutant is equivalent and not listed: in spaces._log_plus_tail,
+PowerTail(0.0, 1.0) -> PowerTail(0.0, 0.5).  With a = 0 every membership
+rule decides on a alone, so no test can tell the two apart.
 """
 
 from __future__ import annotations
@@ -66,6 +72,17 @@ MUTANTS = (
            ("tests/test_matmodel.py::test_hermiticity_decision_at_the_tolerance",)),
     Mutant("verify-cutoff-guard", "verify.py", "_CUTOFF_GUARD = 1e-12", "_CUTOFF_GUARD = 0.0",
            ("tests/test_verify.py::test_golden_csv_digests",)),
+    # decision constants, each pinned at its boundary
+    Mutant("dets-eps-window", "dets.py", "_EPS_WINDOW = 5", "_EPS_WINDOW = 3",
+           ("tests/test_dets.py::test_eps_limit_needs_its_last_five_values_to_agree",)),
+    Mutant("dets-eps-floor", "dets.py", "max(1.0, abs(tail[-1]))", "abs(tail[-1])",
+           ("tests/test_dets.py::test_eps_limit_tolerance_is_absolute_below_one",)),
+    Mutant("verify-majorization-tol", "verify.py", '"majorization": 1e-10,',
+           '"majorization": 1e-8,',
+           ("tests/test_verify.py::"
+            "test_majorization_fails_a_row_short_by_1e_9_at_its_default_tolerance",)),
+    Mutant("spaces-psi-origin-ratio", "spaces.py", "0.05 * self.fn(0.5)", "0.5 * self.fn(0.5)",
+           ("tests/test_spaces.py::test_psi_origin_test_admits_by_the_ratio_psi_0_to_psi_half",)),
     # structure of the exact kernels and of the audit grids
     Mutant("verify-truncation-side", "verify.py", 'side="right"', 'side="left"',
            ("tests/test_verify.py::test_commutator_truncation_keeps_the_ties_at_the_cut",)),

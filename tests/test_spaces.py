@@ -86,6 +86,18 @@ def test_psi_audit_rejects_bad_shapes():
         space_marcinkiewicz(PsiFn("decreasing", lambda t: 1.0 / (1.0 + t)))
 
 
+@pytest.mark.parametrize("ratio, admitted", [(0.04, True), (0.06, False)])
+def test_psi_origin_test_admits_by_the_ratio_psi_0_to_psi_half(ratio, admitted):
+    # psi(t) = t^p is concave and increasing and psi(1e-300) / psi(1/2) is
+    # ratio; the origin test refuses a psi whose ratio exceeds 0.05
+    p = math.log(ratio) / math.log(1e-300 / 0.5)
+    if admitted:
+        assert PsiFn("power", lambda t: t ** p).name == "power"
+    else:
+        with pytest.raises(ValueError, match="does not approach 0 at the origin"):
+            PsiFn("power", lambda t: t ** p)
+
+
 def test_psi_concavity_slack_is_relative_rounding_only():
     # a convex kink of 1e-9 in slope at one audit point is refused; the
     # audit's slack only forgives the rounding of straight and concave psi

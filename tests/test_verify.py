@@ -72,6 +72,21 @@ def test_tolerance_resolution():
     assert cfg3.tolerance("majorization") == 1e-4
 
 
+def test_majorization_fails_a_row_short_by_1e_9_at_its_default_tolerance(monkeypatch):
+    # majorization compares exact cancellations, so its default tolerance
+    # sits below the general 1e-8: a row short by 1e-9 fails there and
+    # would pass at 1e-8
+    def check(n, t_op, s_op):
+        return [0.5], [1e-9], [0.0]
+
+    monkeypatch.setitem(verify._CHECKS, "majorization", (check, lambda seed, n: None, "AB"))
+    for overrides, ok in (({}, False), ({"default": 1e-8}, True)):
+        result = run_suite(SuiteConfig(suites=("majorization",), n=2, trials=1,
+                                       tol_overrides=overrides))
+        [row] = result.rows
+        assert (row.margin, row.ok) == (-1e-9, ok)
+
+
 def _tol(name):
     return SuiteConfig(suites=(name,)).tolerance(name)
 
