@@ -159,7 +159,7 @@ def eval_functional(phi: TraceFunctional, f) -> float:
 
 def eval_on_operator(phi: TraceFunctional, a) -> float:
     """phi applied to a self-adjoint matrix model through its eigenvalue data;
-    lambda_matrix decides self-adjointness and raises ValueError off it.
+    lambda_matrix decides self-adjointness, with a ValueError for any other input.
 
     Only integral functionals act nontrivially on matrix models: every matrix
     function is bounded, so a singular functional's limit is 0 on it, and the
