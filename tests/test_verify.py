@@ -384,6 +384,10 @@ _GOLDEN_CSV_SHA256 = {
         # verify._CUTOFF_GUARD changes rows at n = 39 (not at 37 or 64), so
         # this digest moves when the guard is 0
         (39, 3, 42): "3cc88008d031dfaef001dfd3325a09d10a72d808109393cf639bcf54afaa0b92",
+        # the decomposition-bound sizes, where a reordered matmul or a
+        # changed memory layout of an eigenvector temporary moves bytes
+        (256, 1, 3): "4b18b89ab0d43e2df453b3ab86af79ecfdf15df0156cab4d7dd36790a4cc7030",
+        (512, 1, 3): "129f930754490f0f31e8a51273b147fb0c8c420943a8567320ae362f162df912",
     },
 }
 
@@ -421,11 +425,10 @@ print(json.dumps({"key": blas_key(), "digests": digests}))
 """
 
 
-def test_golden_csv_digests():
+def _assert_golden(shapes):
     src = os.path.dirname(os.path.dirname(os.path.abspath(specdet.__file__)))
     env = {k: v for k, v in os.environ.items() if k != "SPECDET_THREADS"}
     env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OPENBLAS_CORETYPE="Haswell")
-    shapes = [(37, 5, 7), (64, 3, 42), (39, 3, 42)]
     run = subprocess.run([sys.executable, "-c", _GOLDEN_RUN, json.dumps(shapes)],
                          capture_output=True, text=True, timeout=300, env=env, check=True)
     report = json.loads(run.stdout)
@@ -434,3 +437,12 @@ def test_golden_csv_digests():
         pytest.skip(f"no digests recorded for BLAS set-up {report['key']}")
     for shape in shapes:
         assert report["digests"][",".join(map(str, shape))] == golden[shape], shape
+
+
+def test_golden_csv_digests():
+    _assert_golden([(37, 5, 7), (64, 3, 42), (39, 3, 42)])
+
+
+def test_golden_csv_digests_at_large_n():
+    # about 6 s: one trial of every suite at n = 256 and at n = 512
+    _assert_golden([(256, 1, 3), (512, 1, 3)])
