@@ -1,12 +1,16 @@
 """Finite matrix models over the normalized trace tau = tr/n.
 
 MatrixOperator wraps an immutable complex square matrix.  Its spectral data
-(singular values, the hermiticity decision, and the eigensystem when the
+(singular values, the hermiticity decision, and the eigenvalues when the
 matrix is self-adjoint) is computed on first read and then cached, so an
 operator that nothing inspects costs no decomposition and one that is read
 still costs at most one of each.  Every step function the checks consume is
 derived from those cached arrays, so inequalities compare numbers produced by
 a single decomposition rather than by repeated, slightly different solves.
+The eigenvectors are not cached: functional_calculus builds all the
+functions it is given from one eigh and drops the vectors when it returns,
+so an operator that is transformed before its eigenvalues are read is
+decomposed once and holds no n x n basis afterwards.
 A decomposition whose result leaves the float range refuses with LinAlgError.
 ginibre and hermitian_gaussian draw the seeded matrices of the verify suites.
 
@@ -61,11 +65,11 @@ class MatrixOperator:
     """Immutable n x n complex matrix with lazily computed, cached spectral data.
 
     Construction only validates the entries.  singular_values (nonincreasing)
-    come from one SVD on first read.  eigenvalues (nonincreasing) and the
-    matching eigenvector basis come from one eigh on first read and exist
-    exactly when the matrix passes the hermiticity test
-    max|A - A*| <= 1e-12 * ||A|| (floor 1e-300); an exactly hermitian matrix
-    passes without the SVD.
+    come from one SVD on first read.  eigenvalues (nonincreasing) come from
+    one eigh on first read and exist exactly when the matrix passes the
+    hermiticity test max|A - A*| <= 1e-12 * ||A|| (floor 1e-300); an exactly
+    hermitian matrix passes without the SVD.  The eigenvectors of that eigh
+    are returned to its caller and not kept.
 
     The entries are copied into a read-only complex128 array, so the caller
     may go on writing to the array it passed.  The library passes _owned=True
@@ -73,7 +77,7 @@ class MatrixOperator:
     checked the same way and made read-only, but not copied.
     """
 
-    __slots__ = ("_a", "_svals", "_eigs", "_eigvecs", "_self_adjoint")
+    __slots__ = ("_a", "_svals", "_eigs", "_self_adjoint")
 
     def __init__(self, entries, *, _owned=False):
         if _owned:
@@ -91,7 +95,6 @@ class MatrixOperator:
         self._svals = None
         self._self_adjoint = None
         self._eigs = None
-        self._eigvecs = None
 
     def _svd(self) -> np.ndarray:
         if self._svals is None:
@@ -102,20 +105,22 @@ class MatrixOperator:
         return self._svals
 
     def _eigh(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Run one eigh: the cached eigenvalues and a fresh, writable basis.
+
+        The basis belongs to the caller and is not kept.  The eigenvalues of
+        the first run are cached; a later run returns them, not its own.
+        """
+        if not self.self_adjoint:
+            raise ValueError("matrix is not self-adjoint at the hermiticity tolerance")
+        w, v = np.linalg.eigh(self._a)
+        _require_finite(w, "eigenvalues")
+        _require_finite(v, "eigenvectors")
+        w = w[::-1].copy()
+        v = v[:, ::-1].copy()
         if self._eigs is None:
-            if not self.self_adjoint:
-                raise ValueError("matrix is not self-adjoint at the hermiticity tolerance")
-            w, v = np.linalg.eigh(self._a)
-            _require_finite(w, "eigenvalues")
-            _require_finite(v, "eigenvectors")
-            w = w[::-1].copy()
-            v = v[:, ::-1].copy()
             w.setflags(write=False)
-            v.setflags(write=False)
-            # eigenvalues last: a reader that sees them also sees their vectors
-            self._eigvecs = v
             self._eigs = w
-        return self._eigs, self._eigvecs
+        return self._eigs, v
 
     @property
     def entries(self) -> np.ndarray:
@@ -125,7 +130,11 @@ class MatrixOperator:
     def self_adjoint(self) -> bool:
         if self._self_adjoint is None:
             a = self._a
-            dev = float(np.max(np.abs(a - a.conj().T)))
+            # one n x n temporary: A* built once, then A - A* written into it
+            diff = np.conjugate(a.T)
+            np.subtract(a, diff, out=diff)
+            dev = float(np.max(np.abs(diff)))
+            del diff    # freed before the svd below
             # the tolerance has a positive floor, so dev == 0 needs no SVD
             self._self_adjoint = dev == 0.0 or dev <= max(
                 _HERMITICITY_FLOOR, HERMITICITY_RTOL * float(self._svd()[0]))
@@ -137,7 +146,9 @@ class MatrixOperator:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._eigh()[0]
+        if self._eigs is None:
+            self._eigh()
+        return self._eigs
 
     @property
     def norm(self) -> float:
@@ -194,23 +205,45 @@ def lambda_matrix(a: MatrixOperator) -> MonotoneStepFn:
 
 # ---- functional calculus ----
 
-def functional_calculus(a: MatrixOperator, fn: Callable[[np.ndarray], np.ndarray]) -> MatrixOperator:
-    """Apply a real function to a self-adjoint matrix through its eigensystem."""
+def functional_calculus(a: MatrixOperator,
+                        *fns: Callable[[np.ndarray], np.ndarray]) -> Tuple[MatrixOperator, ...]:
+    """Apply real functions to a self-adjoint matrix, all from one eigh.
+
+    Returns one operator per function, in order.  The eigenvectors live only
+    for this call, so a caller that wants several functions of one matrix
+    passes them together: a second call decomposes the matrix again.
+    """
     w, v = a._eigh()
-    fw = np.asarray(fn(w), dtype=float)
-    return MatrixOperator((v * fw) @ v.conj().T, _owned=True)
+    scaled = [v * np.asarray(fn(w), dtype=float) for fn in fns]
+    # the basis is this call's own, so V* is formed in place; v.T then has
+    # the values and the layout of a fresh v.conj().T, and each product
+    # below is bitwise the one of (v * f(w)) @ v.conj().T
+    np.conjugate(v, out=v)
+    out = []
+    while scaled:
+        # each v * f(w) is dropped once its product is formed
+        out.append(MatrixOperator(scaled.pop(0) @ v.T, _owned=True))
+    return tuple(out)
+
+
+def _positive(w: np.ndarray) -> np.ndarray:
+    return np.clip(w, 0.0, None)
+
+
+def _negative(w: np.ndarray) -> np.ndarray:
+    return np.clip(-w, 0.0, None)
 
 
 def op_exp(a: MatrixOperator) -> MatrixOperator:
-    return functional_calculus(a, np.exp)
+    return functional_calculus(a, np.exp)[0]
 
 
 def pos_part(a: MatrixOperator) -> MatrixOperator:
-    return functional_calculus(a, lambda w: np.clip(w, 0.0, None))
+    return functional_calculus(a, _positive)[0]
 
 
 def neg_part(a: MatrixOperator) -> MatrixOperator:
-    return functional_calculus(a, lambda w: np.clip(-w, 0.0, None))
+    return functional_calculus(a, _negative)[0]
 
 
 # ---- seeded samplers ----

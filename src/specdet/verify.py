@@ -34,13 +34,14 @@ from .stepfn import (
 from .matmodel import (
     MatrixOperator,
     _ginibre,
+    _negative,
+    _positive,
+    functional_calculus,
     ginibre,
     hermitian_gaussian,
     lambda_matrix,
     mu_matrix,
-    neg_part,
     op_exp,
-    pos_part,
 )
 
 __all__ = [
@@ -295,18 +296,34 @@ def _check_sum_psi_composite(n, t_op, s_op):
     A = (T+S)+ + T- + S- = (T+S)- + T+ + S+ is positive; the C terms are the
     grid sups of the split combinations for each operator.  The float
     identity between the two decompositions of A is asserted as a row at
-    t = 0.
+    t = 0.  Each operator's two parts come from one eigh, run before its
+    eigenvalues are read, and each n x n matrix is dropped once it has been
+    used.
     """
     ts_op = t_op + s_op
-    a1 = pos_part(ts_op) + neg_part(t_op) + neg_part(s_op)
-    a2 = neg_part(ts_op) + pos_part(t_op) + pos_part(s_op)
+    ts_pos, ts_neg = functional_calculus(ts_op, _positive, _negative)
+    lam_ts, psi_ts = lambda_matrix(ts_op), _psi_tpm(ts_op)
+    del ts_op
+    # a1 = ((T+S)+ + T-) + S- and a2 = ((T+S)- + T+) + S+, in that order
+    t_pos, t_neg = functional_calculus(t_op, _positive, _negative)
+    a1 = ts_pos + t_neg
+    del ts_pos, t_neg
+    a2 = ts_neg + t_pos
+    del ts_neg, t_pos
+    s_pos, s_neg = functional_calculus(s_op, _positive, _negative)
+    a1 = a1 + s_neg
+    del s_neg
+    a2 = a2 + s_pos
+    del s_pos
     ident_gap = float(np.max(np.abs(a1.entries - a2.entries)))
+    del a2
     mu_a = mu_matrix(a1)
-    g = lambda_matrix(t_op) + lambda_matrix(s_op) - lambda_matrix(ts_op)
+    del a1
+    g = lambda_matrix(t_op) + lambda_matrix(s_op) - lam_ts
     grid = _half_grid(n)
     c_sum = sum(
         max(map(abs, psi_values(h, grid)))
-        for h in [_psi_tpm(x) for x in (t_op, s_op, ts_op)]
+        for h in [_psi_tpm(t_op), _psi_tpm(s_op), psi_ts]
     )
     q = [abs(x) for x in psi_values(g, grid)]
     b = 12.0 * mu_a.values_at(grid) + c_sum

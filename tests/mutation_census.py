@@ -3,7 +3,9 @@
     python tests/mutation_census.py
 
 Run from the root of a checkout.  Each mutant replaces one string, which
-must occur exactly once, in one file of src/specdet.  For each, src/ is
+must occur exactly once, in one file of src/specdet; a mutant that needs a
+second place in the same file lists it as a further replacement, held to the
+same rule.  For each, src/ is
 copied to a temporary directory, the replacement is applied there, and the
 tests named for it run in a fresh pytest process that imports specdet from
 the copy.  The mutant is killed
@@ -15,7 +17,9 @@ The tolerance mutants cover every tolerance constant and cutoff of the
 library; the decision mutants cover the window and floor of the eps limit,
 the majorization tolerance and the psi origin ratio; the structural ones
 cover the exact integral, the truncation of the commutator criterion and the
-audit grids; the last one covers the copy of a caller's array.  pytest does
+audit grids; the last three cover the copy of a caller's array, the
+in-place conjugation of the functional calculus and the lifetime of its
+eigenvectors.  pytest does
 not collect this file (its name does not start with test_), so tier-1 does
 not run it.
 
@@ -43,6 +47,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: Tuple[str, ...]
+    also: Tuple[Tuple[str, str], ...] = ()   # further (old, new) pairs in path
 
 
 MUTANTS = (
@@ -98,6 +103,15 @@ MUTANTS = (
     Mutant("matmodel-caller-copy", "matmodel.py", "a = np.array(entries, dtype=np.complex128)",
            "a = np.asarray(entries, dtype=np.complex128)",
            ("tests/test_matmodel.py::test_operator_keeps_its_entries_and_spectra_after_the_caller_writes",)),
+    # the functional calculus: V* formed in place, and the basis dropped after the call
+    Mutant("matmodel-conj-dropped", "matmodel.py", "np.conjugate(v, out=v)", "pass",
+           ("tests/test_verify.py::test_golden_csv_digests",)),
+    Mutant("matmodel-vectors-kept", "matmodel.py",
+           '__slots__ = ("_a", "_svals", "_eigs", "_self_adjoint")',
+           '__slots__ = ("_a", "_svals", "_eigs", "_self_adjoint", "_eigvecs")',
+           ("tests/test_matmodel.py::test_no_eigenvector_array_outlives_the_call",),
+           also=(("            self._eigs = w\n",
+                  "            self._eigs = w\n            self._eigvecs = v\n"),)),
 )
 
 
@@ -121,11 +135,13 @@ def _apply(src: str, mutant: Mutant) -> None:
     path = os.path.join(src, "specdet", mutant.path)
     with open(path) as fh:
         text = fh.read()
-    count = text.count(mutant.old)
-    if count != 1:
-        raise SystemExit(f"{mutant.name}: {mutant.old!r} occurs {count} times in {mutant.path}")
+    for old, new in ((mutant.old, mutant.new), *mutant.also):
+        count = text.count(old)
+        if count != 1:
+            raise SystemExit(f"{mutant.name}: {old!r} occurs {count} times in {mutant.path}")
+        text = text.replace(old, new)
     with open(path, "w") as fh:
-        fh.write(text.replace(mutant.old, mutant.new))
+        fh.write(text)
 
 
 def main() -> int:

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -30,7 +31,7 @@ from specdet.matmodel import (
 )
 from specdet.stepfn import GridFn, integrate, signed_parts
 from specdet.traces import integral_trace
-from specdet.verify import SuiteConfig, _psd, run_check
+from specdet.verify import SUITE_NAMES, SuiteConfig, _psd, run_check
 from stepfn_reference import mu_neg_part_reference, mu_pos_part_reference
 
 
@@ -155,12 +156,29 @@ def test_repeated_reads_decompose_at_most_once(lapack_calls):
     for _ in range(3):
         assert h.norm == h.singular_values[0]
     assert lapack_calls == Counter(svd=2, eigh=1)
-    # the cached arrays are shared with every reader, so they are read-only
-    assert not any(x.flags.writeable for x in (*h._eigh(), h.singular_values))
+
+    # functional calculus first, then the eigenvalues: still one eigh
+    k = hermitian_gaussian(5, 6)
+    functional_calculus(k, np.exp, matmodel._positive)
+    for _ in range(3):
+        k.eigenvalues
+    assert lapack_calls == Counter(svd=2, eigh=2)
+
+
+def test_cached_spectra_are_read_only():
+    # the cached arrays are shared with every reader
+    h = hermitian_gaussian(4, 6)
+    functional_calculus(h, np.exp)
+    for x in (h.eigenvalues, h.singular_values):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
 
 
 def test_concurrent_first_reads_agree():
     ref = hermitian_gaussian(12, 24)
+    fns = (lambda w: w, np.exp)
+    expected = [x.entries for x in functional_calculus(ref, *fns)]
     expected_w, expected_s = ref.eigenvalues, ref.singular_values
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -170,8 +188,8 @@ def test_concurrent_first_reads_agree():
             seen = []
 
             def read():
-                w, v = op._eigh()
-                seen.append((op.self_adjoint, w, v, op.singular_values))
+                results = functional_calculus(op, *fns)
+                seen.append((op.self_adjoint, op.eigenvalues, op.singular_values, results))
 
             threads = [threading.Thread(target=read) for _ in range(4)]
             for t in threads:
@@ -180,11 +198,13 @@ def test_concurrent_first_reads_agree():
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
             assert len(seen) == 4
-            for sa, w, v, s in seen:
+            for sa, w, s, results in seen:
                 assert sa
                 assert np.array_equal(w, expected_w)
                 assert np.array_equal(s, expected_s)
-                assert np.allclose((v * w) @ v.conj().T, ref.entries, atol=1e-12)
+                for got, want in zip(results, expected):
+                    assert got.entries.tobytes() == want.tobytes()
+            assert np.allclose(expected[0], ref.entries, atol=1e-12)
     finally:
         sys.setswitchinterval(switch)
 
@@ -195,6 +215,27 @@ def test_composite_check_decomposes_only_what_it_reads(lapack_calls):
     name = "sum-psi-composite"
     run_check(name, 8, 42, 0, SuiteConfig(suites=(name,)).tolerance(name))
     assert lapack_calls == Counter(svd=1, eigh=3)
+
+
+def test_no_check_decomposes_an_operator_twice(monkeypatch):
+    # an operator's entries array is the input of each of its decompositions,
+    # so the same array reaching one routine twice is a second decomposition
+    inputs = {"svd": [], "eigh": []}
+
+    def recorded(name, fn):
+        def wrapper(a, *args, **kwargs):
+            inputs[name].append(a)
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in inputs:
+        monkeypatch.setattr(matmodel.np.linalg, name, recorded(name, getattr(np.linalg, name)))
+    for check in SUITE_NAMES:
+        for name in inputs:
+            inputs[name].clear()
+        run_check(check, 8, 42, 0, SuiteConfig(suites=(check,)).tolerance(check))
+        for name, arrays in inputs.items():
+            assert len({id(a) for a in arrays}) == len(arrays), (check, name)
 
 
 def test_decomposition_outside_the_float_range_refuses():
@@ -322,8 +363,58 @@ def test_parts_decompose_and_are_positive():
 
 def test_functional_calculus_identity():
     a = hermitian_gaussian(1, 5)
-    b = functional_calculus(a, lambda w: w)
+    (b,) = functional_calculus(a, lambda w: w)
     assert np.allclose(b.entries, a.entries, atol=1e-13)
+
+
+def test_functional_calculus_builds_all_its_functions_from_one_eigh(lapack_calls):
+    a = hermitian_gaussian(31, 9)
+    parts = functional_calculus(a, matmodel._positive, matmodel._negative, np.exp)
+    a.eigenvalues
+    assert lapack_calls == Counter(eigh=1)
+    # each result is bitwise the one-function call on a fresh copy
+    for got, single in zip(parts, (pos_part, neg_part, op_exp)):
+        assert got.entries.tobytes() == single(MatrixOperator(a.entries)).entries.tobytes()
+    assert lapack_calls == Counter(eigh=4)
+
+
+def test_no_eigenvector_array_outlives_the_call(monkeypatch):
+    refs = []
+
+    class Basis(np.ndarray):
+        # views and copies of a basis are recorded; arithmetic on one gives
+        # plain arrays, so the results of the calculus are not bases
+        def __array_finalize__(self, obj):
+            if isinstance(obj, Basis):
+                refs.append(weakref.ref(self))
+
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            def plain(xs):
+                return tuple(x.view(np.ndarray) if isinstance(x, Basis) else x for x in xs)
+            if out is not None:
+                kwargs["out"] = plain(out)
+            return getattr(ufunc, method)(*plain(inputs), **kwargs)
+
+    eigh = np.linalg.eigh
+
+    def watched_eigh(a):
+        w, v = eigh(a)
+        v = v.view(Basis)
+        refs.append(weakref.ref(v))
+        return w, v
+
+    a = hermitian_gaussian(32, 12)
+    expected = [x.entries for x in functional_calculus(MatrixOperator(a.entries), np.exp,
+                                                        matmodel._positive)]
+    monkeypatch.setattr(matmodel.np.linalg, "eigh", watched_eigh)
+    results = functional_calculus(a, np.exp, matmodel._positive)
+    a.eigenvalues
+    b = hermitian_gaussian(33, 12)
+    b.eigenvalues
+    # eigh's basis, its reversed view and that view's copy, per decomposition
+    assert len(refs) >= 6
+    assert all(ref() is None for ref in refs)
+    assert [x.entries.tobytes() for x in results] == [x.tobytes() for x in expected]
 
 
 # ---- inversion flip for products of exponentials ----
