@@ -130,11 +130,7 @@ class MatrixOperator:
     def self_adjoint(self) -> bool:
         if self._self_adjoint is None:
             a = self._a
-            # one n x n temporary: A* built once, then A - A* written into it
-            diff = np.conjugate(a.T)
-            np.subtract(a, diff, out=diff)
-            dev = float(np.max(np.abs(diff)))
-            del diff    # freed before the svd below
+            dev = float(np.max(np.abs(a - a.conj().T)))
             # the tolerance has a positive floor, so dev == 0 needs no SVD
             self._self_adjoint = dev == 0.0 or dev <= max(
                 _HERMITICITY_FLOOR, HERMITICITY_RTOL * float(self._svd()[0]))
