@@ -304,7 +304,8 @@ def _check_sum_psi_composite(n, t_op, s_op):
     ts_pos, ts_neg = functional_calculus(ts_op, _positive, _negative)
     lam_ts, psi_ts = lambda_matrix(ts_op), _psi_tpm(ts_op)
     del ts_op
-    # a1 = ((T+S)+ + T-) + S- and a2 = ((T+S)- + T+) + S+, in that order
+    # a1 = ((T+S)+ + T-) + S- and a2 = ((T+S)- + T+) + S+: the identity row's
+    # bits depend on this association order
     t_pos, t_neg = functional_calculus(t_op, _positive, _negative)
     a1 = ts_pos + t_neg
     del ts_pos, t_neg

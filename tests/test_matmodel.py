@@ -219,7 +219,8 @@ def test_composite_check_decomposes_only_what_it_reads(lapack_calls):
 
 def test_no_check_decomposes_an_operator_twice(monkeypatch):
     # an operator's entries array is the input of each of its decompositions,
-    # so the same array reaching one routine twice is a second decomposition
+    # so the same array reaching one routine twice is a second decomposition;
+    # the lists keep every input alive, so no two of them share an id
     inputs = {"svd": [], "eigh": []}
 
     def recorded(name, fn):
