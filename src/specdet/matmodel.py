@@ -12,7 +12,9 @@ functions it is given from one eigh and drops the vectors when it returns,
 so an operator that is transformed before its eigenvalues are read is
 decomposed once and holds no n x n basis afterwards.
 A decomposition whose result leaves the float range refuses with LinAlgError.
-ginibre and hermitian_gaussian draw the seeded matrices of the verify suites.
+ginibre, hermitian_gaussian and wishart draw the seeded matrices of the verify
+suites, the last two through one Hermitian-part step; op_signed_parts builds
+both signed parts of a self-adjoint matrix from one eigh.
 
 Copy policy: an operator built from a caller's array copies it, so a later
 write by the caller moves neither its entries nor its spectra, and the
@@ -36,14 +38,14 @@ __all__ = [
     "MatrixOperator",
     "ginibre",
     "hermitian_gaussian",
+    "wishart",
     "haar_unitary",
     "identity",
     "mu_matrix",
     "lambda_matrix",
     "functional_calculus",
     "op_exp",
-    "pos_part",
-    "neg_part",
+    "op_signed_parts",
     "save_matrix",
     "load_matrix",
 ]
@@ -234,12 +236,9 @@ def op_exp(a: MatrixOperator) -> MatrixOperator:
     return functional_calculus(a, np.exp)[0]
 
 
-def pos_part(a: MatrixOperator) -> MatrixOperator:
-    return functional_calculus(a, _positive)[0]
-
-
-def neg_part(a: MatrixOperator) -> MatrixOperator:
-    return functional_calculus(a, _negative)[0]
+def op_signed_parts(a: MatrixOperator) -> Tuple[MatrixOperator, MatrixOperator]:
+    """(A+, A-) of a self-adjoint matrix, A = A+ - A-, both from one eigh."""
+    return functional_calculus(a, _positive, _negative)
 
 
 # ---- seeded samplers ----
@@ -267,12 +266,22 @@ def ginibre(seed: int, n: int) -> MatrixOperator:
     return MatrixOperator(_ginibre(np.random.default_rng(seed), n, 1.0), _owned=True)
 
 
-def hermitian_gaussian(seed: int, n: int) -> MatrixOperator:
-    """(g + g*)/2 for a Ginibre g of entry variance 2/n: exactly hermitian."""
-    g = _ginibre(np.random.default_rng(seed), n, math.sqrt(2.0))
-    h = g + g.conj().T
+def _hermitian_part(w: np.ndarray) -> MatrixOperator:
+    """(w + w*)/2 as an operator: exactly hermitian."""
+    h = w + w.conj().T
     h /= 2.0
     return MatrixOperator(h, _owned=True)
+
+
+def hermitian_gaussian(seed: int, n: int) -> MatrixOperator:
+    """(g + g*)/2 for a Ginibre g of entry variance 2/n: exactly hermitian."""
+    return _hermitian_part(_ginibre(np.random.default_rng(seed), n, math.sqrt(2.0)))
+
+
+def wishart(seed: int, n: int) -> MatrixOperator:
+    """(w + w*)/2 for w = g g*, g Ginibre: positive semidefinite up to rounding."""
+    g = _ginibre(np.random.default_rng(seed), n, 1.0)
+    return _hermitian_part(g @ g.conj().T)
 
 
 # ---- plain-text persistence ----

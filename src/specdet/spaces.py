@@ -62,6 +62,7 @@ __all__ = [
     "parse_profile_spec",
     "membership",
     "elog_membership",
+    "certified_membership",
     "profile_integral",
 ]
 
@@ -681,7 +682,7 @@ def _tail_rule(space: SymmetricSpace, tail) -> Tuple[Membership, float]:
     return rule(space, tail)
 
 
-def _certified(space: SymmetricSpace, t: SpectralProfile, verdict: Membership) -> bool:
+def certified_membership(space: SymmetricSpace, t: SpectralProfile, verdict: Membership) -> bool:
     """The tail row of t in space gives verdict with a margin beyond _WITNESS_MARGIN.
 
     The margin is tested in the exponent's own float form, x < 1 - w or

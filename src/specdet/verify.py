@@ -33,15 +33,13 @@ from .stepfn import (
 )
 from .matmodel import (
     MatrixOperator,
-    _ginibre,
-    _negative,
-    _positive,
-    functional_calculus,
     ginibre,
     hermitian_gaussian,
     lambda_matrix,
     mu_matrix,
     op_exp,
+    op_signed_parts,
+    wishart,
 )
 
 __all__ = [
@@ -155,14 +153,6 @@ def _trial_seed(master: int, check: str, trial: int, slot: str) -> int:
         f"{master}:{check}:{trial}:{slot}".encode(), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")
-
-
-def _psd(seed: int, n: int) -> MatrixOperator:
-    g = _ginibre(np.random.default_rng(seed), n, 1.0)
-    w = g @ g.conj().T
-    h = w + w.conj().T
-    h /= 2.0
-    return MatrixOperator(h, _owned=True)
 
 
 def _ok(quantity, bound, tol: float):
@@ -301,17 +291,17 @@ def _check_sum_psi_composite(n, t_op, s_op):
     used.
     """
     ts_op = t_op + s_op
-    ts_pos, ts_neg = functional_calculus(ts_op, _positive, _negative)
+    ts_pos, ts_neg = op_signed_parts(ts_op)
     lam_ts, psi_ts = lambda_matrix(ts_op), _psi_tpm(ts_op)
     del ts_op
     # a1 = ((T+S)+ + T-) + S- and a2 = ((T+S)- + T+) + S+: the identity row's
     # bits depend on this association order
-    t_pos, t_neg = functional_calculus(t_op, _positive, _negative)
+    t_pos, t_neg = op_signed_parts(t_op)
     a1 = ts_pos + t_neg
     del ts_pos, t_neg
     a2 = ts_neg + t_pos
     del ts_neg, t_pos
-    s_pos, s_neg = functional_calculus(s_op, _positive, _negative)
+    s_pos, s_neg = op_signed_parts(s_op)
     a1 = a1 + s_neg
     del s_neg
     a2 = a2 + s_pos
@@ -408,8 +398,8 @@ def _check_log_closure(n, a_op, b_op):
 _CHECKS: Dict[str, Tuple[Callable, Callable[[int, int], MatrixOperator], str]] = {
     "product-log-integral": (_check_product_log_integral, hermitian_gaussian, "AB"),
     "product-log-pointwise": (_check_product_log_pointwise, hermitian_gaussian, "AB"),
-    "majorization": (_check_majorization, _psd, "AB"),
-    "sum-psi-bound": (_check_sum_psi_bound, _psd, "AB"),
+    "majorization": (_check_majorization, wishart, "AB"),
+    "sum-psi-bound": (_check_sum_psi_bound, wishart, "AB"),
     "split-psi-vanishing": (_check_split_psi_vanishing, hermitian_gaussian, "A"),
     "sum-psi-composite": (_check_sum_psi_composite, hermitian_gaussian, "AB"),
     "commutator-criterion": (_check_commutator_criterion, hermitian_gaussian, "A"),

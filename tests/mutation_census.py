@@ -17,9 +17,10 @@ The tolerance mutants cover every tolerance constant and cutoff of the
 library; the decision mutants cover the window and floor of the eps limit,
 the majorization tolerance and the psi origin ratio; the structural ones
 cover the exact integral, the truncation of the commutator criterion and the
-audit grids; the last three cover the copy of a caller's array, the
-in-place conjugation of the functional calculus and the lifetime of its
-eigenvectors.  pytest does
+audit grids; the matrix ones cover the copy of a caller's array, the
+in-place conjugation of the functional calculus, the lifetime of its
+eigenvectors, the halving of the samplers' Hermitian-part step and the
+order of the signed parts.  pytest does
 not collect this file (its name does not start with test_), so tier-1 does
 not run it.
 
@@ -112,6 +113,13 @@ MUTANTS = (
            ("tests/test_matmodel.py::test_no_eigenvector_array_outlives_the_call",),
            also=(("            self._eigs = w\n",
                   "            self._eigs = w\n            self._eigvecs = v\n"),)),
+    # the samplers' Hermitian-part step and the order of the signed parts
+    Mutant("matmodel-hermitian-half", "matmodel.py", "h /= 2.0", "pass",
+           ("tests/test_matmodel.py::test_samplers_match_the_written_out_recipe_bytewise",)),
+    Mutant("matmodel-signed-parts-swapped", "matmodel.py",
+           "functional_calculus(a, _positive, _negative)",
+           "functional_calculus(a, _negative, _positive)",
+           ("tests/test_verify.py::test_golden_csv_digests",)),
 )
 
 

@@ -26,7 +26,7 @@ from specdet.spaces import (
     PowerTail,
     PsiFn,
     SpectralProfile,
-    _certified,
+    certified_membership,
     constant_profile,
     elog_membership,
     exp_flip_profile,
@@ -84,6 +84,10 @@ def test_eps_value_with_a_non_finite_log():
     assert dets._exp_eps(-math.inf, 0.0625) == 0.0
     with pytest.raises(OverflowError, match=r"^the value shifted by eps = 0\.0625 overflows"):
         dets._exp_eps(math.inf, 0.0625)
+    # the refusal starts exactly where math.exp overflows
+    assert dets._exp_eps(709.782712893384, 0.0625) == 1.7976931348622732e308
+    with pytest.raises(OverflowError, match=r"^the value shifted by eps = 0\.0625 overflows"):
+        dets._exp_eps(math.nextafter(709.782712893384, math.inf), 0.0625)
     with pytest.raises(FloatingPointError,
                        match=r"^the log of the value shifted by eps = 0\.0625 is not a number$"):
         dets._exp_eps(math.nan, 0.0625)
@@ -631,8 +635,8 @@ def _decision_profile(key):
 def _decisions(space, profile):
     short = {Membership.MEMBER: "M", Membership.NOT_MEMBER: "N", Membership.UNDECIDABLE: "U"}
     return (short[membership(space, profile)] + short[elog_membership(space, profile)]
-            + str(int(_certified(space, profile, Membership.MEMBER)))
-            + str(int(_certified(space, profile, Membership.NOT_MEMBER))))
+            + str(int(certified_membership(space, profile, Membership.MEMBER)))
+            + str(int(certified_membership(space, profile, Membership.NOT_MEMBER))))
 
 
 @pytest.mark.parametrize("key", list(_PSI_LOG_DECISIONS), ids=str)

@@ -24,14 +24,14 @@ from specdet.matmodel import (
     lambda_matrix,
     load_matrix,
     mu_matrix,
-    neg_part,
     op_exp,
-    pos_part,
+    op_signed_parts,
     save_matrix,
+    wishart,
 )
 from specdet.stepfn import GridFn, integrate, signed_parts
 from specdet.traces import integral_trace
-from specdet.verify import SUITE_NAMES, SuiteConfig, _psd, run_check
+from specdet.verify import SUITE_NAMES, SuiteConfig, run_check
 from stepfn_reference import mu_neg_part_reference, mu_pos_part_reference
 
 
@@ -87,8 +87,8 @@ def test_operators_the_library_builds_are_read_only_and_checked(tmp_path):
     a, b = hermitian_gaussian(3, 5), ginibre(4, 5)
     path = str(tmp_path / "b.mat")
     save_matrix(b, path)
-    built = [a + b, a - b, -a, 2.0 * a, a.matmul(b), op_exp(a), pos_part(a), identity(5),
-             a, b, _psd(5, 5), load_matrix(path)]
+    built = [a + b, a - b, -a, 2.0 * a, a.matmul(b), op_exp(a), *op_signed_parts(a),
+             identity(5), a, b, wishart(5, 5), load_matrix(path)]
     assert not any(op.entries.flags.writeable for op in built)
     huge = MatrixOperator(np.full((2, 2), 1e308))
     for overflow in (lambda: huge + huge, lambda: huge * 10.0, lambda: huge.matmul(huge)):
@@ -353,8 +353,7 @@ def test_mu_of_hermitian_is_sorted_abs_eigenvalues():
 
 def test_parts_decompose_and_are_positive():
     a = hermitian_gaussian(21, 6)
-    p = pos_part(a)
-    m = neg_part(a)
+    p, m = op_signed_parts(a)
     assert np.allclose((p - m).entries, a.entries, atol=1e-13)
     assert p.eigenvalues[-1] >= -1e-14
     assert m.eigenvalues[-1] >= -1e-14
@@ -373,10 +372,14 @@ def test_functional_calculus_builds_all_its_functions_from_one_eigh(lapack_calls
     parts = functional_calculus(a, matmodel._positive, matmodel._negative, np.exp)
     a.eigenvalues
     assert lapack_calls == Counter(eigh=1)
-    # each result is bitwise the one-function call on a fresh copy
-    for got, single in zip(parts, (pos_part, neg_part, op_exp)):
-        assert got.entries.tobytes() == single(MatrixOperator(a.entries)).entries.tobytes()
-    assert lapack_calls == Counter(eigh=4)
+    # each result is bitwise the same function called with fewer others on a
+    # fresh copy: op_signed_parts gives the first two from one eigh
+    singles = op_signed_parts(MatrixOperator(a.entries))
+    assert lapack_calls == Counter(eigh=2)
+    singles += (op_exp(MatrixOperator(a.entries)),)
+    assert lapack_calls == Counter(eigh=3)
+    for got, single in zip(parts, singles, strict=True):
+        assert got.entries.tobytes() == single.entries.tobytes()
 
 
 def test_no_eigenvector_array_outlives_the_call(monkeypatch):
@@ -498,7 +501,7 @@ def test_samplers_match_the_written_out_recipe_bytewise(seed, n):
     g = _recipe(seed, n, 1.0)
     assert _same_bits(ginibre(seed, n).entries, g)
     w = g @ g.conj().T
-    assert _same_bits(_psd(seed, n).entries, (w + w.conj().T) / 2.0)
+    assert _same_bits(wishart(seed, n).entries, (w + w.conj().T) / 2.0)
     g = _recipe(seed, n, math.sqrt(2.0))
     assert _same_bits(hermitian_gaussian(seed, n).entries, (g + g.conj().T) / 2.0)
 
@@ -513,7 +516,7 @@ def test_psd_builds_one_operator(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MatrixOperator, "__init__", counting_init)
-    op = _psd(3, 7)
+    op = wishart(3, 7)
     assert built == [op]
 
 
@@ -674,7 +677,7 @@ def test_mu_sum_head_integral_domination():
     for seed in range(5):
         t_op = hermitian_gaussian(300 + seed, n)
         s_op = hermitian_gaussian(400 + seed, n)
-        t_pos, s_pos = pos_part(t_op), pos_part(s_op)
+        t_pos, s_pos = op_signed_parts(t_op)[0], op_signed_parts(s_op)[0]
         mu_sum = mu_matrix(t_pos + s_pos)
         parts = mu_matrix(t_pos) + mu_matrix(s_pos)
         for k in range(1, n + 1):

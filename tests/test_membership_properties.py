@@ -18,7 +18,7 @@ from specdet.spaces import (
     PowerTail,
     PsiFn,
     SpectralProfile,
-    _certified,
+    certified_membership,
     elog_membership,
     membership,
     space_linf,
@@ -73,7 +73,7 @@ def test_strict_certificate_implies_the_verdict(case):
     f = _profile(tail)
     for space in _chain(p_hi, p_lo) + [space_llog()]:
         for verdict in (Membership.MEMBER, Membership.NOT_MEMBER):
-            if _certified(space, f, verdict):
+            if certified_membership(space, f, verdict):
                 assert membership(space, f) is verdict, space.name
 
 

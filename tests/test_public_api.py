@@ -1,11 +1,13 @@
 """The public API is declared once: in the __all__ of each layer module."""
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +65,32 @@ def test_no_name_is_public_in_two_layers():
         for name in importlib.import_module(f"specdet.{layer}").__all__:
             assert name not in owners, (name, owners.get(name), layer)
             owners[name] = layer
+
+
+def _private_reaches(path):
+    """(name, sibling) for each underscore name one module takes from a sibling."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    siblings = set()
+    reaches = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                siblings.update(alias.asname or alias.name for alias in node.names)
+            else:
+                reaches.extend((alias.name, node.module) for alias in node.names
+                               if alias.name.startswith("_"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in siblings):
+            reaches.append((node.attr, node.value.id))
+    return reaches
+
+
+def test_no_layer_reads_a_private_name_of_another():
+    # a private helper may change inside its own module without a search of
+    # the other layers
+    package = Path(specdet.__file__).parent
+    reaches = sorted((path.stem, sibling, name)
+                     for path in package.glob("*.py")
+                     for name, sibling in _private_reaches(path))
+    assert not reaches, reaches
