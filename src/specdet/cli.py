@@ -267,9 +267,5 @@ def main(argv: Optional[List[str]] = None) -> int:
         return code
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

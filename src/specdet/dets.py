@@ -308,9 +308,6 @@ def eps_limit_comparison(x, phi: TraceFunctional,
 
 @dataclass(frozen=True)
 class WitnessReport:
-    witness_name: str
-    small_space: str
-    large_space: str
     integral_t: float
     det_small: float
     branch_small: int
@@ -343,9 +340,6 @@ def separating_witness_scenario(small_space: SymmetricSpace,
     det_small, br_small = det_phi_with_branch(x, _PHI1, small_space)
     integral_t = eval_functional(_PHI1, t)
     return WitnessReport(
-        witness_name=t.name,
-        small_space=small_space.name,
-        large_space=large_space.name,
         integral_t=integral_t,
         det_small=det_small,
         branch_small=br_small,

@@ -40,7 +40,6 @@ __all__ = [
     "hermitian_gaussian",
     "wishart",
     "haar_unitary",
-    "identity",
     "mu_matrix",
     "lambda_matrix",
     "functional_calculus",
@@ -53,7 +52,7 @@ __all__ = [
 # Relative hermiticity tolerance, with an absolute floor so the zero matrix
 # is admitted.  Matrices that miss the tolerance are rejected, never
 # symmetrized.
-HERMITICITY_RTOL = 1e-12
+_HERMITICITY_RTOL = 1e-12
 _HERMITICITY_FLOOR = 1e-300
 
 
@@ -135,7 +134,7 @@ class MatrixOperator:
             dev = float(np.max(np.abs(a - a.conj().T)))
             # the tolerance has a positive floor, so dev == 0 needs no SVD
             self._self_adjoint = dev == 0.0 or dev <= max(
-                _HERMITICITY_FLOOR, HERMITICITY_RTOL * float(self._svd()[0]))
+                _HERMITICITY_FLOOR, _HERMITICITY_RTOL * float(self._svd()[0]))
         return self._self_adjoint
 
     @property
@@ -183,10 +182,6 @@ class MatrixOperator:
     def __repr__(self):
         sa = "self-adjoint" if self.self_adjoint else "general"
         return f"MatrixOperator(n={self._a.shape[0]}, {sa})"
-
-
-def identity(n: int) -> MatrixOperator:
-    return MatrixOperator(np.eye(n, dtype=np.complex128), _owned=True)
 
 
 # ---- step functions from cached spectral data ----

@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "GridFn",
     "MonotoneStepFn",
-    "decreasing_rearrangement",
     "signed_parts",
     "integrals",
     "integrate",
@@ -147,22 +146,16 @@ class MonotoneStepFn(GridFn):
             raise ValueError("values must be nonincreasing")
 
 
-def decreasing_rearrangement(f: GridFn) -> MonotoneStepFn:
-    """Decreasing rearrangement of |f|: the values of |f| sorted nonincreasingly."""
-    v = np.sort(np.abs(f.values), kind="stable")[::-1]
-    return MonotoneStepFn(v)
-
-
 def signed_parts(f: GridFn) -> tuple[MonotoneStepFn, MonotoneStepFn]:
     """(f+, f-): the decreasing rearrangements of max(f, 0) and max(-f, 0).
 
     f = f+ - f- before rearrangement, so a linear functional that only sees
-    rearranged data evaluates f as phi(f+) - phi(f-).
+    rearranged data evaluates f as phi(f+) - phi(f-).  np.abs keeps -0.0
+    out of both parts, however np.clip treats a signed zero.
     """
     v = f.values
-    pos = decreasing_rearrangement(GridFn(np.clip(v, 0.0, None)))
-    neg = decreasing_rearrangement(GridFn(np.clip(-v, 0.0, None)))
-    return pos, neg
+    return tuple(MonotoneStepFn(np.sort(np.abs(np.clip(w, 0.0, None)), kind="stable")[::-1])
+                 for w in (v, -v))
 
 
 def integrals(f: GridFn, los, his) -> list:

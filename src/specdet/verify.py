@@ -48,7 +48,6 @@ __all__ = [
     "SuiteConfig",
     "SuiteResult",
     "SUITE_NAMES",
-    "DEFAULT_TOLERANCES",
     "run_check",
     "run_suite",
     "rows_to_csv",
@@ -57,7 +56,7 @@ __all__ = [
 
 _DEFAULT_TOL = 1e-8
 # Exact-cancellation checks run at a tighter tolerance.
-DEFAULT_TOLERANCES: Dict[str, float] = {
+_TOLERANCES: Dict[str, float] = {
     "majorization": 1e-10,
     "split-psi-vanishing": 1e-10,
 }
@@ -124,7 +123,7 @@ class SuiteConfig:
             return self.tol_overrides[check]
         if "default" in self.tol_overrides:
             return self.tol_overrides["default"]
-        return DEFAULT_TOLERANCES.get(check, _DEFAULT_TOL)
+        return _TOLERANCES.get(check, _DEFAULT_TOL)
 
 
 @dataclass

@@ -20,7 +20,8 @@ cover the exact integral, the truncation of the commutator criterion and the
 audit grids; the matrix ones cover the copy of a caller's array, the
 in-place conjugation of the functional calculus, the lifetime of its
 eigenvectors, the halving of the samplers' Hermitian-part step and the
-order of the signed parts.  pytest does
+order of the signed parts; the last one covers the sign of the grid that
+stepfn.signed_parts builds its negative part from.  pytest does
 not collect this file (its name does not start with test_), so tier-1 does
 not run it.
 
@@ -73,8 +74,8 @@ MUTANTS = (
            ("tests/test_dets.py::test_eps_comparison_projection_integral_trace_refuses",)),
     Mutant("stepfn-snap", "stepfn.py", "_SNAP = 1e-9", "_SNAP = 0.0",
            ("tests/test_stepfn.py::test_node_snap_window",)),
-    Mutant("matmodel-hermiticity", "matmodel.py", "HERMITICITY_RTOL = 1e-12",
-           "HERMITICITY_RTOL = 1e-6",
+    Mutant("matmodel-hermiticity", "matmodel.py", "_HERMITICITY_RTOL = 1e-12",
+           "_HERMITICITY_RTOL = 1e-6",
            ("tests/test_matmodel.py::test_hermiticity_decision_at_the_tolerance",)),
     Mutant("verify-cutoff-guard", "verify.py", "_CUTOFF_GUARD = 1e-12", "_CUTOFF_GUARD = 0.0",
            ("tests/test_verify.py::test_golden_csv_digests",)),
@@ -120,6 +121,9 @@ MUTANTS = (
            "functional_calculus(a, _positive, _negative)",
            "functional_calculus(a, _negative, _positive)",
            ("tests/test_verify.py::test_golden_csv_digests",)),
+    Mutant("stepfn-negative-part-from-v", "stepfn.py", "for w in (v, -v))", "for w in (v, v))",
+           ("tests/test_stepfn_properties.py::"
+            "test_eval_functional_matches_the_clip_rearrange_subtract_formula",)),
 )
 
 

@@ -9,6 +9,7 @@ per-point snap rule, on either side of a node, that ``GridFn.values_at``
 the suites did before they computed margins over arrays.
 ``signed_eval_reference`` is the clip, rearrange and subtract formula that
 evaluated a trace on a signed grid before ``stepfn.signed_parts`` existed,
+with each part sorted by Python's own ``sorted`` rather than by stepfn,
 and ``mu_pos_part_reference`` / ``mu_neg_part_reference`` are the parts of
 an eigenvalue function as they were once read off the cached eigenvalues.
 """
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from specdet import traces
-from specdet.stepfn import _SNAP, GridFn, MonotoneStepFn, decreasing_rearrangement
+from specdet.stepfn import _SNAP, MonotoneStepFn
 from specdet.verify import CheckRow, _ok
 
 
@@ -67,10 +68,15 @@ def rows_reference(name, seed, trial, n, tol, ts, quantities, bounds):
     return rows
 
 
+def _rearranged_part(values):
+    """max(x, 0) for each x, as +0.0 where x <= 0, sorted nonincreasingly."""
+    return MonotoneStepFn(sorted((x if x > 0.0 else 0.0 for x in values), reverse=True))
+
+
 def signed_eval_reference(phi, f):
-    v = f.values
-    pos = decreasing_rearrangement(GridFn(np.clip(v, 0.0, None)))
-    neg = decreasing_rearrangement(GridFn(np.clip(-v, 0.0, None)))
+    v = f.values.tolist()
+    pos = _rearranged_part(v)
+    neg = _rearranged_part([-x for x in v])
     return traces._eval_nonincreasing(phi, pos) - traces._eval_nonincreasing(phi, neg)
 
 

@@ -13,7 +13,7 @@ import specdet
 from specdet import cli, dets, matmodel, spaces, traces, verify
 from specdet.cli import _build_parser, main
 from specdet.dets import DetDomainError, UnsupportedProfileError
-from specdet.matmodel import MatrixOperator, identity, save_matrix
+from specdet.matmodel import MatrixOperator, save_matrix
 from specdet.spaces import (
     DivergenceError,
     MembershipUndecidableError,
@@ -241,7 +241,7 @@ def test_verify_lapack_failure_exits_1(capsys, failing_svd):
 
 def test_det_identity_matrix_file(capsys, tmp_path):
     path = tmp_path / "id.mat"
-    save_matrix(identity(4), str(path))
+    save_matrix(MatrixOperator(np.eye(4)), str(path))
     code, out, err = _run(capsys, ["det", "--input", str(path)])
     assert code == 0
     payload = json.loads(out)
@@ -264,7 +264,7 @@ def test_det_singular_matrix_file(capsys, tmp_path):
 def test_det_lapack_failure_exits_1(capsys, tmp_path, failing_svd):
     # loading validates the entries only; the svd runs inside the determinant
     path = tmp_path / "id.mat"
-    save_matrix(identity(4), str(path))
+    save_matrix(MatrixOperator(np.eye(4)), str(path))
     code, out, err = _run(capsys, ["det", "--input", str(path)])
     assert code == 1
     assert out == ""
@@ -387,7 +387,7 @@ def test_det_malformed_profile_exits_2(capsys):
 
 def test_det_bad_trace_or_space_exits_2(capsys, tmp_path):
     path = tmp_path / "id.mat"
-    save_matrix(identity(2), str(path))
+    save_matrix(MatrixOperator(np.eye(2)), str(path))
     code, out, err = _run(capsys, ["det", "--input", str(path), "--trace", "weird"])
     assert code == 2
     code, out, err = _run(capsys, ["det", "--input", str(path), "--space", "l-zero"])
@@ -431,7 +431,7 @@ def test_det_overflowing_matrix_determinant_exits_1(capsys, tmp_path, eps, c):
     # exp(1000 log 3) is past the float range; 1.7e308 log 3 is itself inf,
     # which once printed "value": Infinity
     path = tmp_path / "three.mat"
-    save_matrix(identity(3) * 3.0, str(path))
+    save_matrix(MatrixOperator(3.0 * np.eye(3)), str(path))
     code, out, err = _run(capsys, ["det", "--input", str(path), "--trace", f"integral:{c}"] + eps)
     assert (code, out, err) == (1, "", _OVERFLOW)
 
@@ -449,7 +449,7 @@ _UNDERFLOW = "error: the determinant underflows the float range\n"
 def test_det_underflowing_matrix_determinant_exits_1(capsys, tmp_path, eps):
     # exp(1000 log 1e-5) is below the float range: no exact zero on branch 1
     path = tmp_path / "tiny.mat"
-    save_matrix(identity(3) * 1e-5, str(path))
+    save_matrix(MatrixOperator(1e-5 * np.eye(3)), str(path))
     code, out, err = _run(capsys, ["det", "--input", str(path), "--trace", "integral:1000"] + eps)
     assert (code, out, err) == (1, "", _UNDERFLOW)
 
@@ -475,7 +475,7 @@ def test_det_matrix_whose_singular_values_overflow_exits_1(capsys, tmp_path, eps
 def test_det_eps_overflow_names_the_shifted_value(capsys, tmp_path):
     # 3^643 ~ 6.4e306 is a float; the shifted 3.0625^643 ~ 3.5e312 is not
     path = tmp_path / "three.mat"
-    save_matrix(identity(3) * 3.0, str(path))
+    save_matrix(MatrixOperator(3.0 * np.eye(3)), str(path))
     argv = ["det", "--input", str(path), "--trace", "integral:643"]
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
@@ -685,7 +685,7 @@ def test_det_without_quadpack_exits_2(capsys, monkeypatch, tmp_path):
         assert err.count("\n") == 1 and err.startswith("error: ") and "scipy" in err
         assert "Traceback" not in err
         path = str(tmp_path / "id.mat")
-        save_matrix(identity(3), path)
+        save_matrix(MatrixOperator(np.eye(3)), path)
         assert _run(capsys, ["det", "--input", path])[0] == 0
     finally:
         spaces._qagse.cache_clear()
@@ -805,13 +805,14 @@ def test_plain_det_after_eps_compare_has_no_eps_key(capsys):
 _SCIPY_FREE_START = """
 import json, sys
 from specdet.cli import main
-from specdet.matmodel import identity, save_matrix
+import numpy as np
+from specdet.matmodel import MatrixOperator, save_matrix
 
 def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 tmp = sys.argv[1]
-save_matrix(identity(4), tmp + "/id.mat")
+save_matrix(MatrixOperator(np.eye(4)), tmp + "/id.mat")
 codes = [
     main(["verify", "--suite", "all", "--n", "16", "--trials", "1", "--out", tmp + "/v.csv"]),
     main(["det", "--input", tmp + "/id.mat", "--out", tmp + "/m.json"]),

@@ -20,7 +20,6 @@ from specdet.matmodel import (
     ginibre,
     haar_unitary,
     hermitian_gaussian,
-    identity,
     lambda_matrix,
     load_matrix,
     mu_matrix,
@@ -53,7 +52,7 @@ def test_rejects_nonsquare_and_nonfinite():
 
 
 def test_entries_read_only():
-    a = identity(2)
+    a = MatrixOperator(np.eye(2))
     with pytest.raises(ValueError):
         a.entries[0, 0] = 5.0
 
@@ -88,7 +87,7 @@ def test_operators_the_library_builds_are_read_only_and_checked(tmp_path):
     path = str(tmp_path / "b.mat")
     save_matrix(b, path)
     built = [a + b, a - b, -a, 2.0 * a, a.matmul(b), op_exp(a), *op_signed_parts(a),
-             identity(5), a, b, wishart(5, 5), load_matrix(path)]
+             a, b, wishart(5, 5), load_matrix(path)]
     assert not any(op.entries.flags.writeable for op in built)
     huge = MatrixOperator(np.full((2, 2), 1e308))
     for overflow in (lambda: huge + huge, lambda: huge * 10.0, lambda: huge.matmul(huge)):
@@ -133,7 +132,7 @@ def lapack_calls(monkeypatch):
 def test_construction_and_arithmetic_run_no_decomposition(lapack_calls):
     h = hermitian_gaussian(1, 6)
     g = ginibre(2, 6)
-    ops = [h + g, h - g, -h, 2.0 * g, g * 3, h.matmul(g), identity(6)]
+    ops = [h + g, h - g, -h, 2.0 * g, g * 3, h.matmul(g), MatrixOperator(np.eye(6))]
     assert all(op.entries.shape == (6, 6) for op in ops)
     assert h.entries.shape == (6, 6) and math.isfinite(g.tau)
     assert lapack_calls == Counter()
@@ -261,7 +260,7 @@ def _eager_hermiticity(entries) -> bool:
     """The hermiticity decision as it was made eagerly at construction."""
     a = np.array(entries, dtype=np.complex128)
     sv = np.linalg.svd(a, compute_uv=False)
-    tol = max(matmodel._HERMITICITY_FLOOR, matmodel.HERMITICITY_RTOL * float(sv[0]))
+    tol = max(matmodel._HERMITICITY_FLOOR, matmodel._HERMITICITY_RTOL * float(sv[0]))
     return float(np.max(np.abs(a - a.conj().T))) <= tol
 
 

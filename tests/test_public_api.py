@@ -94,3 +94,33 @@ def test_no_layer_reads_a_private_name_of_another():
                      for path in package.glob("*.py")
                      for name, sibling in _private_reaches(path))
     assert not reaches, reaches
+
+
+# perfbench/tracing.py rebinds spaces.quad by that name to count quadratures
+_PUBLIC_BY_BINDING = {("spaces", "quad")}
+
+
+def _module_level_names(path):
+    """Names bound at module level by a def, a class or an assignment."""
+    names = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
+def test_every_public_looking_name_is_in_all():
+    # a name without a leading underscore is public, so __all__ must declare it
+    package = Path(specdet.__file__).parent
+    undeclared = sorted(
+        f"{layer}.{name}"
+        for layer in LAYERS
+        for name in _module_level_names(package / f"{layer}.py")
+        if not name.startswith("_")
+        and name not in importlib.import_module(f"specdet.{layer}").__all__
+        and (layer, name) not in _PUBLIC_BY_BINDING)
+    assert not undeclared, undeclared

@@ -9,10 +9,10 @@ from scipy.integrate import quad
 from specdet.stepfn import (
     GridFn,
     MonotoneStepFn,
-    decreasing_rearrangement,
     dilate2,
     integrate,
     psi_eval,
+    signed_parts,
 )
 
 
@@ -133,19 +133,30 @@ def test_resampled_requires_multiple():
         f.resampled(3)
 
 
-# ---- rearrangement ----
+# ---- signed parts ----
 
-def test_decreasing_rearrangement_matches_sort_oracle():
+def test_positive_part_of_the_modulus_matches_sort_oracle():
     rng = np.random.default_rng(11)
     v = rng.standard_normal(37)
-    r = decreasing_rearrangement(GridFn(v))
+    r = signed_parts(GridFn(np.abs(v)))[0]
     assert isinstance(r, MonotoneStepFn)
     assert np.array_equal(r.values, np.sort(np.abs(v))[::-1])
 
 
-def test_rearrangement_of_monotone_nonneg_is_identity():
+def test_positive_part_of_monotone_nonneg_is_itself():
     v = np.array([5.0, 3.0, 3.0, 0.5])
-    assert np.array_equal(decreasing_rearrangement(GridFn(v)).values, v)
+    assert np.array_equal(signed_parts(GridFn(v))[0].values, v)
+
+
+def test_signed_parts_match_the_clip_abs_stable_sort_bitwise():
+    # signed zeros, ties and both signs; each part is the clip -> abs -> stable
+    # sort -> reverse of +v or -v, bit for bit, and holds no -0.0
+    v = np.array([-0.0, 0.0, 2.5, -1.0, 2.5, -0.0, -1.0, 0.75, 0.0, -3.0])
+    for part, w in zip(signed_parts(GridFn(v)), (v, -v)):
+        expected = np.sort(np.abs(np.clip(w, 0.0, None)), kind="stable")[::-1]
+        assert isinstance(part, MonotoneStepFn)
+        assert part.values.tobytes() == expected.tobytes()
+        assert not np.signbit(part.values).any()
 
 
 # ---- integration ----

@@ -15,7 +15,6 @@ from specdet import stepfn, verify
 from specdet.matmodel import MatrixOperator, mu_matrix, op_exp
 from specdet.stepfn import GridFn, integrate, psi_eval
 from specdet.verify import (
-    DEFAULT_TOLERANCES,
     SUITE_NAMES,
     CheckRow,
     SuiteConfig,
@@ -62,8 +61,8 @@ def test_config_validation():
 
 def test_tolerance_resolution():
     cfg = SuiteConfig(suites=SUITE_NAMES)
-    assert cfg.tolerance("majorization") == DEFAULT_TOLERANCES["majorization"]
-    assert cfg.tolerance("split-psi-vanishing") == DEFAULT_TOLERANCES["split-psi-vanishing"]
+    assert cfg.tolerance("majorization") == 1e-10
+    assert cfg.tolerance("split-psi-vanishing") == 1e-10
     assert cfg.tolerance("log-closure") == 1e-8
     cfg2 = SuiteConfig(suites=SUITE_NAMES, tol_overrides={"log-closure": 1e-5})
     assert cfg2.tolerance("log-closure") == 1e-5
