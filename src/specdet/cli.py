@@ -4,15 +4,17 @@ Three subcommands: `verify` runs the seeded inequality suites and writes a
 CSV or JSON report, `det` evaluates one determinant on a matrix file or a
 profile spec line, `example` reproduces the named closed-form scenarios and
 compares against their expected constants.  Exit codes: 0 success, 1 honest
-mathematical failure (violated bound, non-convergent limit, undecidable
-membership, domain refusal, a LAPACK decomposition that fails, a
+mathematical failure (violated bound, membership or domain refusal, a
+profile without a log split, a LAPACK decomposition that fails, a
 determinant or an eps-shifted value past the float range), 2 usage errors
 and a missing QUADPACK or numpy.  `main` is the one place that maps a
 failure to its exit code: exit 1 is a spaces.Refusal, which every refusal
 class of the library subclasses, or numpy's LinAlgError, OverflowError or
 FloatingPointError; exit 2 is any other ValueError, an OSError or an
 ImportError.  Each refusal carries its own message, written where it is
-raised.
+raised.  MembershipUndecidableError, NonConvergentError and QuadratureError
+come only from library calls: no command line reaches an undecidable
+membership, a singular trace that does not converge or a QUADPACK warning.
 
 A command imports what it needs when it runs.  `verify` imports
 specdet.verify and a matrix file specdet.matmodel, and both load numpy.

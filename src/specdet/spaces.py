@@ -13,10 +13,10 @@ certificates all read it.
 
 A profile integral is exact through a registered antiderivative; otherwise
 adaptive quadrature computes it and a quadrature warning is a refusal.  That
-quadrature is QUADPACK's qagse from scipy's compiled _quadpack extension,
-loaded by itself on the first call of quad, never through scipy.integrate; a
-process whose profiles all have antiderivatives (and every matrix or verify
-run) loads no scipy module at all.
+quadrature is one call of QUADPACK's qagse at fixed tolerances, from scipy's
+compiled _quadpack extension, loaded by itself on the first call of quad,
+never through scipy.integrate; a process whose profiles all have
+antiderivatives (and every matrix or verify run) loads no scipy module at all.
 
 The module imports the standard library only.  The audit grids are 64-point
 plain-float geomspaces and the PsiFn audit runs on plain floats, so a profile
@@ -513,26 +513,14 @@ def parse_profile_spec(line: str) -> SpectralProfile:
 
 # ---- integrals of profiles ----
 
-# scipy.integrate.quad's text for each warning code 1 to 5 of QUADPACK's qagse
-# (scipy 1.17), so a refusal reads the same as when quad came from scipy.integrate
-_QUADPACK_WARNINGS = {
-    1: "The maximum number of subdivisions ({limit}) has been achieved.\n  "
-       "If increasing the limit yields no improvement it is advised to "
-       "analyze \n  the integrand in order to determine the difficulties.  "
-       "If the position of a \n  local difficulty can be determined "
-       "(singularity, discontinuity) one will \n  probably gain from "
-       "splitting up the interval and calling the integrator \n  on the "
-       "subranges.  Perhaps a special-purpose integrator should be used.",
-    2: "The occurrence of roundoff error is detected, which prevents \n  "
-       "the requested tolerance from being achieved.  "
-       "The error may be \n  underestimated.",
-    3: "Extremely bad integrand behavior occurs at some points of the\n  "
-       "integration interval.",
-    4: "The algorithm does not converge.  Roundoff error is detected\n  "
-       "in the extrapolation table.  It is assumed that the requested "
-       "tolerance\n  cannot be achieved, and that the returned result "
-       "(if full_output = 1) is \n  the best which can be obtained.",
-    5: "The integral is probably divergent, or slowly convergent.",
+# QUADPACK's documentation of dqagse's error code ier, one line for each
+# warning; 0 is success, and 6 (invalid input) needs tolerances quad never passes
+_QAGSE_WARNINGS = {
+    1: "the maximum number of subdivisions allowed has been achieved",
+    2: "roundoff error prevents the requested tolerance from being achieved",
+    3: "extremely bad integrand behaviour occurs at some points of the interval",
+    4: "the algorithm does not converge: roundoff error in the extrapolation table",
+    5: "the integral is probably divergent, or slowly convergent",
 }
 
 
@@ -569,25 +557,17 @@ def _qagse():
     return module._qagse
 
 
-def quad(func, a, b, *, epsabs, epsrel, limit):
-    """scipy.integrate.quad(func, a, b, ...) for finite a < b, without the info dict.
+def quad(func, a, b):
+    """int_a^b func for finite a < b by QUADPACK's qagse: (value, abserr, ier).
 
-    It calls _qagse(func, a, b, (), 0, epsabs, epsrel, limit) of scipy's
-    private _quadpack extension (see _qagse for why), the routine
-    scipy.integrate.quad itself calls for finite bounds without points or
-    weight, so value and error estimate are the same floats.  Returns
-    (value, abserr), plus scipy's warning text as a third element when
-    QUADPACK warns (codes 1 to 5); code 6, invalid input, raises
-    ValueError, and an exception of func propagates.  A module-level
-    function, so callers and instrumentation can rebind spaces.quad.  The
-    parity tests have passed on scipy 1.17.1, the only version tried.
+    One call of _qagse (see there for why) at absolute tolerance 1e-14,
+    relative tolerance 1e-10 and at most 200 subdivisions.  scipy.integrate.quad
+    calls the same routine for a finite interval, so value and abserr are its
+    floats at those tolerances.  ier is 0 on success and 1 to 5 for a warning
+    (_QAGSE_WARNINGS); an exception of func propagates.  Module-level, so
+    instrumentation can rebind spaces.quad.  Tried on scipy 1.17.1 only.
     """
-    value, abserr, ier = _qagse()(func, a, b, (), 0, epsabs, epsrel, limit)
-    if ier == 0:
-        return value, abserr
-    if ier in _QUADPACK_WARNINGS:
-        return value, abserr, _QUADPACK_WARNINGS[ier].format(limit=limit)
-    raise ValueError(f"QUADPACK qagse refused its input with error code {ier}")
+    return _qagse()(func, a, b, (), 0, 1e-14, 1e-10, 200)
 
 
 def profile_integral(p: SpectralProfile, lo: float, hi: float) -> float:
@@ -610,15 +590,13 @@ def profile_integral(p: SpectralProfile, lo: float, hi: float) -> float:
         return val
     if lo == 0.0 and _tail_rule(_L1, p.tail_at_0)[0] is Membership.NOT_MEMBER:
         raise DivergenceError(f"profile {p.name!r} is not integrable near 0")
-    # a third element, QUADPACK's warning text, means the value may be off by
-    # more than its estimate
-    out = quad(p.evaluator, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200)
-    if len(out) > 2:
-        raise QuadratureError(
-            f"quadrature of profile {p.name!r} on ({float(lo)!r}, {float(hi)!r}) is unreliable: "
-            + " ".join(out[2].split())
-        )
-    return float(out[0])
+    # a nonzero ier, QUADPACK's warning, means the value may be off by more
+    # than its estimate
+    value, _, ier = quad(p.evaluator, lo, hi)
+    if ier:
+        raise QuadratureError(f"quadrature of profile {p.name!r} on ({float(lo)!r}, {float(hi)!r}) "
+                              f"is unreliable: QUADPACK qagse code {ier}, {_QAGSE_WARNINGS[ier]}")
+    return float(value)
 
 
 # ---- the membership rule table ----

@@ -15,8 +15,8 @@ It prints one JSON line: the reference key of the BLAS set-up, the numpy and
 scipy versions, the jobs run, the mismatches and, when nothing could be
 compared, the reason.  It compares nothing, and exits 2, when the reference
 has no digests for the BLAS set-up or when numpy or scipy differ from the
-versions recorded in the committed BENCH_*.json files (QUADPACK's bits and
-warning texts are in the digests).  It exits 1 on a mismatch, else 0.
+versions recorded in the committed BENCH_*.json files (QUADPACK's bits are
+in the digests).  It exits 1 on a mismatch, else 0.
 """
 
 from __future__ import annotations

@@ -15,13 +15,13 @@ then the run time; the exit code is 1 when a mutant survived.
 
 The tolerance mutants cover every tolerance constant and cutoff of the
 library; the decision mutants cover the window and floor of the eps limit,
-the majorization tolerance and the psi origin ratio; the structural ones
-cover the exact integral, the truncation of the commutator criterion and the
-audit grids; the matrix ones cover the copy of a caller's array, the
-in-place conjugation of the functional calculus, the lifetime of its
-eigenvectors, the halving of the samplers' Hermitian-part step and the
-order of the signed parts; the last one covers the sign of the grid that
-stepfn.signed_parts builds its negative part from.  pytest does
+the majorization tolerance, the psi origin ratio and the QUADPACK codes that
+refuse; the structural ones cover the exact integral, the truncation of the
+commutator criterion and the audit grids; the matrix ones cover the copy of
+a caller's array, the in-place conjugation of the functional calculus, the
+lifetime of its eigenvectors, the halving of the samplers' Hermitian-part
+step and the order of the signed parts; the last one covers the sign of the
+grid that stepfn.signed_parts builds its negative part from.  pytest does
 not collect this file (its name does not start with test_), so tier-1 does
 not run it.
 
@@ -64,9 +64,9 @@ MUTANTS = (
            "_WITNESS_MARGIN = 0.0", ("tests/test_dets.py::test_decisions_unchanged_on_every_space",)),
     Mutant("spaces-rise-slack", "spaces.py", "v > prev + 1e-9 * (1.0 + prev)",
            "v > prev + 1e-6 * (1.0 + prev)", ("tests/test_spaces.py::test_audit_rejections",)),
-    Mutant("spaces-quad-tolerances", "spaces.py", "epsabs=1e-14, epsrel=1e-10",
-           "epsabs=1e-10, epsrel=1e-6",
-           ("tests/test_spaces.py::test_profile_integral_calls_the_module_quad_binding",)),
+    Mutant("spaces-quad-tolerances", "spaces.py", "(), 0, 1e-14, 1e-10, 200)",
+           "(), 0, 1e-10, 1e-6, 200)",
+           ("tests/test_spaces.py::test_quad_matches_scipy_on_the_eps_compare_integrands",)),
     Mutant("spaces-psi-concavity-slack", "spaces.py", "s1 - s0 > 1e-12 * s0",
            "s1 - s0 > 1e-6 * s0",
            ("tests/test_spaces.py::test_psi_concavity_slack_is_relative_rounding_only",)),
@@ -90,6 +90,8 @@ MUTANTS = (
             "test_majorization_fails_a_row_short_by_1e_9_at_its_default_tolerance",)),
     Mutant("spaces-psi-origin-ratio", "spaces.py", "0.05 * self.fn(0.5)", "0.5 * self.fn(0.5)",
            ("tests/test_spaces.py::test_psi_origin_test_admits_by_the_ratio_psi_0_to_psi_half",)),
+    Mutant("spaces-quad-warning-codes", "spaces.py", "if ier:", "if ier > 1:",
+           ("tests/test_spaces.py::test_quadrature_warning_is_a_refusal",)),
     # structure of the exact kernels and of the audit grids
     Mutant("verify-truncation-side", "verify.py", 'side="right"', 'side="left"',
            ("tests/test_verify.py::test_commutator_truncation_keeps_the_ties_at_the_cut",)),

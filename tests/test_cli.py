@@ -1,5 +1,6 @@
 """Command line surface: exit codes, output formats, error reporting."""
 
+import dataclasses
 import json
 import math
 import os
@@ -272,11 +273,11 @@ def test_det_lapack_failure_exits_1(capsys, tmp_path, failing_svd):
 
 
 def test_det_quadrature_warning_exits_1(capsys, monkeypatch):
-    # a warning from quad (a third element) is a refusal, not a value; the
+    # a warning from quad (a nonzero ier) is a refusal, not a value; the
     # bounded rest of the shifted superpower log has no antiderivative, so
     # the first shifted value reaches quad
-    def warning_quad(func, a, b, **kwargs):
-        return 0.0, 1.0, "The maximum number of subdivisions (200) has been achieved."
+    def warning_quad(func, a, b):
+        return 0.0, 1.0, 1
 
     monkeypatch.setattr(spaces, "quad", warning_quad)
     code, out, err = _run(capsys, [
@@ -286,8 +287,8 @@ def test_det_quadrature_warning_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == ("error: quadrature of profile 'log1p(0.0625/exp-neg-psi-prime-flip)' "
-                   "on (0.0, 1.0) is unreliable: The maximum number of subdivisions (200) "
-                   "has been achieved.\n")
+                   "on (0.0, 1.0) is unreliable: QUADPACK qagse code 1, the maximum number "
+                   "of subdivisions allowed has been achieved\n")
 
 
 def test_det_profile_line_flip(capsys):
@@ -420,6 +421,12 @@ def test_det_profile_overflowing_on_the_audit_grid_exits_2(capsys, line, name):
 def test_det_non_finite_profile_key_exits_2(capsys, line, message, eps):
     code, out, err = _run(capsys, ["det", "--input", line] + eps)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("scale", ["-1", "0"])
+def test_det_nonpositive_psi_prime_scale_exits_2(capsys, scale):
+    code, out, err = _run(capsys, ["det", "--input", f"name=psi-prime scale={scale}"])
+    assert (code, out, err) == (2, "", "error: scale must be positive\n")
 
 
 _OVERFLOW = "error: the determinant overflows the float range\n"
@@ -724,6 +731,18 @@ def test_examples_pass(capsys, name):
     assert payload["name"] == name
     assert payload["pass"] is True
     assert all(check["pass"] for check in payload["checks"])
+
+
+def test_example_with_an_eps_limit_that_does_not_converge_exits_1(capsys, monkeypatch):
+    # a limit of None is a failed check, not an error: the report still prints
+    real = cli.eps_limit_comparison
+    monkeypatch.setattr(cli, "eps_limit_comparison",
+                        lambda *args: dataclasses.replace(real(*args), limit=None, converged=False))
+    code, out, err = _run(capsys, ["example", "--name", "ex-3-4-invertible"])
+    assert code == 1
+    checks = {check["label"]: check for check in json.loads(out)["checks"]}
+    assert checks["eps_limit"]["computed"] is None
+    assert [label for label, check in checks.items() if not check["pass"]] == ["eps_limit"]
 
 
 def test_example_unknown_name_exits_2(capsys):

@@ -238,6 +238,10 @@ def test_power_profile_rejects_an_infinite_exponent():
                  id="flip-inf"),
     pytest.param(lambda: exp_flip_profile(psi_prime_profile(), -math.inf), "c must be finite, got -inf",
                  id="flip-neg-inf"),
+    pytest.param(lambda: constant_profile(math.inf), "constant must be finite and nonnegative",
+                 id="constant-inf"),
+    pytest.param(lambda: constant_profile(-1.0), "constant must be finite and nonnegative",
+                 id="constant-negative"),
 ])
 def test_profile_constructors_name_a_non_finite_parameter(build, message):
     # nan passes `scale <= 0.0`; without the check the audit blamed the
@@ -344,6 +348,7 @@ def test_audit_counts_a_raised_overflow_as_inf():
     (lambda t: t, 0.0, "nonincreasing"),
     (lambda t: 1.0 if t < 0.5 else 1.0 + 3e-9, 0.0, "nonincreasing"),
     (lambda t: 1.0, 0.5, "kernel_mass"),
+    (lambda t: 0.0, 1.0, r"^kernel_mass must lie in \[0, 1\)$"),
 ])
 def test_audit_rejections(evaluator, kernel, message):
     with pytest.raises(ValueError, match=message):
@@ -466,6 +471,12 @@ def test_psi_prime_head_integral_is_psi_exactly():
     assert profile_integral(q, 0.0, 2.0 ** -10) / psi(2.0 ** -10) == 2.0
 
 
+def test_profile_integral_of_an_empty_interval_is_zero():
+    # psi''s antiderivative raises at 0 (log 0), so (0, 0) must not reach it
+    for lo in (0.0, 0.5, 1.0):
+        assert profile_integral(psi_prime_profile(), lo, lo) == 0.0
+
+
 def test_power_profile_antiderivative_against_quad():
     p = power_profile(0.75)
     oracle, err = quad(p.evaluator, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=400)
@@ -487,15 +498,14 @@ def test_profile_integral_calls_the_module_quad_binding(monkeypatch):
     calls = []
     real = spaces.quad
 
-    def counting_quad(func, a, b, **kwargs):
+    def counting_quad(func, a, b):
         calls.append((a, b))
-        return real(func, a, b, **kwargs)
+        return real(func, a, b)
 
     monkeypatch.setattr(spaces, "quad", counting_quad)
     p = power_profile(0.5, 1.0)
     for lo, hi in ((0.1, 0.9), (0.2, 0.8)):
-        assert profile_integral(p, lo, hi) == real(p.evaluator, lo, hi, epsabs=1e-14, epsrel=1e-10,
-                                                   limit=200)[0]
+        assert profile_integral(p, lo, hi) == real(p.evaluator, lo, hi)[0]
     profile_integral(power_profile(0.75), 0.1, 0.9)   # exact: no quadrature
     assert calls == [(0.1, 0.9), (0.2, 0.8)]
 
@@ -547,30 +557,53 @@ def test_quadrature_agrees_with_antiderivative_or_refuses(p):
     assert refused == ([iv for iv in intervals if iv[0] == 0.0] if p.name.startswith("psi-prime") else [])
 
 
-def test_quadrature_warning_is_a_refusal():
+# one case per warning code of qagse: a profile where the fixed tolerances
+# reach the code, else a stubbed _qagse.  No profile tried reaches 2 or 3; the
+# integrands that do (test_quad_matches_scipy_on_each_warning_code) are a NaN
+# and a pole inside the interval, which the profile audit refuses
+_WARNING_CASES = [
     # power(1, -2) is psi'; without its antiderivative quad must integrate it
-    bare = replace(power_profile(1.0, -2.0), antiderivative=None)
-    with pytest.raises(QuadratureError, match=r"on \(0\.0, 9\.094947017729282e-13\) is unreliable: "
-                       r"The maximum number of subdivisions \(200\) has been achieved\."):
-        profile_integral(bare, 0.0, 2.0 ** -40)
+    pytest.param(1, replace(power_profile(1.0, -2.0), antiderivative=None), 2.0 ** -40, False,
+                 "the maximum number of subdivisions allowed has been achieved", id="1-bare-psi-prime"),
+    pytest.param(2, power_profile(0.5, 1.0), 1.0, True,
+                 "roundoff error prevents the requested tolerance from being achieved", id="2-stub"),
+    pytest.param(3, power_profile(0.5, 1.0), 1.0, True,
+                 "extremely bad integrand behaviour occurs at some points of the interval", id="3-stub"),
+    pytest.param(4, power_profile(0.9, -1.0), 1.0, False,
+                 "the algorithm does not converge: roundoff error in the extrapolation table",
+                 id="4-power-0.9"),
+    pytest.param(5, power_profile(0.99, 2.0), 1.0, False,
+                 "the integral is probably divergent, or slowly convergent", id="5-power-0.99"),
+]
+
+
+@pytest.mark.parametrize("code, p, hi, stub, gloss", _WARNING_CASES)
+def test_quadrature_warning_is_a_refusal(monkeypatch, code, p, hi, stub, gloss):
+    if stub:
+        monkeypatch.setattr(spaces, "_qagse", lambda: lambda *args: (0.0, 1.0, code))
+    message = (f"quadrature of profile {p.name!r} on (0.0, {hi!r}) is unreliable: "
+               f"QUADPACK qagse code {code}, {gloss}")
+    with pytest.raises(QuadratureError, match=re.escape(message) + "$"):
+        profile_integral(p, 0.0, hi)
 
 
 # ---- spaces.quad against scipy.integrate.quad ----
 
+# scipy.integrate.quad's arguments for the tolerances spaces.quad fixes
 _QUAD_ARGS = dict(epsabs=1e-14, epsrel=1e-10, limit=200)
 
 
-def _same_as_scipy(func, lo, hi, **kwargs):
-    """spaces.quad and scipy's quad with full_output=1 agree bit for bit, warning text included.
+def _same_as_scipy(func, lo, hi):
+    """spaces.quad and scipy's quad at the same tolerances agree bit for bit; returns ier.
 
-    scipy's third element is the info dict, which spaces.quad does not build.
+    scipy with full_output=1 returns its info dict third, and its warning
+    text fourth exactly when qagse warns.
     """
-    args = {**_QUAD_ARGS, **kwargs}
-    mine = spaces.quad(func, lo, hi, **args)
-    theirs = quad(func, lo, hi, **args, full_output=1)
-    assert [float(v).hex() for v in mine[:2]] == [float(v).hex() for v in theirs[:2]]
-    assert mine[2:] == theirs[3:]
-    return mine
+    value, abserr, ier = spaces.quad(func, lo, hi)
+    theirs = quad(func, lo, hi, **_QUAD_ARGS, full_output=1)
+    assert [float(value).hex(), float(abserr).hex()] == [float(v).hex() for v in theirs[:2]]
+    assert len(theirs) == (4 if ier else 3)
+    return ier
 
 
 def _eps_parts(x, eps):
@@ -595,26 +628,19 @@ def test_quad_matches_scipy_on_the_eps_compare_integrands(line, k):
     x = parse_profile_spec(line)
     for part in _eps_parts(x, 2.0 ** -k):
         for lo, hi in ((0.0, 1.0), (0.0, 2.0 ** -36), (0.0, 2.0 ** -40)):
-            assert len(_same_as_scipy(part, lo, hi)) == 2
+            assert _same_as_scipy(part, lo, hi) == 0
 
 
-@pytest.mark.parametrize("func, hi, kwargs, text", [
-    pytest.param(replace(psi_prime_profile(), antiderivative=None).evaluator, 2.0 ** -40, {},
-                 "The maximum number of subdivisions (200)", id="1-bare-psi-prime"),
-    pytest.param(lambda t: math.nan, 1.0, {}, "The occurrence of roundoff error", id="2-nan"),
-    pytest.param(lambda t: 1.0 / abs(t - 1.0 / 3.0), 1.0, {}, "Extremely bad integrand", id="3-pole"),
-    pytest.param(lambda t: t ** -0.99, 1.0, {"epsabs": 1e-300, "epsrel": 1e-14},
-                 "The algorithm does not converge", id="4-extrapolation"),
-    pytest.param(lambda t: t ** -2.0, 1.0, {}, "The integral is probably divergent", id="5-divergent"),
+@pytest.mark.parametrize("func, hi, code", [
+    pytest.param(replace(psi_prime_profile(), antiderivative=None).evaluator, 2.0 ** -40, 1,
+                 id="1-bare-psi-prime"),
+    pytest.param(lambda t: math.nan, 1.0, 2, id="2-nan"),
+    pytest.param(lambda t: 1.0 / abs(t - 1.0 / 3.0), 1.0, 3, id="3-pole"),
+    pytest.param(power_profile(0.9, -1.0).evaluator, 1.0, 4, id="4-extrapolation"),
+    pytest.param(lambda t: t ** -2.0, 1.0, 5, id="5-divergent"),
 ])
-def test_quad_warns_with_scipys_text(func, hi, kwargs, text):
-    assert _same_as_scipy(func, 0.0, hi, **kwargs)[2].startswith(text)
-
-
-def test_quad_warning_table_holds_the_qagse_warning_codes():
-    # qagse's ier is 0 to 6: 0 is success and 6 invalid input, which raises;
-    # scipy's text for 7 belongs to its weighted Fourier routine only
-    assert sorted(spaces._QUADPACK_WARNINGS) == [1, 2, 3, 4, 5]
+def test_quad_matches_scipy_on_each_warning_code(func, hi, code):
+    assert _same_as_scipy(func, 0.0, hi) == code
 
 
 def test_quad_raises_as_scipy_does():
@@ -622,13 +648,11 @@ def test_quad_raises_as_scipy_does():
         return math.exp(1e3 / t)
 
     raised = []
-    for fn in (spaces.quad, quad):
+    for call in (lambda: spaces.quad(overflowing, 0.0, 1.0),
+                 lambda: quad(overflowing, 0.0, 1.0, **_QUAD_ARGS)):
         with pytest.raises(OverflowError) as exc:
-            fn(overflowing, 0.0, 1.0, **_QUAD_ARGS)
+            call()
         raised.append((type(exc.value), str(exc.value)))
-        # QUADPACK's invalid-input code, here from a limit below 1
-        with pytest.raises(ValueError):
-            fn(overflowing, 0.0, 1.0, **{**_QUAD_ARGS, "limit": 0})
     assert raised[0] == raised[1] == (OverflowError, "math range error")
 
 
@@ -638,7 +662,7 @@ def test_quad_without_the_extension_names_its_directory(monkeypatch):
     spaces._qagse.cache_clear()
     try:
         with pytest.raises(ImportError, match=r"^no QUADPACK extension _quadpack in .*integrate$"):
-            spaces.quad(math.exp, 0.0, 1.0, **_QUAD_ARGS)
+            spaces.quad(math.exp, 0.0, 1.0)
     finally:
         spaces._qagse.cache_clear()
 

@@ -168,6 +168,12 @@ def test_negative_grid_evaluates_to_the_part_difference():
     assert eval_functional(phi, -f) == -0.25
 
 
+def test_eval_functional_takes_a_profile_or_a_grid_only():
+    # a list of values is neither, and no trace may read it as one
+    with pytest.raises(TypeError, match="^cannot evaluate a trace on list$"):
+        eval_functional(integral_trace(), [1.0])
+
+
 def test_eval_additivity_on_grids():
     rng = np.random.default_rng(31)
     f = GridFn(rng.standard_normal(16))

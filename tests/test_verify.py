@@ -391,27 +391,14 @@ _GOLDEN_CSV_SHA256 = {
 }
 
 _GOLDEN_RUN = """
-import contextlib, ctypes, glob, hashlib, io, json, os, sys
-import numpy
+import contextlib, hashlib, io, json, sys
+import child
 from specdet.cli import main
 
-
-def blas_key():
-    libdir = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "libscipy_openblas*.so")):
-        lib = ctypes.CDLL(path)
-        suffix = "64_" if "openblas64" in os.path.basename(path) else ""
-        try:
-            core = getattr(lib, "scipy_openblas_get_corename" + suffix)
-            config = getattr(lib, "scipy_openblas_get_config" + suffix)
-        except AttributeError:
-            continue
-        core.argtypes = config.argtypes = []
-        core.restype = config.restype = ctypes.c_char_p
-        return config().decode().split()[1] + "/" + core().decode()
-    return None
-
-
+# perfbench's own probe of the OpenBLAS in use; the key is its version and core
+blas = child._blas_info()
+config = blas["config"].split()
+key = f"{config[1]}/{blas['core']}" if len(config) > 1 else None
 digests = {}
 for n, trials, seed in json.loads(sys.argv[1]):
     out = io.StringIO()
@@ -420,14 +407,16 @@ for n, trials, seed in json.loads(sys.argv[1]):
                      "--seed", str(seed)])
     assert code == 0, code
     digests[f"{n},{trials},{seed}"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
-print(json.dumps({"key": blas_key(), "digests": digests}))
+print(json.dumps({"key": key, "digests": digests}))
 """
 
 
 def _assert_golden(shapes):
     src = os.path.dirname(os.path.dirname(os.path.abspath(specdet.__file__)))
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
     env = {k: v for k, v in os.environ.items() if k != "SPECDET_THREADS"}
-    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OPENBLAS_CORETYPE="Haswell")
+    env.update(PYTHONPATH=os.pathsep.join((src, perfbench)), OPENBLAS_NUM_THREADS="1",
+               OPENBLAS_CORETYPE="Haswell")
     run = subprocess.run([sys.executable, "-c", _GOLDEN_RUN, json.dumps(shapes)],
                          capture_output=True, text=True, timeout=300, env=env, check=True)
     report = json.loads(run.stdout)
